@@ -30,13 +30,8 @@ from .qseries import (
     eta_power_mod,
     eta_power_rational,
     eta_power_residues,
-    extract_progression,
     frobenius_congruence_check,
-    frobenius_substitute,
     partition_numbers,
-    series_inverse,
-    series_mul,
-    series_pow,
 )
 from .modforms import (
     CUSPIDAL,

@@ -6,10 +6,13 @@ mod m (numpy, used by the large-scale residue engine).  The modular backend
 splits operands into 11-bit limbs and convolves each limb pair with a real
 FFT; every limb-pair convolution is bounded by 2^22 * len < 2^47, far inside
 the 2^53 window where float64 holds integers exactly, and rounding is still
-asserted to be unambiguous at runtime.
+asserted to be unambiguous at runtime.  ``binary_power`` is the one
+square-and-multiply loop; every power in the package goes through it.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -60,7 +63,14 @@ def _convolve_fft_mod(a, b, m, n_out):
             if raw.size and np.abs(raw - rounded).max() >= 0.25:
                 raise ArithmeticError("fft convolution lost integrality")
             shift = pow(2, _LIMB_BITS * (i + j), int(m))
-            out = (out + (rounded.astype(np.int64) % m) * shift) % m
+            if m * (m - 1) < 1 << 63:
+                out = (out + (rounded.astype(np.int64) % m) * shift) % m
+            else:
+                # (m-1)^2 overflows int64: split the shift so that, with
+                # m < 2^33, no product reaches 2^50
+                limb = rounded.astype(np.int64) % m
+                hi, lo = divmod(shift, 1 << 16)
+                out = (out + ((limb * hi % m) << 16) + limb * lo) % m
     return out
 
 
@@ -82,21 +92,30 @@ def convolve_mod(a, b, m, n_out):
     return _convolve_fft_mod(a, b, m, n_out)
 
 
-def power_mod(base, exponent, m, n_out):
-    """base(q)^exponent truncated to n_out coefficients, mod m, by squaring."""
-    result = np.zeros(n_out, dtype=np.int64)
-    result[0] = 1 % m
-    cur = np.asarray(base[:n_out], dtype=np.int64) % m
-    e = int(exponent)
+def binary_power(base, exponent, result, mul):
+    """result * base^exponent by square-and-multiply under mul.
+
+    base and result are rebound as the loop runs, so neither outlives its
+    last use unless the caller keeps a reference to the value it passed.
+    """
+    e = operator.index(exponent)
     if e < 0:
         raise ValueError("negative exponent")
     while e:
         if e & 1:
-            result = convolve_mod(result, cur, m, n_out)
+            result = mul(result, base)
         e >>= 1
         if e:
-            cur = convolve_mod(cur, cur, m, n_out)
+            base = mul(base, base)
     return result
+
+
+def power_mod(base, exponent, m, n_out):
+    """base(q)^exponent truncated to n_out coefficients, mod m, by squaring."""
+    one = np.zeros(n_out, dtype=np.int64)
+    one[0] = 1 % m
+    return binary_power(np.asarray(base[:n_out], dtype=np.int64) % m, exponent,
+                        one, lambda f, g: convolve_mod(f, g, m, n_out))
 
 
 def pentagonal_mod(m, n_out):

@@ -13,7 +13,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import (
@@ -59,44 +58,34 @@ EXIT_COUNTEREXAMPLE = 4
 HARD_TRUNC_CAP = 10000
 
 
-@dataclass
-class RunConfig:
-    command: str
-    alpha: str | None = None
-    ell: int | None = None
-    k: int | None = None
-    r: int | None = None
-    v: int = 1
-    n_max: int | None = None
-    trunc: int | None = None
-    ell_max: int | None = None
-    max_weight: int | None = None
-    modulus: tuple | None = None  # (ell, v)
-    offset: int | None = None
-    form: str = BALANCED
-    stride: int = 24
-    delta_exp: int = 1
-    iters: int | None = None
-    weight: int | None = None
-    m_max: int | None = None
-    fmt: str = "plain"
-    output: str | None = None
-    allow_small_primes: bool = False
-    strict_precision: bool = False
-    seed: int = 987654321
+class UsageError(argparse.ArgumentTypeError, ValueError):
+    """Invalid input, exit 2; argparse prints it as an argument's error."""
+
+
+def parse_prime(text: str) -> int:
+    """The value of --ell: a prime."""
+    try:
+        ell = int(text)
+    except ValueError:
+        ell = 0
+    if not is_prime(ell):
+        raise UsageError(f"expected a prime, got {text!r}")
+    return ell
 
 
 def parse_modulus(text: str) -> tuple:
     """"ell^v" or "ell**v" or plain "ell" -> (ell, v)."""
+    ell_s, v_s = text, "1"
     for sep in ("^", "**"):
         if sep in text:
             ell_s, v_s = text.split(sep, 1)
-            ell, v = int(ell_s), int(v_s)
             break
-    else:
-        ell, v = int(text), 1
+    try:
+        ell, v = int(ell_s), int(v_s)
+    except ValueError:
+        ell = v = 0
     if not is_prime(ell) or v < 1:
-        raise ValueError(f"modulus must be a prime power, got {text!r}")
+        raise UsageError(f"modulus must be a prime power, got {text!r}")
     return ell, v
 
 
@@ -111,26 +100,25 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="fmt", default="plain",
                         choices=("plain", "json", "csv"))
         sp.add_argument("--output", default=None, help="write here, not stdout")
-        sp.add_argument("--allow-ell-2-3", dest="allow_small_primes",
-                        action="store_true")
-        sp.add_argument("--strict-precision", action="store_true")
-        sp.add_argument("--seed", type=int, default=987654321)
 
     sp = sub.add_parser("coeffs", help="dump p_alpha(0..T)")
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--trunc", type=int, required=True)
-    sp.add_argument("--mod", default=None, help="prime power ell^v for residues")
+    sp.add_argument("--mod", type=parse_modulus, default=None,
+                    help="prime power ell^v for residues")
     common(sp)
 
     sp = sub.add_parser("search", help="good primes and their congruences")
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--lmax", dest="ell_max", type=int, default=None)
     sp.add_argument("--max-weight", dest="max_weight", type=int, default=None)
+    sp.add_argument("--allow-ell-2-3", dest="allow_small_primes",
+                    action="store_true")
     common(sp)
 
     sp = sub.add_parser("verify", help="brute-force a congruence claim")
     sp.add_argument("--alpha", required=True)
-    sp.add_argument("--ell", type=int, required=True)
+    sp.add_argument("--ell", type=parse_prime, required=True)
     sp.add_argument("--v", type=int, default=1)
     sp.add_argument("--offset", type=int, default=None,
                     help="balanced-claim residue c")
@@ -142,14 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="empirical balanced-congruence sweep")
     sp.add_argument("--alpha", required=True)
-    sp.add_argument("--ell", type=int, required=True)
+    sp.add_argument("--ell", type=parse_prime, required=True)
     sp.add_argument("--v", type=int, default=1)
     sp.add_argument("--N", dest="n_max", type=int, required=True)
     common(sp)
 
     sp = sub.add_parser("filtration", help="weight filtrations of theta "
                                            "iterates of Delta^d")
-    sp.add_argument("--ell", type=int, required=True)
+    sp.add_argument("--ell", type=parse_prime, required=True)
     sp.add_argument("--delta", dest="delta_exp", type=int, default=1)
     sp.add_argument("--iters", type=int, default=None)
     common(sp)
@@ -157,11 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hecke", help="Hecke matrices and Gram determinant")
     sp.add_argument("--weight", type=int, required=True)
     sp.add_argument("--m-max", dest="m_max", type=int, default=None)
-    sp.add_argument("--ell", type=int, default=None,
+    sp.add_argument("--ell", type=parse_prime, default=None,
                     help="also report the Gram residue mod ell")
     common(sp)
 
     sp = sub.add_parser("selftest", help="run the built-in invariant suite")
+    sp.add_argument("--seed", type=int, default=987654321)
     common(sp)
     return p
 
@@ -220,10 +209,10 @@ def report_to_dict(report, include_timing: bool = False) -> dict:
     return out
 
 
-def _emit(cfg: RunConfig, payload, plain_lines, csv_rows=None) -> None:
-    if cfg.fmt == "json":
+def _emit(args, payload, plain_lines, csv_rows=None) -> None:
+    if args.fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in csv_rows or []:
@@ -231,8 +220,8 @@ def _emit(cfg: RunConfig, payload, plain_lines, csv_rows=None) -> None:
         text = buf.getvalue()
     else:
         text = "\n".join(plain_lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -243,38 +232,33 @@ def _frac_str(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def cmd_coeffs(cfg: RunConfig) -> int:
-    if cfg.trunc is None or cfg.trunc < 0 or cfg.trunc > HARD_TRUNC_CAP:
+def cmd_coeffs(args) -> int:
+    if args.trunc < 0 or args.trunc > HARD_TRUNC_CAP:
         raise UsageError(f"--trunc must lie in [0, {HARD_TRUNC_CAP}]")
-    alpha = as_fraction(cfg.alpha)
-    if cfg.modulus is None:
-        series = eta_power_rational(alpha, cfg.trunc)
-        rows = [(n, _frac_str(series[n])) for n in range(cfg.trunc + 1)]
-        payload = {"alpha": cfg.alpha, "coeffs": [r[1] for r in rows]}
-        _emit(cfg, payload, [f"{n} {s}" for n, s in rows],
+    alpha = as_fraction(args.alpha)
+    if args.mod is None:
+        series = eta_power_rational(alpha, args.trunc)
+        rows = [(n, _frac_str(series[n])) for n in range(args.trunc + 1)]
+        payload = {"alpha": args.alpha, "coeffs": [r[1] for r in rows]}
+        _emit(args, payload, [f"{n} {s}" for n, s in rows],
               [("n", "coeff")] + list(rows))
         return EXIT_OK
-    ell, v = cfg.modulus
-    series = eta_power_mod(alpha, ell, v, cfg.trunc)
-    rows = []
-    for n in range(cfg.trunc + 1):
-        c = series[n]
-        if cfg.strict_precision and c.precision < v:
-            raise PrecisionError(
-                f"coefficient {n} has {c.precision} digits, {v} requested")
-        rows.append((n, c.residue(min(v, c.precision)), c.precision))
-    payload = {"alpha": cfg.alpha, "modulus": f"{ell}^{v}",
+    ell, v = args.mod
+    series = eta_power_mod(alpha, ell, v, args.trunc)
+    # every route guarantees at least v digits; residue(v) raises otherwise
+    rows = [(n, c.residue(v), c.precision) for n, c in enumerate(series.coeffs)]
+    payload = {"alpha": args.alpha, "modulus": f"{ell}^{v}",
                "coeffs": [{"n": n, "value": val, "precision": p}
                           for n, val, p in rows]}
-    _emit(cfg, payload, [f"{n} {val} (precision {p})" for n, val, p in rows],
+    _emit(args, payload, [f"{n} {val} (precision {p})" for n, val, p in rows],
           [("n", "value", "precision")] + list(rows))
     return EXIT_OK
 
 
-def cmd_search(cfg: RunConfig) -> int:
+def cmd_search(args) -> int:
     result = search_good_congruences(
-        as_fraction(cfg.alpha), ell_max=cfg.ell_max, max_weight=cfg.max_weight,
-        allow_small_primes=cfg.allow_small_primes)
+        as_fraction(args.alpha), ell_max=args.ell_max,
+        max_weight=args.max_weight, allow_small_primes=args.allow_small_primes)
     by_key = {(c.ell, c.k): c for c in result.certificates}
     entries = []
     for claim in result.claims:
@@ -303,24 +287,24 @@ def cmd_search(cfg: RunConfig) -> int:
         c, cert = e["claim"], e["certificate"]
         csv_rows.append((c["alpha"], c["ell"], c["v"], c["offset"], cert["k"],
                          cert["r"], cert["m"], cert["gramDetResidue"]))
-    _emit(cfg, payload, lines, csv_rows)
+    _emit(args, payload, lines, csv_rows)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.form == BALANCED:
-        if cfg.offset is None:
+def cmd_verify(args) -> int:
+    if args.form == BALANCED:
+        if args.offset is None:
             raise UsageError("balanced verification needs --offset")
         claim = CongruenceClaim(
-            variant=BALANCED, alpha=str(FracExponent.parse(cfg.alpha)),
-            ell=cfg.ell, v=cfg.v, offset=cfg.offset % cfg.ell ** cfg.v,
+            variant=BALANCED, alpha=str(FracExponent.parse(args.alpha)),
+            ell=args.ell, v=args.v, offset=args.offset % args.ell ** args.v,
             provenance=(("kind", "cli"),))
     else:
         claim = CongruenceClaim(
-            variant=SQUARE_CLASS, alpha=str(FracExponent.parse(cfg.alpha)),
-            ell=cfg.ell, v=cfg.v, stride=cfg.stride, shift=1,
+            variant=SQUARE_CLASS, alpha=str(FracExponent.parse(args.alpha)),
+            ell=args.ell, v=args.v, stride=args.stride, shift=1,
             provenance=(("kind", "cli"),))
-    report = verify_claim(claim, cfg.n_max)
+    report = verify_claim(claim, args.n_max)
     payload = report_to_dict(report)
     lines = [f"{claim.describe()}: {report.outcome} "
              f"for n in [{report.n_min}, {report.n_max}]"]
@@ -333,22 +317,22 @@ def cmd_verify(cfg: RunConfig) -> int:
     csv_rows.append((claim.alpha, claim.ell, claim.v,
                      claim.offset if claim.variant == BALANCED else claim.shift,
                      claim.variant, report.outcome, ce[0], ce[2]))
-    _emit(cfg, payload, lines, csv_rows)
+    _emit(args, payload, lines, csv_rows)
     return EXIT_OK if report.verified else EXIT_COUNTEREXAMPLE
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    candidates = scan_balanced(as_fraction(cfg.alpha), cfg.ell, cfg.v,
-                               cfg.n_max)
+def cmd_scan(args) -> int:
+    candidates = scan_balanced(as_fraction(args.alpha), args.ell, args.v,
+                               args.n_max)
     payload = {
-        "alpha": cfg.alpha, "ell": cfg.ell, "v": cfg.v, "N": cfg.n_max,
+        "alpha": args.alpha, "ell": args.ell, "v": args.v, "N": args.n_max,
         "candidates": [
             {"offset": c.offset, "offsetAdmissible": c.offset_admissible,
              "primeAdmissible": c.prime_admissible, "label": c.label}
             for c in candidates
         ],
     }
-    lines = [f"alpha = {cfg.alpha}, ell^v = {cfg.ell}^{cfg.v}, N = {cfg.n_max}"]
+    lines = [f"alpha = {args.alpha}, ell^v = {args.ell}^{args.v}, N = {args.n_max}"]
     for c in candidates:
         lines.append(f"  offset {c.offset}: {c.label}, "
                      f"offset filter {'ok' if c.offset_admissible else 'FAIL'}, "
@@ -358,41 +342,41 @@ def cmd_scan(cfg: RunConfig) -> int:
     csv_rows = [("offset", "offsetAdmissible", "primeAdmissible", "label")]
     csv_rows += [(c.offset, c.offset_admissible, c.prime_admissible, c.label)
                  for c in candidates]
-    _emit(cfg, payload, lines, csv_rows)
+    _emit(args, payload, lines, csv_rows)
     return EXIT_OK
 
 
-def cmd_filtration(cfg: RunConfig) -> int:
-    ell = cfg.ell
+def cmd_filtration(args) -> int:
+    ell = args.ell
     if ell < 5:
         raise UsageError("filtration requires ell >= 5")
-    iters = cfg.iters if cfg.iters is not None else ell - 1
-    base_weight = 12 * cfg.delta_exp
+    iters = args.iters if args.iters is not None else ell - 1
+    base_weight = 12 * args.delta_exp
     nominal = base_weight + iters * (ell + 1)
     horizon = nominal // 12 + 2
-    f = delta_power(cfg.delta_exp, horizon)
+    f = delta_power(args.delta_exp, horizon)
     rows = []
     for i in range(iters + 1):
         weight_i = base_weight + i * (ell + 1)
         rows.append((i, weight_i, filtration(f, weight_i, ell)))
         f = theta(f)
-    payload = {"ell": ell, "delta": cfg.delta_exp,
+    payload = {"ell": ell, "delta": args.delta_exp,
                "table": [{"i": i, "nominalWeight": w, "filtration": om}
                          for i, w, om in rows]}
-    lines = [f"theta iterates of Delta^{cfg.delta_exp} mod {ell}"]
+    lines = [f"theta iterates of Delta^{args.delta_exp} mod {ell}"]
     lines += [f"  i={i}: nominal weight {w}, filtration {om}"
               for i, w, om in rows]
     csv_rows = [("i", "nominalWeight", "filtration")] + rows
-    _emit(cfg, payload, lines, csv_rows)
+    _emit(args, payload, lines, csv_rows)
     return EXIT_OK
 
 
-def cmd_hecke(cfg: RunConfig) -> int:
-    weight = cfg.weight
+def cmd_hecke(args) -> int:
+    weight = args.weight
     if weight < 0 or weight % 2:
         raise UsageError("weight must be even and nonnegative")
     d = dim_cusp_forms(weight)
-    m_max = cfg.m_max if cfg.m_max is not None else d
+    m_max = args.m_max if args.m_max is not None else d
     mats = {m: hecke_matrix(weight, m) for m in range(1, m_max + 1)}
     gram = gram_determinant(weight) if weight <= 600 else None
     payload = {
@@ -405,18 +389,18 @@ def cmd_hecke(cfg: RunConfig) -> int:
     for m in sorted(mats):
         lines.append(f"  T_{m} = {[list(r) for r in mats[m].entries]}")
     lines.append(f"  gram determinant = {gram}")
-    if cfg.ell is not None:
-        residue = gram_determinant_residue(weight, cfg.ell)
+    if args.ell is not None:
+        residue = gram_determinant_residue(weight, args.ell)
         payload["gramDetResidue"] = residue
-        payload["ell"] = cfg.ell
-        lines.append(f"  gram determinant mod {cfg.ell} = {residue}")
+        payload["ell"] = args.ell
+        lines.append(f"  gram determinant mod {args.ell} = {residue}")
     csv_rows = [("weight", "dim", "gramDet"), (weight, d, gram)]
-    _emit(cfg, payload, lines, csv_rows)
+    _emit(args, payload, lines, csv_rows)
     return EXIT_OK
 
 
-def _selftest_checks(cfg: RunConfig):
-    rng = random.Random(cfg.seed)
+def _selftest_checks(args):
+    rng = random.Random(args.seed)
 
     def check_partition_oracle():
         series = eta_power_rational(Fraction(-1), 60)
@@ -508,42 +492,21 @@ def _selftest_checks(cfg: RunConfig):
     ]
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
-    results = [(name, fn()) for name, fn in _selftest_checks(cfg)]
+def cmd_selftest(args) -> int:
+    results = [(name, fn()) for name, fn in _selftest_checks(args)]
     all_ok = all(ok for _, ok in results)
     lines = [f"{'ok' if ok else 'FAIL'} {name}" for name, ok in results]
     lines.append("selftest: " + ("all checks passed" if all_ok
                                  else "FAILURES above"))
     payload = {"checks": [{"name": name, "ok": ok} for name, ok in results],
                "ok": all_ok}
-    _emit(cfg, payload, lines,
+    _emit(args, payload, lines,
           [("check", "ok")] + [(name, ok) for name, ok in results])
     return EXIT_OK if all_ok else 1
 
 
-class UsageError(ValueError):
-    pass
-
-
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("alpha", "ell", "v", "n_max", "trunc", "ell_max",
-                 "max_weight", "offset", "form", "delta_exp", "iters",
-                 "weight", "m_max", "fmt", "output", "allow_small_primes",
-                 "strict_precision", "seed"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "mod", None):
-        cfg.modulus = parse_modulus(args.mod)
-    if hasattr(args, "stride"):
-        cfg.stride = args.stride
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    args = build_parser().parse_args(argv)
     handlers = {
         "coeffs": cmd_coeffs,
         "search": cmd_search,
@@ -554,7 +517,7 @@ def main(argv=None) -> int:
         "selftest": cmd_selftest,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except (UsageError, NotEllIntegralError, HorizonError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

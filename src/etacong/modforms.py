@@ -19,13 +19,20 @@ path reduces everything mod ell up front and works on numpy arrays.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._convolve import convolve_exact, convolve_mod, eta_integer_power_mod
+from ._convolve import (
+    binary_power,
+    convolve_exact,
+    convolve_mod,
+    eta_integer_power_mod,
+    power_mod,
+)
 from .numerics import (
     FracExponent,
     NotEllIntegralError,
@@ -144,17 +151,6 @@ def _build_vm_rows(weight: int, kind: str, trunc: int):
     def mul(f, g):
         return convolve_exact(f, g, n_out)
 
-    def power(f, e):
-        out = [1] + [0] * trunc
-        cur = f
-        while e:
-            if e & 1:
-                out = mul(out, cur)
-            e >>= 1
-            if e:
-                cur = mul(cur, cur)
-        return out
-
     rows = []
     delta_j = [1] + [0] * trunc
     for _ in range(off):
@@ -164,7 +160,7 @@ def _build_vm_rows(weight: int, kind: str, trunc: int):
         if ab is None:
             raise ArithmeticError("monomial spanning set disagrees with dimension")
         a, b = ab
-        mono = power(e4, a)
+        mono = binary_power(e4, a, [1] + [0] * trunc, mul)
         if b:
             mono = mul(mono, e6)
         rows.append(mul(delta_j, mono))
@@ -224,24 +220,18 @@ def hecke_action(f: QSeries, weight: int, m: int, trunc: int) -> QSeries:
         )
     out = []
     for n in range(trunc + 1):
-        g = m if n == 0 else _gcd(m, n)
         acc = None
-        for d in _divisors(g):
+        for d in _divisors(math.gcd(m, n)):
             term = d ** (weight - 1) * f.coeffs[m * n // (d * d)]
             acc = term if acc is None else acc + term
         out.append(acc)
     return QSeries(out, trunc, f.domain)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """Divisors of n >= 1 in increasing order, by trial division to sqrt(n)."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 @dataclass(frozen=True)
@@ -360,26 +350,14 @@ def _vm_cusp_basis_mod(weight: int, trunc: int, ell: int):
     def mul(f, g):
         return convolve_mod(f, g, ell, n_out)
 
-    def power(f, e):
-        out = np.zeros(n_out, dtype=np.int64)
-        out[0] = 1 % ell
-        cur = f
-        while e:
-            if e & 1:
-                out = mul(out, cur)
-            e >>= 1
-            if e:
-                cur = mul(cur, cur)
-        return out
-
     # Q_j = E4^{a_j} E6^b with a_j decreasing by 3 as j increases: build the
     # smallest power once, then walk j downward multiplying by E4^3
     ab_last = _monomial_exponents(weight, d)
     if ab_last is None:
         raise ArithmeticError("monomial spanning set disagrees with dimension")
     a_last, b = ab_last
-    e4_cubed = power(e4, 3)
-    q_part = power(e4, a_last)
+    e4_cubed = power_mod(e4, 3, ell, n_out)
+    q_part = power_mod(e4, a_last, ell, n_out)
     if b:
         q_part = mul(q_part, e6)
     q_parts = {d: q_part}
@@ -406,8 +384,7 @@ def _hecke_matrix_mod(weight: int, m: int, ell: int, basis) -> np.ndarray:
     out = np.zeros((d, d), dtype=np.int64)
     for n in range(1, d + 1):
         acc = np.zeros(d, dtype=np.int64)
-        g = _gcd(m, n)
-        for dd in _divisors(g):
+        for dd in _divisors(math.gcd(m, n)):
             acc = (acc + pow(dd, weight - 1, ell) * basis[:, m * n // (dd * dd)]) % ell
         out[n - 1, :] = acc
     return out

@@ -24,12 +24,18 @@ verification.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._convolve import FFT_MODULUS_LIMIT, convolve_mod, eta_integer_power_mod
+from ._convolve import (
+    FFT_MODULUS_LIMIT,
+    binary_power,
+    convolve_mod,
+    eta_integer_power_mod,
+)
 from .numerics import (
     NotEllIntegralError,
     PrecisionError,
@@ -166,15 +172,7 @@ class QSeries:
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
             return self.inverse() ** (-e)
-        result = one_like(self)
-        cur = self
-        while e:
-            if e & 1:
-                result = result * cur
-            e >>= 1
-            if e:
-                cur = cur * cur
-        return result
+        return binary_power(self, e, one_like(self), operator.mul)
 
     def frobenius(self, ell: int) -> "QSeries":
         """Substitute q -> q^ell; coefficients beyond floor(T/ell) drop."""
@@ -219,26 +217,6 @@ def one_like(f: QSeries) -> QSeries:
     else:
         unit = 1
     return QSeries([unit] + [_zero_like(c0)] * f.truncation, f.truncation, f.domain)
-
-
-def series_mul(f: QSeries, g: QSeries) -> QSeries:
-    return f * g
-
-
-def series_pow(f: QSeries, e: int) -> QSeries:
-    return f ** e
-
-
-def series_inverse(f: QSeries) -> QSeries:
-    return f.inverse()
-
-
-def frobenius_substitute(f: QSeries, ell: int) -> QSeries:
-    return f.frobenius(ell)
-
-
-def extract_progression(f: QSeries, modulus: int, residue: int) -> QSeries:
-    return f.extract_progression(modulus, residue)
 
 
 def coefficient_denominator(alpha: Rational, n: int) -> int:

@@ -118,6 +118,22 @@ def test_invalid_alpha_exits_2(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--alpha", "-1", "--trunc", "5", "--mod", "6"],
+    ["coeffs", "--alpha", "-1", "--trunc", "5", "--mod", "5^x"],
+    ["verify", "--alpha", "-1", "--ell", "6", "--offset", "4", "--N", "10"],
+    ["scan", "--alpha", "-1", "--ell", "4", "--N", "10"],
+])
+def test_non_prime_ell_or_modulus_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        err.splitlines()[-1]]
+    assert "Traceback" not in err
+
+
 def test_precision_underflow_exits_3(capsys):
     # 5^20 is beyond the modular backend; the failure must be exit 3, not a
     # wrong verdict

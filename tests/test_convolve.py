@@ -1,8 +1,11 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from etacong._convolve import (
+    binary_power,
     convolve_exact,
     convolve_mod,
     eta_integer_power_mod,
@@ -68,3 +71,20 @@ def test_modulus_limit_guard():
     with pytest.raises(ValueError, match="modulus too large"):
         convolve_mod(np.ones(4, dtype=np.int64), np.ones(4, dtype=np.int64),
                      1 << 40, 4)
+
+
+def test_convolve_mod_worst_case_beyond_int64_square():
+    # (m - 1)^2 overflows int64 at 5^14, so limb recombination must split
+    m = 5 ** 14
+    a = np.full(8192, m - 1, dtype=np.int64)
+    got = convolve_mod(a, a, m, 8192)
+    assert got.tolist() == [(k + 1) * (m - 1) ** 2 % m for k in range(8192)]
+
+
+def test_binary_power_rejects_negative_and_non_integral_exponents():
+    assert [binary_power(3, e, 1, operator.mul) for e in range(6)] == [
+        1, 3, 9, 27, 81, 243]
+    with pytest.raises(ValueError, match="negative exponent"):
+        binary_power(3, -1, 1, operator.mul)
+    with pytest.raises(TypeError):
+        binary_power(3, 0.5, 1, operator.mul)

@@ -10,6 +10,7 @@ from etacong.modforms import (
     GoodPrimeCertificate,
     GoodPrimeRejection,
     WeightCapExceeded,
+    _divisors,
     cusp_divisibility_check,
     delta,
     delta_power,
@@ -94,6 +95,11 @@ def test_victor_miller_small_spaces():
         victor_miller_basis(11, CUSPIDAL, 5)
     with pytest.raises(ValueError):
         victor_miller_basis(-4, FULL, 5)
+
+
+def test_divisors_in_increasing_order():
+    for n in range(1, 200):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_hecke_action_is_identity_at_one():
