@@ -3,11 +3,21 @@
 Two regimes: exact big-integer convolution (Python ints, used by the small
 exact series engine) and modular convolution for coefficient arrays reduced
 mod m (numpy, used by the large-scale residue engine).  The modular backend
-splits operands into 11-bit limbs and convolves each limb pair with a real
-FFT; every limb-pair convolution is bounded by 2^22 * len < 2^47, far inside
-the 2^53 window where float64 holds integers exactly, and rounding is still
-asserted to be unambiguous at runtime.  ``binary_power`` is the one
-square-and-multiply loop; every power in the package goes through it.
+splits operands into L limbs of 11 bits and convolves them with real FFTs:
+L forward transforms per operand (a square reuses its operand's), and one
+inverse transform per limb shift s = i + j, 2L - 1 in all, applied to the
+sum of the limb-pair spectra that share that shift.  An inverse transform
+that sums `pairs` limb pairs recovers exact coefficients up to
+pairs * (2^11 - 1)^2 * min(len a, len b), which must stay below
+``ROUNDING_LIMIT`` = 2^47, six bits inside the 2^53 window where float64
+holds integers exactly.  Long operands therefore sum fewer pairs per
+inverse transform, down to one.  A call where even one pair would pass the
+limit (shorter operand of 3.36e7 coefficients or more) is refused before
+transforming, and every rounded value is still checked to lie within 0.25
+of an integer; both checks raise ``PrecisionError``.  ``binary_power`` is
+the one square-and-multiply loop; every power in the package goes through
+it, and ``inverse_mod`` inverts a series by Newton iteration on top of
+``convolve_mod``.
 """
 
 from __future__ import annotations
@@ -16,6 +26,8 @@ import operator
 
 import numpy as np
 
+from .numerics import PrecisionError
+
 _LIMB_BITS = 11
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # beyond this modulus the limb count makes the FFT path pointless; callers
@@ -23,6 +35,8 @@ _LIMB_MASK = (1 << _LIMB_BITS) - 1
 FFT_MODULUS_LIMIT = 1 << 33
 # below this size the direct int64 path beats FFT setup cost
 _DIRECT_SIZE_LIMIT = 1 << 9
+# every exact coefficient an inverse transform recovers stays below this
+ROUNDING_LIMIT = 1 << 47
 
 
 def convolve_exact(a, b, n_out):
@@ -44,25 +58,44 @@ def _fft_length(n):
     return length
 
 
-def _convolve_fft_mod(a, b, m, n_out):
-    length = _fft_length(len(a) + len(b) - 1)
-    limbs = max(1, -(-int(m - 1).bit_length() // _LIMB_BITS))
-    fa = [
+def _limb_spectra(a, limbs, length):
+    return [
         np.fft.rfft(((a >> (_LIMB_BITS * i)) & _LIMB_MASK).astype(np.float64), length)
         for i in range(limbs)
     ]
-    fb = [
-        np.fft.rfft(((b >> (_LIMB_BITS * i)) & _LIMB_MASK).astype(np.float64), length)
-        for i in range(limbs)
-    ]
+
+
+def _pairs_spectrum(fa, fb, s, first, stop):
+    """Sum of the limb-pair spectra fa[i] * fb[s - i] for first <= i < stop."""
+    spectrum = fa[first] * fb[s - first]
+    for i in range(first + 1, stop):
+        spectrum += fa[i] * fb[s - i]
+    return spectrum
+
+
+def _convolve_fft_mod(a, b, m, n_out):
+    length = _fft_length(len(a) + len(b) - 1)
+    limbs = max(1, -(-int(m - 1).bit_length() // _LIMB_BITS))
+    pair_bound = _LIMB_MASK ** 2 * min(len(a), len(b))
+    if pair_bound >= ROUNDING_LIMIT:
+        raise PrecisionError(
+            f"fft convolution out of float64 range: (2^{_LIMB_BITS} - 1)^2 * "
+            f"length {min(len(a), len(b))} = {pair_bound} >= {ROUNDING_LIMIT}")
+    # limb pairs one inverse transform may sum: group * pair_bound < limit
+    group = (ROUNDING_LIMIT - 1) // pair_bound
+    fa = _limb_spectra(a, limbs, length)
+    fb = fa if b is a else _limb_spectra(b, limbs, length)
     out = np.zeros(n_out, dtype=np.int64)
-    for i in range(limbs):
-        for j in range(limbs):
-            raw = np.fft.irfft(fa[i] * fb[j], length)[:n_out]
+    for s in range(2 * limbs - 1):
+        low, high = max(0, s - limbs + 1), min(s, limbs - 1) + 1
+        for first in range(low, high, group):
+            raw = np.fft.irfft(
+                _pairs_spectrum(fa, fb, s, first, min(first + group, high)),
+                length)[:n_out]
             rounded = np.round(raw)
             if raw.size and np.abs(raw - rounded).max() >= 0.25:
-                raise ArithmeticError("fft convolution lost integrality")
-            shift = pow(2, _LIMB_BITS * (i + j), int(m))
+                raise PrecisionError("fft convolution lost integrality")
+            shift = pow(2, _LIMB_BITS * s, int(m))
             if m * (m - 1) < 1 << 63:
                 out = (out + (rounded.astype(np.int64) % m) * shift) % m
             else:
@@ -110,12 +143,42 @@ def binary_power(base, exponent, result, mul):
     return result
 
 
+def _series_mod(f, m, n_out):
+    """A fresh int64 copy of f reduced mod m, cut or zero-padded to n_out."""
+    series = np.zeros(n_out, dtype=np.int64)
+    head = np.asarray(f[:n_out], dtype=np.int64)
+    np.remainder(head, m, out=series[:len(head)])
+    return series
+
+
 def power_mod(base, exponent, m, n_out):
     """base(q)^exponent truncated to n_out coefficients, mod m, by squaring."""
-    one = np.zeros(n_out, dtype=np.int64)
-    one[0] = 1 % m
-    return binary_power(np.asarray(base[:n_out], dtype=np.int64) % m, exponent,
-                        one, lambda f, g: convolve_mod(f, g, m, n_out))
+    def mul(f, g):
+        # None stands for the series 1, so the first product is no product
+        return g if f is None else convolve_mod(f, g, m, n_out)
+
+    power = binary_power(_series_mod(base, m, n_out), exponent, None, mul)
+    if power is None:
+        power = np.zeros(n_out, dtype=np.int64)
+        power[0] = 1 % m
+    return power
+
+
+def inverse_mod(f, m, n_out):
+    """1/f(q) truncated to n_out coefficients, mod m; f[0] must be a unit.
+
+    Newton iteration at doubling lengths: if f g == 1 + q^n r (mod q^2n),
+    then g - q^n g r inverts f to 2n coefficients.
+    """
+    f = _series_mod(f, m, n_out)
+    g = np.array([pow(int(f[0]), -1, m)], dtype=np.int64)
+    n = 1
+    while n < n_out:
+        n2 = min(2 * n, n_out)
+        r = convolve_mod(f[:n2], g, m, n2)[n:]
+        g = np.concatenate([g, -convolve_mod(g, r, m, n2 - n) % m])
+        n = n2
+    return g
 
 
 def pentagonal_mod(m, n_out):

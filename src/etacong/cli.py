@@ -2,7 +2,8 @@
 
 Subcommands: coeffs, search, verify, scan, filtration, hecke, selftest.
 Output formats: plain (human), json (canonical key order), csv.  Exit codes:
-0 success, 2 invalid input, 3 precision underflow, 4 counterexample found.
+0 success, 2 invalid input, 3 precision error (ell-adic precision underflow,
+or a float64 FFT convolution out of its exact range), 4 counterexample found.
 """
 
 from __future__ import annotations
@@ -379,23 +380,34 @@ def cmd_hecke(args) -> int:
     m_max = args.m_max if args.m_max is not None else d
     mats = {m: hecke_matrix(weight, m) for m in range(1, m_max + 1)}
     gram = gram_determinant(weight) if weight <= 600 else None
-    payload = {
-        "weight": weight, "dim": d,
-        "matrices": {str(m): [list(row) for row in mats[m].entries]
-                     for m in mats},
-        "gramDet": gram,
-    }
-    lines = [f"weight {weight}: dim S = {d}"]
-    for m in sorted(mats):
-        lines.append(f"  T_{m} = {[list(r) for r in mats[m].entries]}")
-    lines.append(f"  gram determinant = {gram}")
-    if args.ell is not None:
-        residue = gram_determinant_residue(weight, args.ell)
-        payload["gramDetResidue"] = residue
-        payload["ell"] = args.ell
-        lines.append(f"  gram determinant mod {args.ell} = {residue}")
-    csv_rows = [("weight", "dim", "gramDet"), (weight, d, gram)]
-    _emit(args, payload, lines, csv_rows)
+    residue = (gram_determinant_residue(weight, args.ell)
+               if args.ell is not None else None)
+    # the exact determinant and matrix entries are printed in full, also past
+    # the int-to-str digit limit of Python >= 3.10.7 (4300 digits by default,
+    # which the determinant passes from weight 240 on)
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        payload = {
+            "weight": weight, "dim": d,
+            "matrices": {str(m): [list(row) for row in mats[m].entries]
+                         for m in mats},
+            "gramDet": gram,
+        }
+        lines = [f"weight {weight}: dim S = {d}"]
+        for m in sorted(mats):
+            lines.append(f"  T_{m} = {[list(r) for r in mats[m].entries]}")
+        lines.append(f"  gram determinant = {gram}")
+        if args.ell is not None:
+            payload["gramDetResidue"] = residue
+            payload["ell"] = args.ell
+            lines.append(f"  gram determinant mod {args.ell} = {residue}")
+        csv_rows = [("weight", "dim", "gramDet"), (weight, d, gram)]
+        _emit(args, payload, lines, csv_rows)
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
     return EXIT_OK
 
 

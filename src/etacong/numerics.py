@@ -35,7 +35,10 @@ def as_fraction(x: Rational) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 

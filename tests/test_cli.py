@@ -1,10 +1,13 @@
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from etacong.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
+    EXIT_PRECISION,
     EXIT_USAGE,
     claim_from_dict,
     claim_to_dict,
@@ -12,6 +15,7 @@ from etacong.cli import (
     parse_modulus,
 )
 from etacong.congruences import CongruenceClaim, verify_claim
+from etacong.modforms import gram_determinant
 
 
 def run(capsys, *argv):
@@ -111,6 +115,48 @@ def test_hecke_weight_12(capsys):
     data = json.loads(out)
     assert data["matrices"]["2"] == [[-24]]
     assert data["gramDet"] == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+def test_hecke_prints_determinants_past_the_digit_limit(capsys):
+    # the weight-120 determinant has 792 digits
+    want = gram_determinant(120)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        outputs = [run(capsys, "hecke", "--weight", "120", "--m-max", "1",
+                       "--format", fmt) for fmt in ("plain", "json", "csv")]
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    (code_p, plain), (code_j, text), (code_c, table) = outputs
+    assert code_p == code_j == code_c == EXIT_OK
+    assert plain.splitlines()[-1] == f"  gram determinant = {want}"
+    assert json.loads(text)["gramDet"] == want
+    assert table.splitlines()[-1] == f"120,10,{want}"
+
+
+def test_fft_rounding_fault_exits_3(capsys, monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft",
+                        lambda *args, **kwargs: irfft(*args, **kwargs) + 0.5)
+    code = main(["coeffs", "--alpha", "-1", "--mod", "5^6", "--trunc", "1000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PRECISION
+    assert captured.out == ""
+    assert captured.err == "precision error: fft convolution lost integrality\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--alpha", "1/0", "--trunc", "3"),
+    ("coeffs", "--alpha", "1/0", "--mod", "5^2", "--trunc", "3"),
+    ("search", "--alpha", "1/0"),
+])
+def test_zero_denominator_alpha_exits_2(capsys, argv):
+    code = main(list(argv))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
 
 
 def test_invalid_alpha_exits_2(capsys):
