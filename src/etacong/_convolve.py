@@ -73,9 +73,20 @@ def _pairs_spectrum(fa, fb, s, first, stop):
     return spectrum
 
 
+def _limb_count(m):
+    return max(1, -(-int(m - 1).bit_length() // _LIMB_BITS))
+
+
+def product_bytes(n_out, m):
+    """Bytes a product of two n_out-coefficient series mod m holds at once:
+    the int64 result plus both operands' limb spectra at the FFT length."""
+    spectrum = 16 * (_fft_length(2 * n_out - 1) // 2 + 1)  # complex128
+    return 8 * n_out + 2 * _limb_count(m) * spectrum
+
+
 def _convolve_fft_mod(a, b, m, n_out):
     length = _fft_length(len(a) + len(b) - 1)
-    limbs = max(1, -(-int(m - 1).bit_length() // _LIMB_BITS))
+    limbs = _limb_count(m)
     pair_bound = _LIMB_MASK ** 2 * min(len(a), len(b))
     if pair_bound >= ROUNDING_LIMIT:
         raise PrecisionError(

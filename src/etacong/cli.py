@@ -2,8 +2,9 @@
 
 Subcommands: coeffs, search, verify, scan, filtration, hecke, selftest.
 Output formats: plain (human), json (canonical key order), csv.  Exit codes:
-0 success, 2 invalid input, 3 precision error (ell-adic precision underflow,
-or a float64 FFT convolution out of its exact range), 4 counterexample found.
+0 success, 2 invalid input, 3 precision or memory error (ell-adic precision
+underflow, a float64 FFT convolution out of its exact range, or a descent
+too large for physical memory), 4 counterexample found.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 from .numerics import (
     FracExponent,
+    MemoryLimitError,
     NotEllIntegralError,
     PrecisionError,
     as_fraction,
@@ -535,6 +537,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except PrecisionError as exc:
         print(f"precision error: {exc}", file=sys.stderr)
+        return EXIT_PRECISION
+    except MemoryLimitError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
 
 

@@ -31,6 +31,7 @@ from ._convolve import (
     convolve_exact,
     convolve_mod,
     eta_integer_power_mod,
+    inverse_mod,
     power_mod,
 )
 from .numerics import (
@@ -325,16 +326,44 @@ def gram_determinant(weight: int) -> int:
 # mod-ell fast path: basis, Hecke stack and Gram determinant as int64 arrays
 # ---------------------------------------------------------------------------
 
+#: exact-sum limits of the two numpy dtypes _matmul_mod can multiply in
+_FLOAT_MATMUL_LIMIT = 1 << 52
+_INT_MATMUL_LIMIT = 1 << 62
+#: columns per block when the basis is solved in place (bounds the float64
+#: copies the solve makes to about d * 4096 * 8 bytes each)
+_SOLVE_BLOCK = 4096
+
+
+def _matmul_mod(a, b, ell: int) -> np.ndarray:
+    """a @ b mod ell, exact, for int64 matrices with entries in [0, ell).
+
+    Every product-sum is below (ell-1)^2 * inner: float64 BLAS when that is
+    below 2^52, int64 below 2^62, Python ints beyond.
+    """
+    magnitude = (ell - 1) ** 2 * a.shape[-1]
+    if magnitude < _FLOAT_MATMUL_LIMIT:
+        prod = np.round(a.astype(np.float64) @ b.astype(np.float64))
+        return prod.astype(np.int64) % ell
+    if magnitude < _INT_MATMUL_LIMIT:
+        return (a @ b) % ell
+    return ((a.astype(object) @ b.astype(object)) % ell).astype(np.int64)
+
+
 def _vm_cusp_basis_mod(weight: int, trunc: int, ell: int):
     """Cuspidal echelon basis rows reduced mod ell (d x (trunc+1) int64).
 
-    Delta is built from the pentagonal product q*(q;q)^24 so that no division
-    by 1728 is needed and ell = 2, 3 stay valid.
+    Row j of the spanning set is Delta^j E4^(a0-3j) E6^b = P X^j with
+    P = E4^a0 E6^b and X = Delta / E4^3, so each row is one product with X
+    (E4^3 has constant term 1, a unit for every ell).  Delta is built from
+    the pentagonal product q*(q;q)^24 so that no division by 1728 is needed
+    and ell = 2, 3 stay valid.  The lead block U = basis[:, 1:d+1] is unit
+    upper triangular, so U^-1 @ basis is the reduced echelon form.
     """
     d = dim_cusp_forms(weight)
     n_out = trunc + 1
+    basis = np.zeros((d, n_out), dtype=np.int64)
     if d == 0:
-        return np.zeros((0, n_out), dtype=np.int64)
+        return basis
     sig3 = np.zeros(n_out, dtype=np.int64)
     sig5 = np.zeros(n_out, dtype=np.int64)
     for dd in range(1, n_out):
@@ -346,71 +375,66 @@ def _vm_cusp_basis_mod(weight: int, trunc: int, ell: int):
     e6[0] = 1 % ell
     dlt = np.zeros(n_out, dtype=np.int64)
     dlt[1:] = eta_integer_power_mod(24, ell, n_out - 1)
-
-    def mul(f, g):
-        return convolve_mod(f, g, ell, n_out)
-
-    # Q_j = E4^{a_j} E6^b with a_j decreasing by 3 as j increases: build the
-    # smallest power once, then walk j downward multiplying by E4^3
-    ab_last = _monomial_exponents(weight, d)
-    if ab_last is None:
+    if _monomial_exponents(weight, d) is None:
         raise ArithmeticError("monomial spanning set disagrees with dimension")
-    a_last, b = ab_last
-    e4_cubed = power_mod(e4, 3, ell, n_out)
-    q_part = power_mod(e4, a_last, ell, n_out)
+    a0, b = _monomial_exponents(weight, 0)
+    row = power_mod(e4, a0, ell, n_out)
     if b:
-        q_part = mul(q_part, e6)
-    q_parts = {d: q_part}
-    for j in range(d - 1, 0, -1):
-        q_parts[j] = mul(q_parts[j + 1], e4_cubed)
-    rows = []
-    delta_j = dlt
-    for j in range(1, d + 1):
-        rows.append(mul(delta_j, q_parts[j]))
-        if j < d:
-            delta_j = mul(delta_j, dlt)
-    basis = np.stack(rows)
-    for i in range(d):
-        if basis[i][i + 1] % ell != 1 % ell:
-            raise ArithmeticError("echelon pivot is not a unit mod ell")
-        for i2 in range(d):
-            if i2 != i and basis[i2][i + 1] % ell:
-                basis[i2] = (basis[i2] - basis[i2][i + 1] * basis[i]) % ell
+        row = convolve_mod(row, e6, ell, n_out)
+    x = convolve_mod(dlt, inverse_mod(power_mod(e4, 3, ell, n_out), ell, n_out),
+                     ell, n_out)
+    for j in range(d):
+        row = convolve_mod(row, x, ell, n_out)
+        basis[j] = row
+    lead = basis[:, 1:d + 1]
+    if (np.diagonal(lead) != 1 % ell).any() or np.tril(lead, -1).any():
+        raise ArithmeticError("echelon pivot is not a unit mod ell")
+    # U^-1 by back substitution: row i is e_i - U[i, i+1:] @ U^-1[i+1:]
+    u_inv = np.eye(d, dtype=np.int64)
+    for i in range(d - 2, -1, -1):
+        u_inv[i, i + 1:] = -_matmul_mod(lead[i:i + 1, i + 1:],
+                                        u_inv[i + 1:, i + 1:], ell) % ell
+    for start in range(0, n_out, _SOLVE_BLOCK):
+        block = basis[:, start:start + _SOLVE_BLOCK]
+        block[...] = _matmul_mod(u_inv, block, ell)
     return basis
 
 
 def _hecke_matrix_mod(weight: int, m: int, ell: int, basis) -> np.ndarray:
+    """T_m mod ell on the echelon basis; row n-1 holds the q^n coefficients
+    sum over dd | (m, n) of dd^(weight-1) * basis[:, m n / dd^2]."""
     d = basis.shape[0]
-    out = np.zeros((d, d), dtype=np.int64)
-    for n in range(1, d + 1):
-        acc = np.zeros(d, dtype=np.int64)
-        for dd in _divisors(math.gcd(m, n)):
-            acc = (acc + pow(dd, weight - 1, ell) * basis[:, m * n // (dd * dd)]) % ell
-        out[n - 1, :] = acc
+    n = np.arange(1, d + 1)
+    out = basis[:, m * n].T.copy()
+    for dd in _divisors(m)[1:]:
+        rows = n[dd - 1::dd] - 1  # the n <= d divisible by dd, less one
+        cols = basis[:, m // dd * n[: len(rows)]].T
+        # scaled as a matmul with inner size 1: exact also where ell^2 > 2^63
+        scale = np.array([[pow(dd, weight - 1, ell)]], dtype=np.int64)
+        scaled = _matmul_mod(cols.reshape(-1, 1), scale, ell).reshape(cols.shape)
+        out[rows] = (out[rows] + scaled) % ell
     return out
 
 
 def _det_mod(matrix, ell: int) -> int:
-    a = matrix % ell
+    """det of an integer matrix mod a prime ell, by Gaussian elimination."""
+    a = np.asarray(matrix, dtype=np.int64) % ell
     d = a.shape[0]
     det = 1 % ell
     for i in range(d):
-        pivot = None
-        for r in range(i, d):
-            if a[r][i] % ell:
-                pivot = r
-                break
-        if pivot is None:
+        nonzero = np.flatnonzero(a[i:, i])
+        if nonzero.size == 0:
             return 0
+        pivot = i + int(nonzero[0])
         if pivot != i:
             a[[i, pivot]] = a[[pivot, i]]
             det = -det % ell
-        det = det * int(a[i][i]) % ell
-        inv = mod_inverse(int(a[i][i]), ell)
-        a[i] = a[i] * inv % ell
-        for r in range(i + 1, d):
-            if a[r][i]:
-                a[r] = (a[r] - a[r][i] * a[i]) % ell
+        det = det * int(a[i, i]) % ell
+        inv = np.array([[mod_inverse(int(a[i, i]), ell)]], dtype=np.int64)
+        a[i:i + 1, i:] = _matmul_mod(inv, a[i:i + 1, i:], ell)
+        # one rank-1 update clears column i below the pivot
+        a[i + 1:, i:] = (a[i + 1:, i:]
+                         - _matmul_mod(a[i + 1:, i:i + 1], a[i:i + 1, i:], ell)) % ell
     return det
 
 
@@ -423,21 +447,10 @@ def gram_determinant_residue(weight: int, ell: int) -> int:
     basis = _vm_cusp_basis_mod(weight, d * d + 1, ell)
     mats = np.stack([_hecke_matrix_mod(weight, m, ell, basis)
                      for m in range(1, d + 1)])
-    # Tr(T_m T_n) as one matmul of the flattened stacks; pick a dtype whose
-    # product-sums stay exact ((ell-1)^2 * d^2 must fit)
+    # Tr(T_m T_n) as one matmul of the flattened stacks
     flat = mats.reshape(d, d * d)
     flat_t = mats.transpose(0, 2, 1).reshape(d, d * d)
-    magnitude = (ell - 1) ** 2 * d * d
-    if magnitude < 2 ** 52:
-        gram = np.round(flat.astype(np.float64)
-                        @ flat_t.astype(np.float64).T).astype(np.int64) % ell
-    elif magnitude < 2 ** 62:
-        gram = (flat @ flat_t.T) % ell
-    else:
-        rows = [[int(sum(int(x) * int(y) for x, y in zip(flat[i], flat_t[j])))
-                 % ell for j in range(d)] for i in range(d)]
-        gram = np.array(rows, dtype=np.int64)
-    return _det_mod(gram, ell)
+    return _det_mod(_matmul_mod(flat, flat_t.T, ell), ell)
 
 
 def hecke_ell_vanishes(weight: int, ell: int) -> bool:

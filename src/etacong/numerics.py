@@ -28,6 +28,11 @@ class PrecisionError(ArithmeticError):
     """Residue arithmetic cannot guarantee the requested number of digits."""
 
 
+class MemoryLimitError(MemoryError):
+    """A computation would need more memory than the machine has; raised
+    before anything is allocated."""
+
+
 def as_fraction(x: Rational) -> Fraction:
     """Coerce int / str ("a/b") / FracExponent / Fraction to Fraction."""
     if isinstance(x, FracExponent):

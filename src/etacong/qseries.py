@@ -25,6 +25,7 @@ verification.
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,8 +36,10 @@ from ._convolve import (
     binary_power,
     convolve_mod,
     eta_integer_power_mod,
+    product_bytes,
 )
 from .numerics import (
+    MemoryLimitError,
     NotEllIntegralError,
     PrecisionError,
     Rational,
@@ -276,6 +279,14 @@ def eta_power_rational(alpha: Rational, trunc: int) -> QSeries:
     )
 
 
+def physical_memory_bytes() -> int | None:
+    """The machine's physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int):
     """Raw coefficients of (q;q)^alpha mod ell^precision as an int64 array.
 
@@ -296,6 +307,14 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int):
         raise PrecisionError(
             f"modulus {ell}^{precision} too large for the descent backend"
         )
+    # the top level's product dominates the descent's memory: refuse a
+    # truncation it could not hold before allocating anything
+    need, have = product_bytes(trunc + 1, m), physical_memory_bytes()
+    if have is not None and need > have:
+        raise MemoryLimitError(
+            f"{trunc + 1} coefficients mod {m} need about {need / 2**30:.2f} "
+            f"GiB for one product, more than the {have / 2**30:.2f} GiB of "
+            f"physical memory")
     e = psi(m, f)
     out = eta_integer_power_mod(e, m, trunc + 1)
     gamma = (f - e) / m

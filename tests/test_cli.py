@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+from etacong import qseries
+from etacong._convolve import product_bytes
 from etacong.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
@@ -219,3 +221,27 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["coeffs"] == ["1", "1", "2", "3"]
+
+
+@pytest.mark.parametrize("argv, trunc, modulus", [
+    (("verify", "--alpha", "57/61", "--ell", "17", "--v", "2",
+      "--offset", "286", "--N", "1000"), 289 * 1000 + 286, 289),
+    (("scan", "--alpha", "-1", "--ell", "5", "--v", "2", "--N", "400"),
+     25 * 401 - 1, 25),
+])
+def test_oversized_descent_exits_3_before_allocating(capsys, monkeypatch,
+                                                      argv, trunc, modulus):
+    def no_work(*args):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(qseries, "physical_memory_bytes", lambda: 1 << 16)
+    monkeypatch.setattr(qseries, "eta_integer_power_mod", no_work)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    need = product_bytes(trunc + 1, modulus)
+    assert code == EXIT_PRECISION
+    assert captured.out == ""
+    assert captured.err == (
+        f"memory error: {trunc + 1} coefficients mod {modulus} need about "
+        f"{need / 2**30:.2f} GiB for one product, more than the 0.00 GiB of "
+        f"physical memory\n")

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from etacong import modforms
 from etacong.numerics import NotEllIntegralError
 from etacong.qseries import HorizonError, QSeries, eta_power_rational
 from etacong.modforms import (
@@ -10,7 +13,12 @@ from etacong.modforms import (
     GoodPrimeCertificate,
     GoodPrimeRejection,
     WeightCapExceeded,
+    _bareiss_determinant,
+    _det_mod,
     _divisors,
+    _hecke_matrix_mod,
+    _matmul_mod,
+    _vm_cusp_basis_mod,
     cusp_divisibility_check,
     delta,
     delta_power,
@@ -149,10 +157,16 @@ def test_gram_determinant_two_routes_weight_24():
 
 
 def test_gram_residue_matches_exact():
-    for weight, ell in ((24, 5), (24, 11), (36, 17), (36, 13)):
+    # at weight 120, 2, 3, 5, 7, 11, 13, 17, 37, 47 and 79 divide it
+    cases = [(24, 5), (24, 11), (36, 17), (36, 13)] + [
+        (120, ell) for ell in (2, 3, 5, 7, 13, 47, 79, 19, 4099, 65537,
+                               4294967311)]
+    for weight, ell in cases:
         assert gram_determinant_residue(weight, ell) == \
             gram_determinant(weight) % ell
     assert gram_determinant_residue(36, 17) != 0
+    assert gram_determinant_residue(120, 79) == 0
+    assert gram_determinant_residue(120, 19) != 0
 
 
 def test_hecke_ell_vanishes_weight_12():
@@ -296,3 +310,96 @@ def test_filtration_theta_step_law():
                 assert step < ell + 1
             assert weights[i + 1] >= 12
         assert weights[ell - 1] == weights[0] == 12
+
+
+# ---------------------------------------------------------------------------
+# the mod-ell fast path against the exact routes
+# ---------------------------------------------------------------------------
+
+def _random_matrix(rng, rows, cols, ell):
+    return np.array([[rng.randrange(ell) for _ in range(cols)]
+                     for _ in range(rows)], dtype=np.int64)
+
+
+def _python_matmul_mod(a, b, ell):
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % ell
+             for col in zip(*b.tolist())] for row in a.tolist()]
+
+
+@pytest.mark.parametrize("ell, inner, limits", [
+    (4099, 30, None),                    # float64 BLAS
+    (4099, 30, (0, 1 << 62)),            # int64, forced
+    (4099, 30, (0, 0)),                  # Python ints, forced
+    (2 ** 29 - 3, 8, None),              # int64: float64 would round
+    (2 ** 31 - 1, 4, None),              # Python ints: int64 would overflow
+])
+def test_matmul_mod_every_branch_is_exact(monkeypatch, ell, inner, limits):
+    if limits is not None:
+        monkeypatch.setattr(modforms, "_FLOAT_MATMUL_LIMIT", limits[0])
+        monkeypatch.setattr(modforms, "_INT_MATMUL_LIMIT", limits[1])
+    rng = random.Random(ell + inner)
+    a = _random_matrix(rng, 5, inner, ell)
+    b = _random_matrix(rng, inner, 7, ell)
+    a[0, :] = ell - 1  # the worst case sums to (ell-1)^2 * inner
+    b[:, 0] = ell - 1
+    got = _matmul_mod(a, b, ell)
+    assert got.dtype == np.int64
+    assert got.tolist() == _python_matmul_mod(a, b, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4099, 2 ** 31 - 1])
+def test_det_mod_matches_bareiss(ell):
+    rng = random.Random(ell)
+    for size in range(1, 9):
+        for _ in range(4):
+            mat = [[rng.randrange(-50, 50) for _ in range(size)]
+                   for _ in range(size)]
+            singular = [row[:] for row in mat]
+            if size > 1:
+                singular[-1] = [x + y for x, y in zip(mat[0], mat[1 % size])]
+                singular[0] = [3 * x for x in singular[-1]]
+            for m in (mat, singular):
+                assert _det_mod(np.array(m), ell) == \
+                    _bareiss_determinant(m) % ell
+    # a zero pivot forces a row swap, which flips the sign
+    assert _det_mod(np.array([[0, 1], [1, 0]]), ell) == (-1) % ell
+    assert _det_mod(np.array([[ell, 1], [2 * ell, 5]]), ell) == 0
+
+
+@pytest.mark.parametrize("weight", [120, 180])
+@pytest.mark.parametrize("ell", [2, 3, 5, 13, 4099, 4294967311])
+def test_cusp_basis_mod_matches_exact_basis(weight, ell):
+    d = dim_cusp_forms(weight)
+    # the exact basis is quadratic in the horizon: for large ell only d^2+1
+    horizons = {d * d + 1, ell * d + 1} if ell < 100 else {d * d + 1}
+    for trunc in horizons:
+        exact = victor_miller_basis(weight, CUSPIDAL, trunc).basis
+        got = _vm_cusp_basis_mod(weight, trunc, ell)
+        assert got.tolist() == [[c % ell for c in row] for row in exact]
+
+
+@pytest.mark.parametrize("weight", [120, 180])
+def test_hecke_matrix_mod_matches_exact(weight):
+    d = dim_cusp_forms(weight)
+    # above 2^32, dd^(weight-1) * coefficient no longer fits int64
+    for ell in (5, 13, 4099, 4294967311):
+        basis = _vm_cusp_basis_mod(weight, d * d + 1, ell)
+        for m in range(1, d + 1):
+            want = [[c % ell for c in row] for row in hecke_matrix(weight, m).entries]
+            assert _hecke_matrix_mod(weight, m, ell, basis).tolist() == want
+
+
+@pytest.mark.parametrize("fault, value", [("diagonal", 2), ("below", 1)])
+def test_cusp_basis_mod_refuses_a_bad_lead_block(monkeypatch, fault, value):
+    d = dim_cusp_forms(120)
+    convolve = modforms.convolve_mod
+
+    def corrupt_last_row(f, g, m, n_out):
+        out = convolve(f, g, m, n_out)
+        if np.flatnonzero(out)[:1].tolist() == [d]:  # the row led by q^d
+            out[d if fault == "diagonal" else 1] = value
+        return out
+
+    monkeypatch.setattr(modforms, "convolve_mod", corrupt_last_row)
+    with pytest.raises(ArithmeticError, match="pivot"):
+        _vm_cusp_basis_mod(120, d * d + 1, 5)

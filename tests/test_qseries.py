@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etacong.numerics import NotEllIntegralError
+from etacong import qseries
+from etacong._convolve import product_bytes
+from etacong.numerics import MemoryLimitError, NotEllIntegralError
 from etacong.qseries import (
     QSeries,
     coefficient_denominator,
@@ -219,3 +221,27 @@ def test_mixed_domain_multiplication_rejected():
     g = eta_power_mod(1, 5, 1, 5)
     with pytest.raises(ValueError, match="mixed"):
         f * g
+
+
+def test_descent_refuses_what_memory_cannot_hold(monkeypatch):
+    need = product_bytes(1001, 5 ** 6)
+    assert need == 8 * 1001 + 2 * 2 * 16 * (2048 // 2 + 1)
+    monkeypatch.setattr(qseries, "physical_memory_bytes", lambda: need)
+    full = eta_power_residues(-1, 5, 6, 1000)
+    assert full.tolist() == [p % 5 ** 6 for p in partition_numbers(1000)]
+
+    def no_work(*args):
+        raise AssertionError("allocated before refusing")
+
+    monkeypatch.setattr(qseries, "physical_memory_bytes", lambda: need - 1)
+    monkeypatch.setattr(qseries, "eta_integer_power_mod", no_work)
+    with pytest.raises(MemoryLimitError, match=f"about {need / 2**30:.2f} GiB"):
+        eta_power_residues(-1, 5, 6, 1000)
+
+
+def test_verify_workload_stays_far_below_physical_memory():
+    # p_alpha(289 n + 286) for n <= 13840: one limb at 2^23 points
+    need = product_bytes(289 * 13840 + 286 + 1, 289)
+    assert need < 2 ** 28
+    have = qseries.physical_memory_bytes()
+    assert have is None or have > 0
