@@ -13,7 +13,6 @@ from .numerics import (
     FracExponent,
     NotEllIntegralError,
     PrecisionError,
-    ResidueValue,
     ell_valuation,
     factorial_valuation,
     legendre_symbol,
@@ -22,7 +21,6 @@ from .numerics import (
     psi,
 )
 from .qseries import (
-    DivisorSumTable,
     HorizonError,
     QSeries,
     coefficient_denominator,

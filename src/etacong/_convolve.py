@@ -78,10 +78,19 @@ def _limb_count(m):
 
 
 def product_bytes(n_out, m):
-    """Bytes a product of two n_out-coefficient series mod m holds at once:
-    the int64 result plus both operands' limb spectra at the FFT length."""
+    """Bytes a product of two n_out-coefficient series mod m can hold at once.
+
+    An upper bound on the traced peak, counted in spectrum-sized arrays at
+    the FFT length and int64 series of n_out coefficients.  Spectra: both
+    operands' limb spectra, and three transients, at most, live with them:
+    the summed pair spectrum (and its next term), the inverse transform's
+    full-length output and the previous shift's one.  Series: the caller's
+    three (both operands, and the power's base or the descent's inner
+    result), the result, the rounded copy, and the previous shift's rounded
+    copy or the recombination's temporaries (three at most).
+    """
     spectrum = 16 * (_fft_length(2 * n_out - 1) // 2 + 1)  # complex128
-    return 8 * n_out + 2 * _limb_count(m) * spectrum
+    return (2 * _limb_count(m) + 3) * spectrum + 8 * 8 * n_out
 
 
 def _convolve_fft_mod(a, b, m, n_out):

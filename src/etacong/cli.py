@@ -247,9 +247,8 @@ def cmd_coeffs(args) -> int:
               [("n", "coeff")] + list(rows))
         return EXIT_OK
     ell, v = args.mod
-    series = eta_power_mod(alpha, ell, v, args.trunc)
-    # every route guarantees at least v digits; residue(v) raises otherwise
-    rows = [(n, c.residue(v), c.precision) for n, c in enumerate(series.coeffs)]
+    values, digits = eta_power_mod(alpha, ell, v, args.trunc)
+    rows = list(zip(range(args.trunc + 1), values, digits))
     payload = {"alpha": args.alpha, "modulus": f"{ell}^{v}",
                "coeffs": [{"n": n, "value": val, "precision": p}
                           for n, val, p in rows]}
@@ -443,12 +442,9 @@ def _selftest_checks(args):
             for ell in (5, 17):
                 exact = eta_power_rational(alpha, 40)
                 reduced = reduce_series(exact, ell, 2)
-                descent = eta_power_mod(alpha, ell, 2, 40, method="descent")
-                ledger = eta_power_mod(alpha, ell, 2, 40, method="ledger")
-                if reduced != [c.residue(2) for c in descent.coeffs]:
-                    return False
-                if reduced != [c.residue(2) for c in ledger.coeffs]:
-                    return False
+                for method in ("descent", "ledger"):
+                    if reduced != eta_power_mod(alpha, ell, 2, 40, method)[0]:
+                        return False
         return True
 
     def check_ramanujan():
@@ -488,8 +484,7 @@ def _selftest_checks(args):
                 if den % ell == 0:
                     continue
                 exact = reduce_series(eta_power_rational(alpha, 30), ell, 1)
-                quick = eta_power_mod(alpha, ell, 1, 30)
-                if exact != [c.residue(1) for c in quick.coeffs]:
+                if exact != eta_power_mod(alpha, ell, 1, 30)[0]:
                     return False
         return True
 

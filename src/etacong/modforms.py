@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,14 +37,13 @@ from .numerics import (
     FracExponent,
     NotEllIntegralError,
     Rational,
-    ResidueValue,
     as_fraction,
     ell_valuation,
     is_prime,
     mod_inverse,
     psi,
 )
-from .qseries import EXACT, HorizonError, QSeries, divisor_sum_table
+from .qseries import HorizonError, QSeries, divisor_sum_table
 
 FULL = "full"
 CUSPIDAL = "cuspidal"
@@ -121,7 +119,7 @@ class FormSpace:
         return 1 if self.kind == CUSPIDAL else 0
 
     def row(self, i: int) -> QSeries:
-        return QSeries(list(self.basis[i]), self.horizon, EXACT)
+        return QSeries(list(self.basis[i]), self.horizon)
 
 
 _VM_LOCK = threading.Lock()
@@ -226,7 +224,7 @@ def hecke_action(f: QSeries, weight: int, m: int, trunc: int) -> QSeries:
             term = d ** (weight - 1) * f.coeffs[m * n // (d * d)]
             acc = term if acc is None else acc + term
         out.append(acc)
-    return QSeries(out, trunc, f.domain)
+    return QSeries(out, trunc)
 
 
 def _divisors(n):
@@ -364,15 +362,9 @@ def _vm_cusp_basis_mod(weight: int, trunc: int, ell: int):
     basis = np.zeros((d, n_out), dtype=np.int64)
     if d == 0:
         return basis
-    sig3 = np.zeros(n_out, dtype=np.int64)
-    sig5 = np.zeros(n_out, dtype=np.int64)
-    for dd in range(1, n_out):
-        sig3[dd::dd] += pow(dd, 3, ell)
-        sig5[dd::dd] += pow(dd, 5, ell)
-    e4 = (240 * sig3) % ell
-    e4[0] = 1 % ell
-    e6 = (-504 * sig5) % ell
-    e6[0] = 1 % ell
+    # reduced from the exact expansions, so no int64 sum can overflow
+    e4, e6 = (np.array([c % ell for c in eisenstein(w, trunc).coeffs],
+                       dtype=np.int64) for w in (4, 6))
     dlt = np.zeros(n_out, dtype=np.int64)
     dlt[1:] = eta_integer_power_mod(24, ell, n_out - 1)
     if _monomial_exponents(weight, d) is None:
@@ -593,7 +585,7 @@ def is_good_prime(alpha: Rational, ell: int, k: int, *,
 
 def theta(f: QSeries) -> QSeries:
     """q d/dq: multiply the n-th coefficient by n."""
-    return QSeries([n * c for n, c in enumerate(f.coeffs)], f.truncation, f.domain)
+    return QSeries([n * c for n, c in enumerate(f.coeffs)], f.truncation)
 
 
 def theta_power(f: QSeries, e: int) -> QSeries:
@@ -612,16 +604,9 @@ def theta_fixed_point_check(f: QSeries, ell: int, trunc: int) -> bool:
     if f.truncation < trunc:
         raise HorizonError("horizon too small")
     for idx in range(0, trunc + 1, ell):
-        if _coeff_mod(f.coeffs[idx], ell):
+        if psi(ell, f.coeffs[idx]):
             return False
     return True
-
-
-def _coeff_mod(c, ell: int) -> int:
-    if isinstance(c, ResidueValue):
-        return c.residue(1)
-    frac = Fraction(c)
-    return psi(ell, frac)
 
 
 ZERO_FORM = None  # filtration sentinel for f == 0 mod ell
@@ -647,7 +632,7 @@ def filtration(f: QSeries, weight: int, ell: int):
             f"horizon too small: filtration at weight {weight} needs "
             f"{horizon} coefficients"
         )
-    reduced = [_coeff_mod(c, ell) for c in f.coeffs[: horizon + 1]]
+    reduced = [psi(ell, c) for c in f.coeffs[: horizon + 1]]
     if not any(reduced):
         return ZERO_FORM
     candidates = [w for w in range(0, weight + 1, 2)

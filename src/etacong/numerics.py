@@ -3,7 +3,9 @@
 Everything here runs on arbitrary-precision integers: the series coefficients
 handled downstream grow to thousands of digits at moderate truncations, so
 fixed-width arithmetic anywhere in this layer would be a correctness bug, not
-a performance choice.
+a performance choice.  A residue is a plain int, the least nonnegative one
+(``psi``); routes that can lose ell-adic digits count them themselves and
+raise ``PrecisionError`` when too few are left.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class NotEllIntegralError(ValueError):
 
 
 class PrecisionError(ArithmeticError):
-    """Residue arithmetic cannot guarantee the requested number of digits."""
+    """A residue route cannot guarantee the requested number of digits."""
 
 
 class MemoryLimitError(MemoryError):
@@ -194,157 +196,3 @@ def psi(m: int, x: Rational) -> int:
             f"psi undefined: denominator {f.denominator} not invertible modulo {m}"
         )
     return f.numerator * mod_inverse(f.denominator, m) % m
-
-
-@dataclass(frozen=True)
-class ResidueValue:
-    """An ell-adic residue with an explicit precision ledger.
-
-    ``value`` is stored modulo ell^modulus_exp but only the low ``precision``
-    ell-adic digits are guaranteed to agree with the exact rational the value
-    stands for.  Addition and multiplication keep the minimum precision of
-    the operands; dividing by ell^e costs e digits; multiplying by an exact
-    ell-multiple gains them back.
-    """
-
-    value: int
-    ell: int
-    modulus_exp: int
-    precision: int
-
-    def __post_init__(self):
-        if not 0 <= self.precision <= self.modulus_exp:
-            raise ValueError("precision must lie in [0, modulus_exp]")
-        if not 0 <= self.value < self.modulus:
-            object.__setattr__(self, "value", self.value % self.modulus)
-
-    @property
-    def modulus(self) -> int:
-        return self.ell ** self.modulus_exp
-
-    @classmethod
-    def from_rational(cls, x: Rational, ell: int, modulus_exp: int,
-                      precision: int | None = None) -> "ResidueValue":
-        f = as_fraction(x)
-        if f.denominator % ell == 0:
-            raise NotEllIntegralError(f"{f} is not {ell}-integral")
-        if precision is None:
-            precision = modulus_exp
-        m = ell ** modulus_exp
-        return cls(psi(m, f), ell, modulus_exp, precision)
-
-    def _coerce(self, other) -> "ResidueValue":
-        if isinstance(other, ResidueValue):
-            if other.ell != self.ell:
-                raise ValueError("mixed primes in residue arithmetic")
-            return other
-        if isinstance(other, int):
-            # exact integers are known to full working precision
-            return ResidueValue(other % self.modulus, self.ell,
-                                self.modulus_exp, self.modulus_exp)
-        return NotImplemented
-
-    def _combine(self, other, value) -> "ResidueValue":
-        exp = min(self.modulus_exp, other.modulus_exp)
-        prec = min(self.precision, other.precision)
-        return ResidueValue(value % self.ell ** exp, self.ell, exp, prec)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._combine(other, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._combine(other, self.value - other.value)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other._combine(self, other.value - self.value)
-
-    def __neg__(self):
-        return ResidueValue(-self.value % self.modulus, self.ell,
-                            self.modulus_exp, self.precision)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            # multiplying by an exact ell^e multiple gains e guaranteed digits
-            gain = 0
-            o = other
-            while o != 0 and o % self.ell == 0:
-                o //= self.ell
-                gain += 1
-            exp = self.modulus_exp
-            prec = min(self.precision + gain, exp) if other else exp
-            return ResidueValue(self.value * other % self.modulus,
-                                self.ell, exp, prec)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._combine(other, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def divide_exact_by(self, n: int) -> "ResidueValue":
-        """Divide by a nonzero integer n = ell^e * u with the value an exact
-        ell^e multiple; costs e digits of precision and modulus."""
-        if n == 0:
-            raise ZeroDivisionError
-        e = 0
-        unit = n
-        while unit % self.ell == 0:
-            unit //= self.ell
-            e += 1
-        if e > self.precision:
-            raise PrecisionError(
-                f"insufficient padding: dividing by {self.ell}^{e} with only "
-                f"{self.precision} guaranteed digits"
-            )
-        shift = self.ell ** e
-        if self.value % shift:
-            raise ValueError("value is not an exact multiple of ell^e")
-        exp = self.modulus_exp - e
-        m = self.ell ** exp
-        value = (self.value // shift) * mod_inverse(unit, m) % m if exp else 0
-        return ResidueValue(value, self.ell, exp, self.precision - e)
-
-    def times_rational(self, x: Rational) -> "ResidueValue":
-        """Multiply by an ell-integral rational (its valuation adds digits)."""
-        f = as_fraction(x)
-        if f.denominator % self.ell == 0:
-            raise NotEllIntegralError(f"{f} is not {self.ell}-integral")
-        scaled = self * f.numerator
-        inv = mod_inverse(f.denominator, scaled.modulus)
-        return ResidueValue(scaled.value * inv % scaled.modulus, scaled.ell,
-                            scaled.modulus_exp, scaled.precision)
-
-    def unit_inverse(self) -> "ResidueValue":
-        if self.value % self.ell == 0:
-            raise ValueError("not invertible")
-        return ResidueValue(mod_inverse(self.value, self.modulus), self.ell,
-                            self.modulus_exp, self.precision)
-
-    def residue(self, digits: int | None = None) -> int:
-        """The value modulo ell^digits; digits must not exceed the ledger."""
-        if digits is None:
-            digits = self.precision
-        if digits > self.precision:
-            raise PrecisionError(
-                f"insufficient padding: {digits} digits requested, "
-                f"{self.precision} guaranteed"
-            )
-        return self.value % self.ell ** digits
-
-    def congruent_to(self, x: Rational, digits: int) -> bool:
-        return self.residue(digits) == ResidueValue.from_rational(
-            x, self.ell, digits).value
-
-    def __str__(self):
-        return f"{self.value} (mod {self.ell}^{self.modulus_exp}, prec {self.precision})"

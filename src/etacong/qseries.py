@@ -1,17 +1,17 @@
 """Truncated formal power series with exact coefficients.
 
-Series come in two coefficient domains: "exact" (Python ints / Fractions)
-and "residue" (ResidueValue entries carrying an ell-adic precision ledger).
-The central objects are the eta-power series (q;q)_infinity^alpha whose
-coefficients are the fractional partition numbers p_alpha(n).
+A ``QSeries`` holds exact coefficients (Python ints or Fractions); residues
+mod ell^v are plain lists of ints.  The central objects are the eta-power
+series (q;q)_infinity^alpha whose coefficients are the fractional partition
+numbers p_alpha(n).
 
 Three independent routes compute those coefficients:
 
 * ``eta_power_rational`` -- exact rationals from the logarithmic-derivative
   recurrence n*c(n) = -alpha * sum sigma_1(j) c(n-j);
 * ``eta_power_mod(..., method="ledger")`` -- the same recurrence run on
-  residues at a padded modulus, with the precision ledger charged for every
-  division by a multiple of ell;
+  residues at a padded modulus, charging each coefficient one lost ell-adic
+  digit per factor of ell it is divided by;
 * ``eta_power_mod(..., method="descent")`` -- repeated exponent reduction
   through the Frobenius congruence
   (q;q)^{ell^r a} = (q^ell;q^ell)^{ell^(r-1) a} (mod ell^r),
@@ -19,14 +19,14 @@ Three independent routes compute those coefficients:
 
 The first two are O(T^2) exact arithmetic and serve as oracles; the descent
 route is the scalable one (FFT-backed) used for searches and brute-force
-verification.
+verification.  ``eta_power_mod`` returns the residues together with the
+number of guaranteed ell-adic digits of each one.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +43,6 @@ from .numerics import (
     NotEllIntegralError,
     PrecisionError,
     Rational,
-    ResidueValue,
     as_fraction,
     factorial_valuation,
     mod_inverse,
@@ -51,52 +50,36 @@ from .numerics import (
     psi,
 )
 
-EXACT = "exact"
-RESIDUE = "residue"
-
 
 class HorizonError(ValueError):
     """An operation would need more coefficients than the series carries."""
 
 
-@dataclass(frozen=True)
-class DivisorSumTable:
-    """sigma_e(1..T): sums of e-th powers of divisors."""
-
-    exponent: int
-    values: tuple
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-
-def divisor_sum_table(exponent: int, trunc: int) -> DivisorSumTable:
+def divisor_sum_table(exponent: int, trunc: int) -> list[int]:
+    """sigma_e(0..T), the sums of e-th powers of divisors (sigma_e(0) = 0)."""
     values = [0] * (trunc + 1)
     for d in range(1, trunc + 1):
         step = d ** exponent
         for n in range(d, trunc + 1, d):
             values[n] += step
-    return DivisorSumTable(exponent, tuple(values))
+    return values
 
 
 class QSeries:
     """A power series known modulo q^(truncation+1), coefficients dense."""
 
-    __slots__ = ("coeffs", "truncation", "domain")
+    __slots__ = ("coeffs", "truncation")
 
-    def __init__(self, coeffs, truncation=None, domain=EXACT):
+    def __init__(self, coeffs, truncation=None):
         coeffs = list(coeffs)
         if truncation is None:
             truncation = len(coeffs) - 1
         if truncation < 0:
             raise ValueError("truncation must be >= 0")
         if len(coeffs) < truncation + 1:
-            coeffs = coeffs + [_zero_like(coeffs[0] if coeffs else 0)] * (
-                truncation + 1 - len(coeffs)
-            )
+            coeffs = coeffs + [0] * (truncation + 1 - len(coeffs))
         self.coeffs = coeffs[: truncation + 1]
         self.truncation = truncation
-        self.domain = domain
 
     def __getitem__(self, n: int):
         return self.coeffs[n]
@@ -114,78 +97,60 @@ class QSeries:
         more = ", ..." if self.truncation > 5 else ""
         return f"QSeries([{head}{more}], T={self.truncation})"
 
-    def _check_domains(self, other):
-        if self.domain != other.domain:
-            raise ValueError("mixed coefficient domains")
-
     def __add__(self, other):
-        self._check_domains(other)
         t = min(self.truncation, other.truncation)
-        return QSeries(
-            [self.coeffs[n] + other.coeffs[n] for n in range(t + 1)], t, self.domain
-        )
+        return QSeries([self.coeffs[n] + other.coeffs[n] for n in range(t + 1)], t)
 
     def __sub__(self, other):
-        self._check_domains(other)
         t = min(self.truncation, other.truncation)
-        return QSeries(
-            [self.coeffs[n] - other.coeffs[n] for n in range(t + 1)], t, self.domain
-        )
+        return QSeries([self.coeffs[n] - other.coeffs[n] for n in range(t + 1)], t)
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.truncation, self.domain)
+        return QSeries([-c for c in self.coeffs], self.truncation)
 
     def __mul__(self, other):
         """Truncated Cauchy product; result truncation is min(T1, T2)."""
-        self._check_domains(other)
         t = min(self.truncation, other.truncation)
-        zero = _zero_like(self.coeffs[0])
-        out = [zero for _ in range(t + 1)]
+        out = [0] * (t + 1)
         for i in range(t + 1):
             ci = self.coeffs[i]
-            if _is_zero(ci):
+            if ci == 0:
                 continue
             for j in range(t + 1 - i):
                 cj = other.coeffs[j]
-                if not _is_zero(cj):
+                if cj != 0:
                     out[i + j] = out[i + j] + ci * cj
-        return QSeries(out, t, self.domain)
+        return QSeries(out, t)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; the constant term must be a unit."""
         c0 = self.coeffs[0]
-        if self.domain == RESIDUE:
-            if c0.value % c0.ell == 0:
-                raise ValueError("not invertible: constant term is not a unit")
-            inv0 = c0.unit_inverse()
-        else:
-            if c0 == 0:
-                raise ValueError("not invertible: constant term is zero")
-            inv0 = c0 if isinstance(c0, int) and c0 in (1, -1) else Fraction(1) / Fraction(c0)
-        out = [inv0] + [_zero_like(inv0)] * self.truncation
+        if c0 == 0:
+            raise ValueError("not invertible: constant term is zero")
+        inv0 = c0 if isinstance(c0, int) and c0 in (1, -1) else Fraction(1) / Fraction(c0)
+        out = [inv0] + [0] * self.truncation
         for n in range(1, self.truncation + 1):
-            acc = _zero_like(inv0)
+            acc = 0
             for j in range(1, n + 1):
                 cj = self.coeffs[j]
-                if not _is_zero(cj):
+                if cj != 0:
                     acc = acc + cj * out[n - j]
             out[n] = -(inv0 * acc)
-        return QSeries(out, self.truncation, self.domain)
+        return QSeries(out, self.truncation)
 
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
             return self.inverse() ** (-e)
-        return binary_power(self, e, one_like(self), operator.mul)
+        return binary_power(self, e, QSeries([1], self.truncation), operator.mul)
 
     def frobenius(self, ell: int) -> "QSeries":
         """Substitute q -> q^ell; coefficients beyond floor(T/ell) drop."""
         if ell < 1:
             raise ValueError("ell must be >= 1")
-        zero = _zero_like(self.coeffs[0])
-        out = [zero for _ in range(self.truncation + 1)]
+        out = [0] * (self.truncation + 1)
         for n in range(self.truncation // ell + 1):
             out[ell * n] = self.coeffs[n]
-        return QSeries(out, self.truncation, self.domain)
+        return QSeries(out, self.truncation)
 
     def extract_progression(self, modulus: int, residue: int) -> "QSeries":
         """g with g[n] = f[modulus*n + residue]; truncation floor((T-c)/m)."""
@@ -194,32 +159,7 @@ class QSeries:
         t = (self.truncation - residue) // modulus
         if t < 0:
             raise HorizonError("horizon too small for this progression")
-        return QSeries(
-            [self.coeffs[modulus * n + residue] for n in range(t + 1)],
-            t,
-            self.domain,
-        )
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, ResidueValue):
-        return c.value == 0
-    return c == 0
-
-
-def _zero_like(c):
-    if isinstance(c, ResidueValue):
-        return ResidueValue(0, c.ell, c.modulus_exp, c.modulus_exp)
-    return 0
-
-
-def one_like(f: QSeries) -> QSeries:
-    c0 = f.coeffs[0]
-    if isinstance(c0, ResidueValue):
-        unit = ResidueValue(1, c0.ell, c0.modulus_exp, c0.modulus_exp)
-    else:
-        unit = 1
-    return QSeries([unit] + [_zero_like(c0)] * f.truncation, f.truncation, f.domain)
+        return QSeries([self.coeffs[modulus * n + residue] for n in range(t + 1)], t)
 
 
 def coefficient_denominator(alpha: Rational, n: int) -> int:
@@ -273,10 +213,8 @@ def eta_power_rational(alpha: Rational, trunc: int) -> QSeries:
     f = as_fraction(alpha)
     u, dens = _eta_numerators(f, trunc)
     if f.denominator == 1:
-        return QSeries(u, trunc, EXACT)
-    return QSeries(
-        [Fraction(u[n], dens[n]) for n in range(trunc + 1)], trunc, EXACT
-    )
+        return QSeries(u, trunc)
+    return QSeries([Fraction(u[n], dens[n]) for n in range(trunc + 1)], trunc)
 
 
 def physical_memory_bytes() -> int | None:
@@ -319,11 +257,9 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int):
     out = eta_integer_power_mod(e, m, trunc + 1)
     gamma = (f - e) / m
     if gamma != 0 and trunc >= ell:
-        inner = eta_power_residues(
-            ell ** (precision - 1) * gamma, ell, precision, trunc // ell
-        )
         dilated = np.zeros(trunc + 1, dtype=np.int64)
-        dilated[:: ell][: len(inner)] = inner[: trunc // ell + 1]
+        dilated[::ell] = eta_power_residues(
+            ell ** (precision - 1) * gamma, ell, precision, trunc // ell)
         out = convolve_mod(out, dilated, m, trunc + 1)
     return out
 
@@ -371,52 +307,44 @@ def _eta_power_mod_ledger(alpha: Fraction, ell: int, precision: int, trunc: int)
 
 
 def eta_power_mod(alpha: Rational, ell: int, precision: int, trunc: int,
-                  method: str = "auto") -> QSeries:
-    """(q;q)_infinity^alpha with coefficients mod ell^precision.
+                  method: str = "auto") -> tuple[list[int], list[int]]:
+    """(q;q)_infinity^alpha mod ell^precision as (values, digits).
 
-    Every returned coefficient records at least ``precision`` guaranteed
-    ell-adic digits.  ``method`` selects the route: "descent" (default for
-    any size), "ledger" (padded recurrence, quadratic, oracle-grade), "auto".
+    values[n] is p_alpha(n) mod ell^precision and digits[n] the number of
+    ell-adic digits guaranteed for it, never fewer than ``precision``.
+    ``method`` selects the route: "descent" (exact mod ell^precision, so
+    digits are ``precision``), "ledger" (padded recurrence, quadratic,
+    oracle-grade; digits are what its padding keeps), or "auto" (the descent
+    while ell^precision fits its FFT backend, else the ledger).
     """
     f = as_fraction(alpha)
     if f.denominator % ell == 0:
         raise NotEllIntegralError(f"alpha not {ell}-integral")
     if precision < 1:
         raise ValueError("precision must be >= 1")
+    if trunc < 0:
+        raise ValueError("truncation must be >= 0")
     if method == "auto":
         method = "descent" if ell ** precision < FFT_MODULUS_LIMIT else "ledger"
     if method == "descent":
-        vals = eta_power_residues(f, ell, precision, trunc)
-        return QSeries(
-            [ResidueValue(int(v), ell, precision, precision) for v in vals],
-            trunc,
-            RESIDUE,
-        )
+        values = eta_power_residues(f, ell, precision, trunc).tolist()
+        return values, [precision] * len(values)
     if method == "ledger":
         values, losses, big_exp = _eta_power_mod_ledger(f, ell, precision, trunc)
-        return QSeries(
-            [
-                ResidueValue(values[n], ell, big_exp, big_exp - losses[n])
-                for n in range(trunc + 1)
-            ],
-            trunc,
-            RESIDUE,
-        )
+        m = ell ** precision
+        return [v % m for v in values], [big_exp - loss for loss in losses]
     raise ValueError(f"unknown method {method!r}")
 
 
 def reduce_series(f: QSeries, ell: int, precision: int) -> list[int]:
-    """Coefficients of an exact or residue series reduced mod ell^precision."""
+    """Coefficients of an exact series reduced mod ell^precision."""
     m = ell ** precision
     out = []
     for c in f.coeffs:
-        if isinstance(c, ResidueValue):
-            out.append(c.residue(precision))
-        else:
-            fc = Fraction(c)
-            if fc.denominator % ell == 0:
-                raise NotEllIntegralError(f"coefficient {c} not {ell}-integral")
-            out.append(psi(m, fc))
+        fc = Fraction(c)
+        if fc.denominator % ell == 0:
+            raise NotEllIntegralError(f"coefficient {c} not {ell}-integral")
+        out.append(psi(m, fc))
     return out
 
 
@@ -439,12 +367,8 @@ def frobenius_congruence_check(alpha: Rational, ell: int, r: int, trunc: int,
             eta_power_rational(ell ** (r - 1) * f, trunc // ell), ell, r
         )
     elif method == "ledger":
-        lhs = reduce_series(eta_power_mod(ell ** r * f, ell, r, trunc, "ledger"),
-                            ell, r)
-        inner = reduce_series(
-            eta_power_mod(ell ** (r - 1) * f, ell, r, trunc // ell, "ledger"),
-            ell, r,
-        )
+        lhs = eta_power_mod(ell ** r * f, ell, r, trunc, "ledger")[0]
+        inner = eta_power_mod(ell ** (r - 1) * f, ell, r, trunc // ell, "ledger")[0]
     else:
         raise ValueError(f"unknown method {method!r}")
     rhs = [0] * (trunc + 1)

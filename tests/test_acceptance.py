@@ -183,8 +183,8 @@ def test_criterion_12_oracle_and_determinism(capsys):
                 exact = ec.eta_power_rational(alpha, 150)
                 reduced = [ec.psi(ell ** r, Fraction(c)) for c in exact.coeffs]
                 for method in ("descent", "ledger"):
-                    got = ec.eta_power_mod(alpha, ell, r, 150, method=method)
-                    assert [c.residue(r) for c in got.coeffs] == reduced
+                    got, _ = ec.eta_power_mod(alpha, ell, r, 150, method=method)
+                    assert got == reduced
     code1 = cli_main(["selftest"])
     out1 = capsys.readouterr().out
     code2 = cli_main(["selftest"])

@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from etacong.cli import (
 )
 from etacong.congruences import CongruenceClaim, verify_claim
 from etacong.modforms import gram_determinant
+from etacong.qseries import eta_power_rational, reduce_series
 
 
 def run(capsys, *argv):
@@ -55,6 +57,27 @@ def test_coeffs_residue_headline(capsys):
     assert code == EXIT_OK
     row = out.strip().splitlines()[286]
     assert row.startswith("286 0 ")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_coeffs_beyond_the_fft_modulus_take_the_ledger(capsys, fmt):
+    # 5^15 > 2^33 is past the descent's FFT backend, so "auto" picks the
+    # padded ledger recurrence, whose precision varies with n
+    code, out = run(capsys, "coeffs", "--alpha", "1/2", "--mod", "5^15",
+                    "--trunc", "60", "--format", fmt)
+    assert code == EXIT_OK
+    if fmt == "json":
+        rows = [(c["n"], c["value"], c["precision"])
+                for c in json.loads(out)["coeffs"]]
+    else:
+        rows = [(int(n), int(value), int(p.rstrip(")")))
+                for n, value, _, p in (line.split() for line in out.splitlines())]
+    exact = reduce_series(eta_power_rational(Fraction(1, 2), 60), 5, 15)
+    assert [(n, value) for n, value, _ in rows] == list(enumerate(exact))
+    precisions = [p for _, _, p in rows]
+    assert rows[0] == (0, 1, 29)
+    assert min(precisions) >= 15
+    assert len(set(precisions)) > 1
 
 
 def test_coeffs_trunc_cap(capsys):

@@ -7,9 +7,6 @@ from hypothesis import given, strategies as st
 from etacong.numerics import (
     INFINITE_VALUATION,
     FracExponent,
-    NotEllIntegralError,
-    PrecisionError,
-    ResidueValue,
     ell_valuation,
     factorial_valuation,
     legendre_symbol,
@@ -107,77 +104,3 @@ def test_valuation_strips_to_unit(x, ell):
     v = ell_valuation(x, ell)
     unit = x * Fraction(ell) ** (-v)
     assert ell_valuation(unit, ell) == 0
-
-
-def test_residue_value_basics():
-    r = ResidueValue.from_rational(Fraction(57, 61), 17, 2)
-    assert r.value == 57 * mod_inverse(61, 289) % 289
-    assert r.precision == 2
-    assert r.residue(1) == r.value % 17
-    with pytest.raises(PrecisionError):
-        r.residue(3)
-    with pytest.raises(NotEllIntegralError):
-        ResidueValue.from_rational(Fraction(1, 17), 17, 2)
-
-
-def test_residue_value_precision_rules():
-    a = ResidueValue(6, 5, 4, 3)
-    b = ResidueValue(7, 5, 4, 2)
-    assert (a + b).precision == 2
-    assert (a * b).precision == 2
-    # multiplying by an exact multiple of ell gains a digit
-    assert (a * 5).precision == 4
-    assert (a * 10).precision == 4
-    assert (a * 3).precision == 3
-    # dividing by ell costs a digit of both precision and modulus
-    c = ResidueValue(50, 5, 4, 3)
-    d = c.divide_exact_by(5)
-    assert (d.value, d.modulus_exp, d.precision) == (10, 3, 2)
-    with pytest.raises(ValueError):
-        ResidueValue(51, 5, 4, 3).divide_exact_by(5)
-
-
-def test_residue_value_division_precision_floor():
-    tight = ResidueValue(25, 5, 3, 1)
-    with pytest.raises(PrecisionError, match="insufficient padding"):
-        tight.divide_exact_by(25)
-
-
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("add"), st.integers(-50, 50), st.integers(1, 9)),
-        st.tuples(st.just("mul"), st.integers(-50, 50), st.integers(1, 9)),
-        st.tuples(st.just("mulint"), st.integers(-20, 20), st.just(1)),
-        st.tuples(st.just("div"), st.integers(1, 30), st.just(1)),
-    ),
-    max_size=8,
-)
-
-
-@given(st.sampled_from([5, 7]), _OPS)
-def test_residue_arithmetic_matches_rational_oracle(ell, ops):
-    """Random op sequences agree with exact rationals mod ell^precision."""
-    exp = 8
-    exact = Fraction(3, 2) if ell != 2 else Fraction(3)
-    value = ResidueValue.from_rational(exact, ell, exp)
-    for op, num, den in ops:
-        if den % ell == 0:
-            continue
-        other = Fraction(num, den)
-        if op == "add":
-            value = value + ResidueValue.from_rational(other, ell, exp)
-            exact = exact + other
-        elif op == "mul":
-            value = value * ResidueValue.from_rational(other, ell, exp)
-            exact = exact * other
-        elif op == "mulint":
-            value = value * num
-            exact = exact * num
-        elif op == "div":
-            e = ell_valuation(num, ell)
-            if ell_valuation(exact, ell) < e or e > value.precision - 1:
-                continue
-            value = value.divide_exact_by(num)
-            exact = exact / num
-        if value.precision > 0:
-            assert value.congruent_to(exact, value.precision)

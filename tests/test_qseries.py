@@ -1,10 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from etacong import qseries
-from etacong._convolve import product_bytes
+from etacong._convolve import convolve_mod, product_bytes
 from etacong.numerics import MemoryLimitError, NotEllIntegralError
 from etacong.qseries import (
     QSeries,
@@ -157,15 +158,15 @@ def test_descent_beyond_int64_square_matches_partition_numbers():
 
 
 def test_eta_power_mod_headline_coefficient():
-    series = eta_power_mod(Fraction(57, 61), 17, 2, 300)
-    assert series[286].residue(2) == 0
-    assert series[286].precision >= 2
+    values, digits = eta_power_mod(Fraction(57, 61), 17, 2, 300)
+    assert values[286] == 0
+    assert digits[286] >= 2
 
 
 def test_eta_power_mod_ramanujan_progression():
-    series = eta_power_mod(-1, 5, 1, 100)
+    values, _ = eta_power_mod(-1, 5, 1, 100)
     for n in range(4, 101, 5):
-        assert series[n].residue(1) == 0
+        assert values[n] == 0
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(-3, 4),
@@ -176,9 +177,9 @@ def test_eta_power_mod_matches_rational_oracle(alpha, ell, r):
     t = 150
     exact = reduce_series(eta_power_rational(alpha, t), ell, r)
     for method in ("descent", "ledger"):
-        series = eta_power_mod(alpha, ell, r, t, method=method)
-        assert [c.residue(r) for c in series.coeffs] == exact
-        assert all(c.precision >= r for c in series.coeffs)
+        values, digits = eta_power_mod(alpha, ell, r, t, method=method)
+        assert values == exact
+        assert all(p >= r for p in digits)
 
 
 def test_eta_power_mod_rejects_bad_prime():
@@ -190,8 +191,8 @@ def test_eta_power_mod_rejects_bad_prime():
 
 def test_eta_power_residues_matches_object_route():
     vals = eta_power_residues(Fraction(-3, 4), 7, 2, 80)
-    series = eta_power_mod(Fraction(-3, 4), 7, 2, 80)
-    assert [int(v) for v in vals] == [c.residue(2) for c in series.coeffs]
+    values, _ = eta_power_mod(Fraction(-3, 4), 7, 2, 80)
+    assert [int(v) for v in vals] == values
 
 
 @pytest.mark.parametrize("alpha,ell,r", [
@@ -208,24 +209,20 @@ def test_frobenius_congruence_ledger_route_agrees():
 
 
 def test_residue_series_multiplication_tracks_precision():
-    f = eta_power_mod(Fraction(1, 2), 5, 2, 20)
-    g = eta_power_mod(Fraction(-1, 2), 5, 2, 20)
-    prod = f * g
-    assert prod[0].residue(2) == 1
+    f, f_digits = eta_power_mod(Fraction(1, 2), 5, 2, 20)
+    g, g_digits = eta_power_mod(Fraction(-1, 2), 5, 2, 20)
+    assert min(f_digits + g_digits) >= 2
+    prod = convolve_mod(f, g, 5 ** 2, 21)
+    assert prod[0] == 1
     for n in range(1, 21):
-        assert prod[n].residue(2) == 0
-
-
-def test_mixed_domain_multiplication_rejected():
-    f = eta_power_rational(1, 5)
-    g = eta_power_mod(1, 5, 1, 5)
-    with pytest.raises(ValueError, match="mixed"):
-        f * g
+        assert prod[n] == 0
 
 
 def test_descent_refuses_what_memory_cannot_hold(monkeypatch):
     need = product_bytes(1001, 5 ** 6)
-    assert need == 8 * 1001 + 2 * 2 * 16 * (2048 // 2 + 1)
+    # two limbs: (2 * 2 + 3) spectra of 1025 complex128 at length 2048 and
+    # eight int64 series of 1001 coefficients
+    assert need == (2 * 2 + 3) * 16 * (2048 // 2 + 1) + 8 * 8 * 1001
     monkeypatch.setattr(qseries, "physical_memory_bytes", lambda: need)
     full = eta_power_residues(-1, 5, 6, 1000)
     assert full.tolist() == [p % 5 ** 6 for p in partition_numbers(1000)]
@@ -241,7 +238,27 @@ def test_descent_refuses_what_memory_cannot_hold(monkeypatch):
 
 def test_verify_workload_stays_far_below_physical_memory():
     # p_alpha(289 n + 286) for n <= 13840: one limb at 2^23 points
-    need = product_bytes(289 * 13840 + 286 + 1, 289)
-    assert need < 2 ** 28
+    n_out = 289 * 13840 + 286 + 1
+    need = product_bytes(n_out, 289)
+    assert need == 5 * 16 * (2 ** 23 // 2 + 1) + 8 * 8 * n_out
+    assert need < 2 ** 30
     have = qseries.physical_memory_bytes()
     assert have is None or have > 0
+
+
+@pytest.mark.parametrize("alpha,ell,v,trunc", [
+    (Fraction(57, 61), 17, 2, 25_000),
+    (Fraction(57, 61), 17, 2, 100_000),
+    (Fraction(-1), 5, 6, 10_000),
+    (Fraction(1, 2), 5, 13, 25_000),
+])
+def test_descent_peak_stays_within_product_bytes(alpha, ell, v, trunc):
+    # one, two and three limbs; the first FFT-sized call loads numpy.fft
+    eta_power_residues(alpha, ell, v, 1000)
+    tracemalloc.start()
+    try:
+        eta_power_residues(alpha, ell, v, trunc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= product_bytes(trunc + 1, ell ** v)
