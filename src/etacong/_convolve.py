@@ -3,21 +3,25 @@
 Two regimes: exact big-integer convolution (Python ints, used by the small
 exact series engine) and modular convolution for coefficient arrays reduced
 mod m (numpy, used by the large-scale residue engine).  The modular backend
-splits operands into L limbs of 11 bits and convolves them with real FFTs:
-L forward transforms per operand (a square reuses its operand's), and one
-inverse transform per limb shift s = i + j, 2L - 1 in all, applied to the
-sum of the limb-pair spectra that share that shift.  An inverse transform
-that sums `pairs` limb pairs recovers exact coefficients up to
-pairs * (2^11 - 1)^2 * min(len a, len b), which must stay below
-``ROUNDING_LIMIT`` = 2^47, six bits inside the 2^53 window where float64
-holds integers exactly.  Long operands therefore sum fewer pairs per
-inverse transform, down to one.  A call where even one pair would pass the
-limit (shorter operand of 3.36e7 coefficients or more) is refused before
-transforming, and every rounded value is still checked to lie within 0.25
-of an integer; both checks raise ``PrecisionError``.  ``binary_power`` is
-the one square-and-multiply loop; every power in the package goes through
-it, and ``inverse_mod`` inverts a series by Newton iteration on top of
-``convolve_mod``.
+centres each residue into (-m/2, m/2], splits it into L balanced limbs of
+b = ceil(bits(m - 1) / L) bits, each at most 2^(b-1) in size, and
+convolves them with real FFTs: L forward transforms per operand (a square
+reuses its operand's), and one inverse transform per limb shift
+s = i + j, 2L - 1 in all, applied to the sum of the limb-pair spectra that
+share that shift.  An inverse transform that sums `pairs` limb pairs
+recovers exact coefficients up to pairs * (2^(b-1))^2 * min(len a, len b),
+which must stay below ``ROUNDING_LIMIT`` = 2^47, six bits inside the 2^53
+window where float64 holds integers exactly.  ``_limb_layout`` picks the
+fewest limbs whose single pair fits, never more than 11-bit limbs would
+take: 5^6 fits one limb below 2^21 coefficients, 5^14 two limbs below
+2^15.  Long operands sum fewer pairs per inverse transform, down to one.
+A call where even one pair at the most limbs would pass the limit (for
+any modulus below ``FFT_MODULUS_LIMIT``, not before 2^27 coefficients) is
+refused before transforming, and every rounded value is still checked to
+lie within 0.25 of an integer; both checks raise ``PrecisionError``.
+``binary_power`` is the one square-and-multiply loop; every power in the
+package goes through it, and ``inverse_mod`` inverts a series by Newton
+iteration on top of ``convolve_mod``.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ import numpy as np
 
 from .numerics import PrecisionError
 
-_LIMB_BITS = 11
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
+# no modulus is split into more limbs than 11-bit limbs would need
+_LIMB_CAP_BITS = 11
 # beyond this modulus the limb count makes the FFT path pointless; callers
 # fall back to exact convolution
 FFT_MODULUS_LIMIT = 1 << 33
@@ -58,72 +62,158 @@ def _fft_length(n):
     return length
 
 
-def _limb_spectra(a, limbs, length):
-    return [
-        np.fft.rfft(((a >> (_LIMB_BITS * i)) & _LIMB_MASK).astype(np.float64), length)
-        for i in range(limbs)
-    ]
+def _limb_layout(m, short):
+    """(L, b): the fewest balanced limbs of b bits that carry residues mod m.
+
+    With B = bits(m - 1), b = ceil(B / L).  A limb pair's coefficients are
+    bounded by (2^(b-1))^2 * short, where short is the shorter operand's
+    length, and that bound must stay below ``ROUNDING_LIMIT``.  L never
+    exceeds ceil(B / 11); if even that many limbs do not fit, the product
+    is refused before any transform.
+    """
+    width = max(1, int(m - 1).bit_length())
+    for limbs in range(1, -(-width // _LIMB_CAP_BITS) + 1):
+        bits = -(-width // limbs)
+        pair_bound = 4 ** (bits - 1) * short
+        if pair_bound < ROUNDING_LIMIT:
+            return limbs, bits
+    raise PrecisionError(
+        f"fft convolution out of float64 range: (2^{bits - 1})^2 * length "
+        f"{short} = {pair_bound} >= {ROUNDING_LIMIT}")
+
+
+def _balanced_limbs(a, m, limbs, bits):
+    """The L balanced b-bit limbs of a's residues mod m, lowest first.
+
+    Each residue is centred to c_0 in (-m/2, m/2], so |c_0| <= 2^(B-1) with
+    B = bits(m - 1).  Limb i is c_i's remainder in [-2^(b-1), 2^(b-1)),
+    and c_(i+1) = floor((c_i + 2^(b-1)) / 2^b) carries the rest; the top
+    limb is c_(L-1) itself.  Induction: if |c_i| <= 2^e with e >= b, then
+    |c_(i+1)| <= floor(2^(e-b) + 1/2) = 2^(e-b); if e < b, then c_(i+1) is
+    0 or 1.  So |c_i| <= 2^max(B-1-ib, 0), and the top limb obeys
+    |c_(L-1)| <= 2^max(B-1-(L-1)b, 0) <= 2^(b-1), because Lb >= B.  Limbs
+    come one at a time, float64 below the top and int64 at the top.
+    """
+    above = a > m // 2
+    if limbs == 1:
+        centred = a.astype(np.float64)
+        centred -= m * above
+        yield centred
+        return
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    # with half added to every lower limb, the limbs are plain base-2^b
+    # digits of t: limb i is ((t >> ib) & mask) - half below the top
+    t = a + half * sum(1 << (bits * i) for i in range(limbs - 1))
+    t -= m * above
+    del above
+    for i in range(limbs - 1):
+        limb = (t >> (bits * i)) if i else t.copy()
+        limb &= mask
+        yield np.subtract(limb, half, dtype=np.float64)
+        del limb
+    yield np.right_shift(t, bits * (limbs - 1), out=t)
 
 
 def _pairs_spectrum(fa, fb, s, first, stop):
-    """Sum of the limb-pair spectra fa[i] * fb[s - i] for first <= i < stop."""
-    spectrum = fa[first] * fb[s - first]
-    for i in range(first + 1, stop):
-        spectrum += fa[i] * fb[s - i]
+    """Sum of the limb-pair spectra fa[i] * fb[s - i] for first <= i < stop.
+
+    Limb s - L + 1 of either operand pairs with no later shift, so it is
+    dropped from fa and fb once the sum reaches shift s's last pair.  The
+    top shift's one pair is the last use of both spectra and is multiplied
+    in place.
+    """
+    limbs = len(fa)
+    if s == 2 * limbs - 2:
+        spectrum = fa[first]
+        spectrum *= fb[s - first]
+    else:
+        spectrum = fa[first] * fb[s - first]
+        for i in range(first + 1, stop):
+            spectrum += fa[i] * fb[s - i]
+    if stop == limbs:
+        fa[s - limbs + 1] = fb[s - limbs + 1] = None
     return spectrum
 
 
-def _limb_count(m):
-    return max(1, -(-int(m - 1).bit_length() // _LIMB_BITS))
+def _exact_residues(spectrum, length, n_out, m, lift):
+    """The inverse transform of a summed limb-pair spectrum, reduced mod m.
+
+    Its coefficients are integers below ``ROUNDING_LIMIT`` in size: each
+    must lie within 0.25 of an integer, and it is lifted by ``lift``, a
+    multiple of m of at least that size, so that % m reduces nonnegative
+    values only.
+    """
+    raw = np.fft.irfft(spectrum, length)[:n_out]
+    del spectrum
+    rounded = np.round(raw)
+    error = np.subtract(raw, rounded, out=raw)
+    if error.size and np.abs(error, out=error).max() >= 0.25:
+        raise PrecisionError("fft convolution lost integrality")
+    del raw, error
+    residues = rounded.astype(np.int64)
+    del rounded
+    residues += lift
+    residues %= m
+    return residues
+
+
+def _add_scaled(out, residues, shift, m):
+    """out = (out + residues * shift) mod m in place; residues is consumed."""
+    if m * (m - 1) >= 1 << 63:
+        # (m-1)^2 overflows int64: split the shift so that, with m < 2^33,
+        # no product reaches 2^50
+        hi, shift = divmod(shift, 1 << 16)
+        upper = residues * hi
+        upper %= m
+        upper <<= 16
+        out += upper
+        del upper
+    residues *= shift
+    out += residues
+    out %= m
 
 
 def product_bytes(n_out, m):
     """Bytes a product of two n_out-coefficient series mod m can hold at once.
 
     An upper bound on the traced peak, counted in spectrum-sized arrays at
-    the FFT length and int64 series of n_out coefficients.  Spectra: both
-    operands' limb spectra, and three transients, at most, live with them:
-    the summed pair spectrum (and its next term), the inverse transform's
-    full-length output and the previous shift's one.  Series: the caller's
-    three (both operands, and the power's base or the descent's inner
-    result), the result, the rounded copy, and the previous shift's rounded
-    copy or the recombination's temporaries (three at most).
+    the FFT length and int64 series of n_out coefficients, for the layout
+    ``_limb_layout(m, n_out)``.  Spectra: one limb multiplies in place, so
+    it holds two at most (both operands', or the product and its inverse
+    transform); L > 1 limbs hold all 2L beside the summed pair spectrum
+    and the inverse transform's output (or the next pair's term).  Series:
+    both operands, the result or the limb being split, and one transient.
     """
+    limbs = _limb_layout(m, n_out)[0]
     spectrum = 16 * (_fft_length(2 * n_out - 1) // 2 + 1)  # complex128
-    return (2 * _limb_count(m) + 3) * spectrum + 8 * 8 * n_out
+    spectra = 2 if limbs == 1 else 2 * limbs + 2
+    return spectra * spectrum + 4 * 8 * n_out
 
 
 def _convolve_fft_mod(a, b, m, n_out):
     length = _fft_length(len(a) + len(b) - 1)
-    limbs = _limb_count(m)
-    pair_bound = _LIMB_MASK ** 2 * min(len(a), len(b))
-    if pair_bound >= ROUNDING_LIMIT:
-        raise PrecisionError(
-            f"fft convolution out of float64 range: (2^{_LIMB_BITS} - 1)^2 * "
-            f"length {min(len(a), len(b))} = {pair_bound} >= {ROUNDING_LIMIT}")
-    # limb pairs one inverse transform may sum: group * pair_bound < limit
-    group = (ROUNDING_LIMIT - 1) // pair_bound
-    fa = _limb_spectra(a, limbs, length)
-    fb = fa if b is a else _limb_spectra(b, limbs, length)
-    out = np.zeros(n_out, dtype=np.int64)
+    short = min(len(a), len(b))
+    limbs, bits = _limb_layout(m, short)
+    # limb pairs one inverse transform may sum: group * pair bound < limit
+    group = (ROUNDING_LIMIT - 1) // (4 ** (bits - 1) * short)
+    lift = -(-ROUNDING_LIMIT // m) * m
+    fa = [np.fft.rfft(x, length) for x in _balanced_limbs(a, m, limbs, bits)]
+    fb = fa if b is a else [
+        np.fft.rfft(x, length) for x in _balanced_limbs(b, m, limbs, bits)]
+    out = None
     for s in range(2 * limbs - 1):
         low, high = max(0, s - limbs + 1), min(s, limbs - 1) + 1
+        shift = pow(2, bits * s, m)
         for first in range(low, high, group):
-            raw = np.fft.irfft(
+            residues = _exact_residues(
                 _pairs_spectrum(fa, fb, s, first, min(first + group, high)),
-                length)[:n_out]
-            rounded = np.round(raw)
-            if raw.size and np.abs(raw - rounded).max() >= 0.25:
-                raise PrecisionError("fft convolution lost integrality")
-            shift = pow(2, _LIMB_BITS * s, int(m))
-            if m * (m - 1) < 1 << 63:
-                out = (out + (rounded.astype(np.int64) % m) * shift) % m
+                length, n_out, m, lift)
+            if out is None:
+                out = residues  # shift 0 holds one pair, at weight 2^0
             else:
-                # (m-1)^2 overflows int64: split the shift so that, with
-                # m < 2^33, no product reaches 2^50
-                limb = rounded.astype(np.int64) % m
-                hi, lo = divmod(shift, 1 << 16)
-                out = (out + ((limb * hi % m) << 16) + limb * lo) % m
+                _add_scaled(out, residues, shift, m)
+            # the next transforms run without this shift's residues
+            del residues
     return out
 
 
@@ -177,7 +267,11 @@ def power_mod(base, exponent, m, n_out):
         # None stands for the series 1, so the first product is no product
         return g if f is None else convolve_mod(f, g, m, n_out)
 
-    power = binary_power(_series_mod(base, m, n_out), exponent, None, mul)
+    # binary_power gets the only reference to the reduced base, so that
+    # neither it nor the caller's series outlives the first squaring
+    reduced = [_series_mod(base, m, n_out)]
+    del base
+    power = binary_power(reduced.pop(), exponent, None, mul)
     if power is None:
         power = np.zeros(n_out, dtype=np.int64)
         power[0] = 1 % m

@@ -1,11 +1,13 @@
 import json
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from etacong import qseries
+from etacong import cli, qseries
 from etacong._convolve import product_bytes
 from etacong.cli import (
     EXIT_COUNTEREXAMPLE,
@@ -18,7 +20,7 @@ from etacong.cli import (
     parse_modulus,
 )
 from etacong.congruences import CongruenceClaim, verify_claim
-from etacong.modforms import gram_determinant
+from etacong.modforms import gram_determinant, gram_determinant_residue
 from etacong.qseries import eta_power_rational, reduce_series
 
 
@@ -162,6 +164,25 @@ def test_hecke_prints_determinants_past_the_digit_limit(capsys):
     assert table.splitlines()[-1] == f"120,10,{want}"
 
 
+def test_hecke_prints_only_the_residue_above_the_exact_weight(capsys,
+                                                             monkeypatch):
+    def no_exact(weight):
+        raise AssertionError("computed the exact determinant")
+
+    monkeypatch.setattr(cli, "gram_determinant", no_exact)
+    weight = cli.EXACT_DET_WEIGHT + 12
+    residue = gram_determinant_residue(weight, 1009)
+    argv = ("hecke", "--weight", str(weight), "--m-max", "1", "--ell", "1009")
+    code, plain = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert "gram determinant =" not in plain
+    assert plain.splitlines()[-1] == f"  gram determinant mod 1009 = {residue}"
+    code, text = run(capsys, *argv, "--format", "json")
+    data = json.loads(text)
+    assert (code, data["gramDet"], data["gramDetResidue"]) == (EXIT_OK, None,
+                                                               residue)
+
+
 def test_fft_rounding_fault_exits_3(capsys, monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft",
@@ -268,3 +289,14 @@ def test_oversized_descent_exits_3_before_allocating(capsys, monkeypatch,
         f"memory error: {trunc + 1} coefficients mod {modulus} need about "
         f"{need / 2**30:.2f} GiB for one product, more than the 0.00 GiB of "
         f"physical memory\n")
+
+
+def test_known_defect_checker_exits_0():
+    # bench/defects.py checks `coeffs --alpha -1 --mod 5^14 --trunc 10000`,
+    # whose products take two limbs and the split int64 recombination,
+    # against partition_numbers; -B keeps it from writing bytecode there
+    done = subprocess.run([sys.executable, "-B", "bench/defects.py"],
+                          cwd=Path(__file__).resolve().parents[1],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == "coeffs mod 5^14 to 10000: 0 of 10001 wrong\n"

@@ -8,6 +8,10 @@ from hypothesis import given, settings, strategies as st
 from etacong import _convolve
 from etacong.numerics import PrecisionError
 from etacong._convolve import (
+    FFT_MODULUS_LIMIT,
+    ROUNDING_LIMIT,
+    _balanced_limbs,
+    _limb_layout,
     binary_power,
     convolve_exact,
     convolve_mod,
@@ -17,10 +21,41 @@ from etacong._convolve import (
     power_mod,
 )
 
-# one, two and three 11-bit limbs; 5^14 also overflows int64 when squared
+# one, two and three limbs at FFT_N coefficients.  289 has one limb at any
+# length.  5^6 and 5^14 are held at two and three by hold_limbs, since on
+# their own they take that many only from 2^21 and 2^15 coefficients on;
+# 5^14 also overflows int64 when squared
 LIMB_MODULI = [(289, 1), (5 ** 6, 2), (5 ** 14, 3)]
 # above the direct path's size limit, so every product takes the fft route
 FFT_N = 700
+
+
+def limb_bits(m, limbs):
+    """The limb width of m split into `limbs` limbs: ceil(bits(m-1) / L)."""
+    return -(-(m - 1).bit_length() // limbs)
+
+
+def hold_limbs(monkeypatch, m, limbs, short=FFT_N):
+    """Lower ROUNDING_LIMIT to the pair bound of one limb fewer, so that m
+    takes `limbs` limbs when the shorter operand has `short` coefficients."""
+    if limbs > 1:
+        monkeypatch.setattr(_convolve, "ROUNDING_LIMIT",
+                            4 ** (limb_bits(m, limbs - 1) - 1) * short)
+    assert _limb_layout(m, short) == (limbs, limb_bits(m, limbs))
+
+
+def exact_mod(a, b, m, n_out):
+    """The truncated product mod m by one big-integer multiplication."""
+    width = 2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length()
+    size = -(-width // 8)  # bytes per coefficient; no sum carries past them
+
+    def pack(xs):
+        return int.from_bytes(
+            b"".join(int(x).to_bytes(size, "little") for x in xs), "little")
+
+    product = (pack(a) * pack(b)).to_bytes(size * (len(a) + len(b)), "little")
+    return [int.from_bytes(product[k * size:(k + 1) * size], "little") % m
+            for k in range(n_out)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,11 +118,90 @@ def test_modulus_limit_guard():
 
 
 def test_convolve_mod_worst_case_beyond_int64_square():
-    # (m - 1)^2 overflows int64 at 5^14, so limb recombination must split
+    # (m - 1)^2 overflows int64 at 5^14, so limb recombination must split.
+    # m // 2 and m // 2 + 1 centre to the extremes +-(m - 1) / 2, here at
+    # two limbs (8192 coefficients) and three (2^15)
     m = 5 ** 14
-    a = np.full(8192, m - 1, dtype=np.int64)
-    got = convolve_mod(a, a, m, 8192)
-    assert got.tolist() == [(k + 1) * (m - 1) ** 2 % m for k in range(8192)]
+    for n, limbs in ((8192, 2), (2 ** 15, 3)):
+        assert _limb_layout(m, n)[0] == limbs
+        a = np.full(n, m // 2, dtype=np.int64)
+        b = np.full(n, m // 2 + 1, dtype=np.int64)
+        for x, y in ((a, a), (a, b), (b, b)):
+            c2 = int(x[0]) * int(y[0]) % m
+            assert convolve_mod(x, y, m, n).tolist() == [
+                (k + 1) * c2 % m for k in range(n)]
+
+
+@pytest.mark.parametrize("n,limbs", [(2 ** 21 - 1, 1), (2 ** 21, 2)])
+def test_one_limb_bound_of_5_6_is_exact_on_both_sides(monkeypatch, n, limbs):
+    # 5^6 < 2^14 fits one 14-bit limb while (2^13)^2 * n < 2^47, that is
+    # below 2^21 coefficients; from there on it takes two 7-bit limbs
+    m = 5 ** 6
+    assert _limb_layout(m, n) == (limbs, 14 // limbs)
+    a = np.full(n, m // 2, dtype=np.int64)
+    b = np.full(n, m // 2 + 1, dtype=np.int64)
+    counts = count_transforms(monkeypatch)
+    got = convolve_mod(a, b, m, n)
+    assert counts == {"rfft": 2 * limbs, "irfft": 2 * limbs - 1}
+    k = np.arange(1, n + 1, dtype=np.int64)
+    assert np.array_equal(got, k * (m // 2 * (m // 2 + 1) % m) % m)
+
+
+def test_limb_layout_from_length_and_modulus():
+    assert _limb_layout(289, 10 ** 7) == (1, 9)
+    assert _limb_layout(5 ** 13, 25_000) == (2, 16)
+    assert _limb_layout(5 ** 13, 2 ** 17) == (3, 11)
+    assert _limb_layout(5 ** 14, 2 ** 15 - 1) == (2, 17)
+    assert _limb_layout(5 ** 14, 2 ** 15) == (3, 11)
+    # no modulus below 2^33 is refused short of 2^27 coefficients, beyond
+    # the 33,587,225 at which 11-bit limbs (2^11 - 1)^2 * n reached 2^47
+    for width in range(1, 34):
+        for m in (2 ** (width - 1) + 1, 2 ** width - 1):
+            if 2 <= m < FFT_MODULUS_LIMIT:
+                assert _limb_layout(m, 2 ** 27 - 1)[0] <= -(-width // 11)
+    with pytest.raises(PrecisionError, match=f"= {2 ** 47} >= {2 ** 47}"):
+        _limb_layout(2 ** 33 - 9, 2 ** 27)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, FFT_MODULUS_LIMIT - 1), st.integers(1, 2 ** 27 - 1),
+       st.data())
+def test_balanced_limbs_round_trip_within_their_bound(m, short, data):
+    limbs, bits = _limb_layout(m, short)
+    assert limbs <= max(1, -(-(m - 1).bit_length() // 11))
+    assert 4 ** (bits - 1) * short < ROUNDING_LIMIT
+    if limbs > 1:  # the fewest limbs that fit
+        assert 4 ** (limb_bits(m, limbs - 1) - 1) * short >= ROUNDING_LIMIT
+    values = data.draw(st.lists(
+        st.one_of(st.sampled_from([0, 1, m // 2, m // 2 + 1, m - 1]),
+                  st.integers(0, m - 1)),
+        min_size=1, max_size=20))
+    values = [v % m for v in values]
+    split = list(_balanced_limbs(np.array(values, dtype=np.int64), m, limbs,
+                                 bits))
+    assert len(split) == limbs
+    for k, v in enumerate(values):
+        digits = [int(limb[k]) for limb in split]
+        assert all(abs(d) <= 2 ** (bits - 1) for d in digits)
+        centred = v - m if v > m // 2 else v
+        assert sum(d << (bits * i) for i, d in enumerate(digits)) == centred
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 289, 5 ** 6, 1529 ** 2, 5 ** 13, 5 ** 14,
+                        2 ** 33 - 9]),
+       st.integers(_convolve._DIRECT_SIZE_LIMIT + 1, 1200),
+       st.integers(1, 1200), st.integers(0, 2 ** 32), st.booleans())
+def test_fft_path_matches_exact(m, len_a, len_b, seed, extremes):
+    rng = np.random.default_rng(seed)
+    if extremes:
+        a, b = (rng.choice([m // 2, (m // 2 + 1) % m], n) for n in (len_a, len_b))
+    else:
+        a, b = (rng.integers(0, m, n, dtype=np.int64) for n in (len_a, len_b))
+    n_out = int(rng.integers(1, len_a + len_b))
+    assert exact_mod(a[:30], b[:30], m, 30) == [
+        c % m for c in convolve_exact(a[:30].tolist(), b[:30].tolist(), 30)]
+    assert convolve_mod(a, b, m, n_out).tolist() == exact_mod(a, b, m, n_out)
 
 
 def test_binary_power_rejects_negative_and_non_integral_exponents():
@@ -101,14 +215,19 @@ def test_binary_power_rejects_negative_and_non_integral_exponents():
 
 @pytest.mark.parametrize("m,limbs", LIMB_MODULI)
 @pytest.mark.parametrize("worst", [False, True])
-def test_square_equals_product_equals_exact(m, limbs, worst):
+def test_square_equals_product_equals_exact(monkeypatch, m, limbs, worst):
+    hold_limbs(monkeypatch, m, limbs)
     if worst:
-        a = np.full(FFT_N, m - 1, dtype=np.int64)
+        # the centred extremes +-(m - 1) / 2
+        a = np.full(FFT_N, m // 2, dtype=np.int64)
+        b = np.full(FFT_N, m // 2 + 1, dtype=np.int64)
     else:
-        a = np.random.default_rng(m).integers(0, m, FFT_N, dtype=np.int64)
-    want = [c % m for c in convolve_exact(a.tolist(), a.tolist(), FFT_N)]
-    assert convolve_mod(a, a, m, FFT_N).tolist() == want
-    assert convolve_mod(a, a.copy(), m, FFT_N).tolist() == want
+        a, b = np.random.default_rng(m).integers(0, m, (2, FFT_N),
+                                                 dtype=np.int64)
+    for x, y in ((a, a), (a, b), (b, b)):
+        want = [c % m for c in convolve_exact(x.tolist(), y.tolist(), FFT_N)]
+        assert convolve_mod(x, y, m, FFT_N).tolist() == want
+        assert convolve_mod(x, y.copy(), m, FFT_N).tolist() == want
 
 
 def count_transforms(monkeypatch):
@@ -123,6 +242,7 @@ def count_transforms(monkeypatch):
 
 @pytest.mark.parametrize("m,limbs", LIMB_MODULI)
 def test_fft_counts_per_square_and_product(monkeypatch, m, limbs):
+    hold_limbs(monkeypatch, m, limbs)
     a = np.random.default_rng(1).integers(0, m, FFT_N, dtype=np.int64)
     counts = count_transforms(monkeypatch)
     convolve_mod(a, a, m, FFT_N)
@@ -139,9 +259,12 @@ GROUPED_IRFFTS = {(1, 1): 1, (2, 1): 4, (2, 2): 3, (3, 1): 9, (3, 2): 6,
 
 @pytest.mark.parametrize("m,limbs", LIMB_MODULI)
 def test_rounding_bound_enforced_at_its_limit(monkeypatch, m, limbs):
-    a = np.full(FFT_N, m - 1, dtype=np.int64)
-    b = a[:600].copy()
-    pair_bound = (2 ** 11 - 1) ** 2 * 600  # the shorter operand's length
+    # `limbs` is the most the layout rule splits m into, ceil(bits / 11)
+    assert limbs == -(-(m - 1).bit_length() // 11)
+    a = np.full(FFT_N, m // 2 + 1, dtype=np.int64)
+    b = np.full(600, m // 2, dtype=np.int64)
+    # one pair's bound at `limbs` limbs, for the shorter operand's length
+    pair_bound = 4 ** (limb_bits(m, limbs) - 1) * 600
     want = [c % m for c in convolve_exact(a.tolist(), b.tolist(), FFT_N)]
     counts = count_transforms(monkeypatch)
     monkeypatch.setattr(_convolve, "ROUNDING_LIMIT", pair_bound)
@@ -151,6 +274,7 @@ def test_rounding_bound_enforced_at_its_limit(monkeypatch, m, limbs):
     for group in range(1, limbs + 1):
         # the largest limit at which an inverse transform sums `group` pairs
         monkeypatch.setattr(_convolve, "ROUNDING_LIMIT", (group + 1) * pair_bound)
+        assert _limb_layout(m, 600)[0] == limbs
         counts.clear()
         assert convolve_mod(a, b, m, FFT_N).tolist() == want
         assert counts == {"rfft": 2 * limbs,
@@ -177,7 +301,8 @@ def test_power_mod_never_multiplies_by_one(monkeypatch):
 
 
 @pytest.mark.parametrize("m,limbs", LIMB_MODULI)
-def test_inverse_mod_times_series_is_one(m, limbs):
+def test_inverse_mod_times_series_is_one(monkeypatch, m, limbs):
+    hold_limbs(monkeypatch, m, limbs)
     f = np.random.default_rng(m).integers(0, m, FFT_N, dtype=np.int64)
     f[0] = 2
     g = inverse_mod(f, m, FFT_N)

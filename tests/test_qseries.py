@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etacong import qseries
-from etacong._convolve import convolve_mod, product_bytes
+from etacong._convolve import _limb_layout, convolve_mod, product_bytes
 from etacong.numerics import MemoryLimitError, NotEllIntegralError
 from etacong.qseries import (
     QSeries,
@@ -220,9 +220,9 @@ def test_residue_series_multiplication_tracks_precision():
 
 def test_descent_refuses_what_memory_cannot_hold(monkeypatch):
     need = product_bytes(1001, 5 ** 6)
-    # two limbs: (2 * 2 + 3) spectra of 1025 complex128 at length 2048 and
-    # eight int64 series of 1001 coefficients
-    assert need == (2 * 2 + 3) * 16 * (2048 // 2 + 1) + 8 * 8 * 1001
+    # one 14-bit limb: two spectra of 1025 complex128 at length 2048 and
+    # four int64 series of 1001 coefficients
+    assert need == 2 * 16 * (2048 // 2 + 1) + 4 * 8 * 1001
     monkeypatch.setattr(qseries, "physical_memory_bytes", lambda: need)
     full = eta_power_residues(-1, 5, 6, 1000)
     assert full.tolist() == [p % 5 ** 6 for p in partition_numbers(1000)]
@@ -240,20 +240,30 @@ def test_verify_workload_stays_far_below_physical_memory():
     # p_alpha(289 n + 286) for n <= 13840: one limb at 2^23 points
     n_out = 289 * 13840 + 286 + 1
     need = product_bytes(n_out, 289)
-    assert need == 5 * 16 * (2 ** 23 // 2 + 1) + 8 * 8 * n_out
+    assert need == 2 * 16 * (2 ** 23 // 2 + 1) + 4 * 8 * n_out
     assert need < 2 ** 30
     have = qseries.physical_memory_bytes()
     assert have is None or have > 0
 
 
-@pytest.mark.parametrize("alpha,ell,v,trunc", [
+# one limb (the first three), two limbs (5^13) and three (5^14)
+PEAK_CASES = [
     (Fraction(57, 61), 17, 2, 25_000),
     (Fraction(57, 61), 17, 2, 100_000),
     (Fraction(-1), 5, 6, 10_000),
     (Fraction(1, 2), 5, 13, 25_000),
-])
+    (Fraction(1, 2), 5, 14, 40_000),
+]
+
+
+def test_peak_cases_cover_one_two_and_three_limbs():
+    assert [_limb_layout(ell ** v, trunc + 1)[0]
+            for _, ell, v, trunc in PEAK_CASES] == [1, 1, 1, 2, 3]
+
+
+@pytest.mark.parametrize("alpha,ell,v,trunc", PEAK_CASES)
 def test_descent_peak_stays_within_product_bytes(alpha, ell, v, trunc):
-    # one, two and three limbs; the first FFT-sized call loads numpy.fft
+    # the first FFT-sized call loads numpy.fft
     eta_power_residues(alpha, ell, v, 1000)
     tracemalloc.start()
     try:
