@@ -10,7 +10,6 @@ initial segment.
 
 from .numerics import (
     INFINITE_VALUATION,
-    FracExponent,
     NotEllIntegralError,
     PrecisionError,
     ell_valuation,
@@ -22,7 +21,6 @@ from .numerics import (
 )
 from .qseries import (
     HorizonError,
-    QSeries,
     coefficient_denominator,
     divisor_sum_table,
     eta_power_mod,

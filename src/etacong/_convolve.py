@@ -44,7 +44,7 @@ ROUNDING_LIMIT = 1 << 47
 
 
 def convolve_exact(a, b, n_out):
-    """Truncated convolution of two integer sequences over Z."""
+    """Truncated convolution of two exact sequences (ints or Fractions)."""
     out = [0] * n_out
     for i, x in enumerate(a):
         if x == 0 or i >= n_out:

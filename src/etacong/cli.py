@@ -18,7 +18,6 @@ import sys
 from fractions import Fraction
 
 from .numerics import (
-    FracExponent,
     MemoryLimitError,
     NotEllIntegralError,
     PrecisionError,
@@ -34,6 +33,7 @@ from .qseries import (
     reduce_series,
 )
 from .modforms import (
+    DEFAULT_MAX_WEIGHT,
     delta,
     delta_power,
     dim_cusp_forms,
@@ -114,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="good primes and their congruences")
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--lmax", dest="ell_max", type=int, default=None)
-    sp.add_argument("--max-weight", dest="max_weight", type=int, default=None)
+    sp.add_argument("--max-weight", dest="max_weight", type=int,
+                    default=DEFAULT_MAX_WEIGHT)
     sp.add_argument("--allow-ell-2-3", dest="allow_small_primes",
                     action="store_true")
     common(sp)
@@ -230,18 +231,13 @@ def _emit(args, payload, plain_lines, csv_rows=None) -> None:
         sys.stdout.write(text)
 
 
-def _frac_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def cmd_coeffs(args) -> int:
     if args.trunc < 0 or args.trunc > HARD_TRUNC_CAP:
         raise UsageError(f"--trunc must lie in [0, {HARD_TRUNC_CAP}]")
     alpha = as_fraction(args.alpha)
     if args.mod is None:
         series = eta_power_rational(alpha, args.trunc)
-        rows = [(n, _frac_str(series[n])) for n in range(args.trunc + 1)]
+        rows = [(n, str(c)) for n, c in enumerate(series)]
         payload = {"alpha": args.alpha, "coeffs": [r[1] for r in rows]}
         _emit(args, payload, [f"{n} {s}" for n, s in rows],
               [("n", "coeff")] + list(rows))
@@ -298,12 +294,12 @@ def cmd_verify(args) -> int:
         if args.offset is None:
             raise UsageError("balanced verification needs --offset")
         claim = CongruenceClaim(
-            variant=BALANCED, alpha=str(FracExponent.parse(args.alpha)),
+            variant=BALANCED, alpha=str(as_fraction(args.alpha)),
             ell=args.ell, v=args.v, offset=args.offset % args.ell ** args.v,
             provenance=(("kind", "cli"),))
     else:
         claim = CongruenceClaim(
-            variant=SQUARE_CLASS, alpha=str(FracExponent.parse(args.alpha)),
+            variant=SQUARE_CLASS, alpha=str(as_fraction(args.alpha)),
             ell=args.ell, v=args.v, stride=args.stride, shift=1,
             provenance=(("kind", "cli"),))
     report = verify_claim(claim, args.n_max)
@@ -385,8 +381,10 @@ def cmd_hecke(args) -> int:
         raise UsageError("weight must be even and nonnegative")
     d = dim_cusp_forms(weight)
     m_max = args.m_max if args.m_max is not None else d
-    mats = {m: hecke_matrix(weight, m) for m in range(1, m_max + 1)}
+    # the cached exact basis only grows, so build the largest T_m first:
+    # the determinant starts at T_d, the matrices here at T_m_max
     gram = gram_determinant(weight) if weight <= EXACT_DET_WEIGHT else None
+    mats = {m: hecke_matrix(weight, m) for m in range(m_max, 0, -1)}
     residue = (gram_determinant_residue(weight, args.ell)
                if args.ell is not None else None)
     # the exact determinant and matrix entries are printed in full, also past
@@ -424,11 +422,11 @@ def _selftest_checks(args):
 
     def check_partition_oracle():
         series = eta_power_rational(Fraction(-1), 60)
-        return list(series.coeffs) == partition_numbers(60)
+        return series == partition_numbers(60)
 
     def check_pentagonal_support():
         series = eta_power_rational(Fraction(1), 100)
-        support = {n for n, c in enumerate(series.coeffs) if c}
+        support = {n for n, c in enumerate(series) if c}
         pent = set()
         j = 1
         while j * (3 * j - 1) // 2 <= 100:

@@ -23,14 +23,13 @@ from fractions import Fraction
 import numpy as np
 
 from .modforms import (
+    DEFAULT_MAX_WEIGHT,
     GoodPrimeCertificate,
     GoodPrimeRejection,
     WeightCapExceeded,
     is_good_prime,
-    resolved_max_weight,
 )
 from .numerics import (
-    FracExponent,
     NotEllIntegralError,
     Rational,
     as_fraction,
@@ -41,7 +40,7 @@ from .numerics import (
     psi,
 )
 from .qseries import eta_power_residues
-from ._convolve import eta_integer_power_mod
+from ._convolve import convolve_mod, eta_integer_power_mod
 
 BALANCED = "balanced"
 SQUARE_CLASS = "squareClass"
@@ -229,7 +228,7 @@ def _balanced_claims_for(cert: GoodPrimeCertificate) -> list[CongruenceClaim]:
 
 
 def search_good_congruences(alpha: Rational, ell_max: int | None = None,
-                            max_weight: int | None = None,
+                            max_weight: int = DEFAULT_MAX_WEIGHT,
                             allow_small_primes: bool = False) -> SearchResult:
     """Enumerate good primes for alpha and emit their balanced congruences.
 
@@ -242,14 +241,13 @@ def search_good_congruences(alpha: Rational, ell_max: int | None = None,
     error entry rather than a global failure.
     """
     f = as_fraction(alpha)
-    alpha_str = str(FracExponent.parse(f))
+    alpha_str = str(f)
     bound = good_prime_bound(f)
     if bound is None and ell_max is None:
         raise ValueError(
             "no finite good-prime bound for this alpha; pass ell_max")
     effective = bound if ell_max is None else (
         ell_max if bound is None else min(bound, ell_max))
-    cap = resolved_max_weight(max_weight)
     certificates = []
     claims = []
     rejections = []
@@ -264,7 +262,7 @@ def search_good_congruences(alpha: Rational, ell_max: int | None = None,
             candidates = (k0,) if 1 <= k0 < ell else ()
         for k in candidates:
             try:
-                outcome = is_good_prime(f, ell, k, max_weight=cap,
+                outcome = is_good_prime(f, ell, k, max_weight=max_weight,
                                         allow_small_primes=allow_small_primes)
             except WeightCapExceeded as exc:
                 rejections.append(CandidateRejection(ell, k, str(exc)))
@@ -309,15 +307,7 @@ def progression_identity_check(alpha: Rational, ell: int, k: int, r: int,
     eta24k = eta_integer_power_mod(24 * k, modulus, max(1, step * trunc - k + 1))
     tau_prog = [int(eta24k[step * n - k]) if step * n - k >= 0 else 0
                 for n in range(trunc + 1)]
-    rhs = [0] * (trunc + 1)
-    for a_idx in range(trunc + 1):
-        la = int(left_factor[a_idx])
-        if la == 0:
-            continue
-        for b_idx in range(trunc + 1 - a_idx):
-            if tau_prog[b_idx]:
-                rhs[a_idx + b_idx] = (rhs[a_idx + b_idx]
-                                      + la * tau_prog[b_idx]) % modulus
+    rhs = convolve_mod(left_factor, tau_prog, modulus, trunc + 1)
     return all(l % modulus == rv for l, rv in zip(lhs, rhs))
 
 
@@ -335,7 +325,7 @@ def square_class_families(alpha: Rational, ell: int,
         raise ValueError("identity unavailable for ell in {2, 3}")
     if f.denominator % ell == 0:
         raise NotEllIntegralError(f"alpha not {ell}-integral")
-    alpha_str = str(FracExponent.parse(f))
+    alpha_str = str(f)
     claims = []
     for shift_target, stride, name in ((1, 24, "euler"), (3, 8, "jacobi")):
         gap = f - shift_target

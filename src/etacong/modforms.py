@@ -34,7 +34,6 @@ from ._convolve import (
     power_mod,
 )
 from .numerics import (
-    FracExponent,
     NotEllIntegralError,
     Rational,
     as_fraction,
@@ -43,7 +42,7 @@ from .numerics import (
     mod_inverse,
     psi,
 )
-from .qseries import HorizonError, QSeries, divisor_sum_table
+from .qseries import HorizonError, divisor_sum_table
 
 FULL = "full"
 CUSPIDAL = "cuspidal"
@@ -68,36 +67,38 @@ def dim_cusp_forms(weight: int) -> int:
     return d - 1 if weight >= 4 else 0
 
 
-def eisenstein(weight: int, trunc: int) -> QSeries:
+def eisenstein(weight: int, trunc: int) -> list[int]:
     """E4 or E6 as an exact integer q-expansion."""
     if weight == 4:
         sig = divisor_sum_table(3, trunc)
-        return QSeries([1] + [240 * sig[n] for n in range(1, trunc + 1)], trunc)
+        return [1] + [240 * sig[n] for n in range(1, trunc + 1)]
     if weight == 6:
         sig = divisor_sum_table(5, trunc)
-        return QSeries([1] + [-504 * sig[n] for n in range(1, trunc + 1)], trunc)
+        return [1] + [-504 * sig[n] for n in range(1, trunc + 1)]
     raise ValueError("only weights 4 and 6 are generators")
 
 
-def delta(trunc: int) -> QSeries:
+def delta(trunc: int) -> list[int]:
     """Ramanujan's Delta = (E4^3 - E6^2)/1728, exact integers."""
     e4 = eisenstein(4, trunc)
     e6 = eisenstein(6, trunc)
-    diff = e4 ** 3 - e6 ** 2
+    e4_cubed = convolve_exact(convolve_exact(e4, e4, trunc + 1), e4, trunc + 1)
+    e6_squared = convolve_exact(e6, e6, trunc + 1)
     out = []
-    for c in diff.coeffs:
-        q, r = divmod(c, 1728)
+    for x, y in zip(e4_cubed, e6_squared):
+        q, r = divmod(x - y, 1728)
         if r:
             raise ArithmeticError("Delta construction lost integrality")
         out.append(q)
-    return QSeries(out, trunc)
+    return out
 
 
-def delta_power(k: int, trunc: int) -> QSeries:
+def delta_power(k: int, trunc: int) -> list[int]:
     """Delta^k; coefficient n is tau_k(n)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return delta(trunc) ** k
+    return binary_power(delta(trunc), k, [1] + [0] * trunc,
+                        lambda f, g: convolve_exact(f, g, trunc + 1))
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,6 @@ class FormSpace:
     @property
     def offset(self) -> int:
         return 1 if self.kind == CUSPIDAL else 0
-
-    def row(self, i: int) -> QSeries:
-        return QSeries(list(self.basis[i]), self.horizon)
 
 
 _VM_LOCK = threading.Lock()
@@ -142,9 +140,9 @@ def _build_vm_rows(weight: int, kind: str, trunc: int):
     off = 1 if kind == CUSPIDAL else 0
     if d == 0:
         return []
-    e4 = eisenstein(4, trunc).coeffs
-    e6 = eisenstein(6, trunc).coeffs
-    dlt = delta(trunc).coeffs
+    e4 = eisenstein(4, trunc)
+    e6 = eisenstein(6, trunc)
+    dlt = delta(trunc)
     n_out = trunc + 1
 
     def mul(f, g):
@@ -205,7 +203,7 @@ def victor_miller_basis(weight: int, kind: str = CUSPIDAL,
                      tuple(r[: trunc + 1] for r in cached.basis), trunc)
 
 
-def hecke_action(f: QSeries, weight: int, m: int, trunc: int) -> QSeries:
+def hecke_action(f, weight: int, m: int, trunc: int) -> list:
     """f | T_m: coefficient n is sum over d | (m, n) of d^(weight-1) a(mn/d^2).
 
     Producing trunc + 1 coefficients consumes coefficients of f up to
@@ -213,18 +211,18 @@ def hecke_action(f: QSeries, weight: int, m: int, trunc: int) -> QSeries:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if f.truncation < m * trunc:
+    if len(f) - 1 < m * trunc:
         raise HorizonError(
-            f"horizon too small: need {m * trunc}, have {f.truncation}"
+            f"horizon too small: need {m * trunc}, have {len(f) - 1}"
         )
     out = []
     for n in range(trunc + 1):
         acc = None
         for d in _divisors(math.gcd(m, n)):
-            term = d ** (weight - 1) * f.coeffs[m * n // (d * d)]
+            term = d ** (weight - 1) * f[m * n // (d * d)]
             acc = term if acc is None else acc + term
         out.append(acc)
-    return QSeries(out, trunc)
+    return out
 
 
 def _divisors(n):
@@ -260,14 +258,16 @@ def hecke_matrix(weight: int, m: int) -> HeckeMatrix:
     """Matrix of T_m on S_weight; column j expands row_j | T_m in the basis.
 
     Coordinates in the echelon basis are just the coefficients at
-    q^1..q^d, so the basis needs m*d coefficients.
+    q^1..q^d, so the basis needs m*d coefficients.  The cached basis grows
+    to each larger m it is asked for; callers that want several T_m build
+    the largest m first, so that the smaller ones reuse its basis.
     """
     d = dim_cusp_forms(weight)
     space = victor_miller_basis(weight, CUSPIDAL, max(m * d, d + 1))
     cols = []
     for j in range(d):
-        img = hecke_action(space.row(j), weight, m, d)
-        cols.append([img[n] for n in range(1, d + 1)])
+        img = hecke_action(space.basis[j], weight, m, d)
+        cols.append(img[1:d + 1])
     entries = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
     return HeckeMatrix(weight, m, entries)
 
@@ -303,10 +303,8 @@ def _bareiss_determinant(mat) -> int:
 def gram_matrix(weight: int):
     """G[m][n] = Tr(T_m T_n) for 1 <= m, n <= dim S_weight, exact integers."""
     d = dim_cusp_forms(weight)
-    if d:
-        # prime the cache at the largest horizon any T_m below will need
-        victor_miller_basis(weight, CUSPIDAL, d * d + 1)
-    mats = [hecke_matrix(weight, m).entries for m in range(1, d + 1)]
+    # T_d first: its basis is the longest, and the smaller m reuse it
+    mats = [hecke_matrix(weight, m).entries for m in range(d, 0, -1)][::-1]
     return tuple(
         tuple(_trace_product(mats[i], mats[j]) for j in range(d)) for i in range(d)
     )
@@ -363,7 +361,7 @@ def _vm_cusp_basis_mod(weight: int, trunc: int, ell: int):
     if d == 0:
         return basis
     # reduced from the exact expansions, so no int64 sum can overflow
-    e4, e6 = (np.array([c % ell for c in eisenstein(w, trunc).coeffs],
+    e4, e6 = (np.array([c % ell for c in eisenstein(w, trunc)],
                        dtype=np.int64) for w in (4, 6))
     dlt = np.zeros(n_out, dtype=np.int64)
     dlt[1:] = eta_integer_power_mod(24, ell, n_out - 1)
@@ -456,15 +454,15 @@ def hecke_ell_vanishes(weight: int, ell: int) -> bool:
     return not mat.any()
 
 
-def cusp_divisibility_check(g: QSeries, weight: int, ell: int, r: int,
+def cusp_divisibility_check(g: list, weight: int, ell: int, r: int,
                             trunc: int) -> bool:
     """True iff g[ell^s * n] == 0 mod ell^s for all 1 <= s <= r in range."""
-    if g.truncation < trunc:
+    if len(g) - 1 < trunc:
         raise HorizonError("horizon too small")
     for s in range(1, r + 1):
         step = ell ** s
         for idx in range(0, trunc + 1, step):
-            if g.coeffs[idx] % step:
+            if g[idx] % step:
                 return False
     return True
 
@@ -479,15 +477,6 @@ def cusp_divisibility_check(g: QSeries, weight: int, ell: int, r: int,
 EXACT_GRAM_WEIGHT_CAP = 120
 
 DEFAULT_MAX_WEIGHT = 12 * 200
-
-
-def resolved_max_weight(max_weight: int | None = None) -> int:
-    if max_weight is not None:
-        return max_weight
-    import os
-
-    env = os.environ.get("ETACONG_MAX_WEIGHT")
-    return int(env) if env else DEFAULT_MAX_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -524,7 +513,7 @@ class GoodPrimeRejection:
 
 
 def is_good_prime(alpha: Rational, ell: int, k: int, *,
-                  max_weight: int | None = None,
+                  max_weight: int = DEFAULT_MAX_WEIGHT,
                   allow_small_primes: bool = False):
     """Decide whether ell is good for alpha with parameter k.
 
@@ -536,7 +525,7 @@ def is_good_prime(alpha: Rational, ell: int, k: int, *,
     when cond3 would need a space beyond the weight cap.
     """
     f = as_fraction(alpha)
-    alpha_str = str(FracExponent.parse(f))
+    alpha_str = str(f)
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     if f.denominator % ell == 0:
@@ -563,10 +552,9 @@ def is_good_prime(alpha: Rational, ell: int, k: int, *,
             alpha_str, ell, k,
             "cond2 failed: no m in {4,6,8,10,14} with (ell-1) | (12k - m)")
     weight = 12 * k
-    cap = resolved_max_weight(max_weight)
-    if weight > cap:
+    if weight > max_weight:
         raise WeightCapExceeded(
-            f"weight {weight} exceeds the cap {cap} (ETACONG_MAX_WEIGHT)")
+            f"weight {weight} exceeds the cap {max_weight}")
     residue = gram_determinant_residue(weight, ell)
     if residue == 0:
         return GoodPrimeRejection(
@@ -583,12 +571,12 @@ def is_good_prime(alpha: Rational, ell: int, k: int, *,
 # theta operator and mod-ell filtration
 # ---------------------------------------------------------------------------
 
-def theta(f: QSeries) -> QSeries:
+def theta(f: list) -> list:
     """q d/dq: multiply the n-th coefficient by n."""
-    return QSeries([n * c for n, c in enumerate(f.coeffs)], f.truncation)
+    return [n * c for n, c in enumerate(f)]
 
 
-def theta_power(f: QSeries, e: int) -> QSeries:
+def theta_power(f: list, e: int) -> list:
     if e < 0:
         raise ValueError("e must be >= 0")
     for _ in range(e):
@@ -596,15 +584,15 @@ def theta_power(f: QSeries, e: int) -> QSeries:
     return f
 
 
-def theta_fixed_point_check(f: QSeries, ell: int, trunc: int) -> bool:
+def theta_fixed_point_check(f: list, ell: int, trunc: int) -> bool:
     """Whether theta^(ell-1) fixes f mod ell: equivalently every coefficient
     at an exponent divisible by ell vanishes mod ell."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    if f.truncation < trunc:
+    if len(f) - 1 < trunc:
         raise HorizonError("horizon too small")
     for idx in range(0, trunc + 1, ell):
-        if psi(ell, f.coeffs[idx]):
+        if psi(ell, f[idx]):
             return False
     return True
 
@@ -612,7 +600,7 @@ def theta_fixed_point_check(f: QSeries, ell: int, trunc: int) -> bool:
 ZERO_FORM = None  # filtration sentinel for f == 0 mod ell
 
 
-def filtration(f: QSeries, weight: int, ell: int):
+def filtration(f: list, weight: int, ell: int):
     """Least weight w == weight mod (ell-1) whose mod-ell space contains f.
 
     f must be (the reduction of) a weight-`weight` form with ell-integral
@@ -627,12 +615,12 @@ def filtration(f: QSeries, weight: int, ell: int):
     if weight < 0 or weight % 2:
         raise ValueError("weight must be even and nonnegative")
     horizon = weight // 12 + 2
-    if f.truncation < horizon:
+    if len(f) - 1 < horizon:
         raise HorizonError(
             f"horizon too small: filtration at weight {weight} needs "
             f"{horizon} coefficients"
         )
-    reduced = [psi(ell, c) for c in f.coeffs[: horizon + 1]]
+    reduced = [psi(ell, c) for c in f[: horizon + 1]]
     if not any(reduced):
         return ZERO_FORM
     candidates = [w for w in range(0, weight + 1, 2)

@@ -11,7 +11,6 @@ raise ``PrecisionError`` when too few are left.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -19,7 +18,7 @@ from typing import Union
 #: never silently usable as an integer (int(inf) raises).
 INFINITE_VALUATION = math.inf
 
-Rational = Union[int, Fraction, str, "FracExponent"]
+Rational = Union[int, Fraction, str]
 
 
 class NotEllIntegralError(ValueError):
@@ -36,9 +35,11 @@ class MemoryLimitError(MemoryError):
 
 
 def as_fraction(x: Rational) -> Fraction:
-    """Coerce int / str ("a/b") / FracExponent / Fraction to Fraction."""
-    if isinstance(x, FracExponent):
-        return x.fraction
+    """Coerce int / str ("a/b") / Fraction to Fraction.
+
+    str() of the result is the canonical spelling of an exponent alpha:
+    lowest terms, the sign on the numerator, no "/1".
+    """
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
@@ -47,39 +48,6 @@ def as_fraction(x: Rational) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as a rational number")
-
-
-@dataclass(frozen=True)
-class FracExponent:
-    """A rational exponent a/b kept in lowest terms with b >= 1."""
-
-    a: int
-    b: int = 1
-
-    def __post_init__(self):
-        if self.b == 0:
-            raise ZeroDivisionError("zero denominator")
-        g = math.gcd(self.a, self.b)
-        a, b = self.a // g, self.b // g
-        if b < 0:
-            a, b = -a, -b
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @classmethod
-    def parse(cls, text: Rational) -> "FracExponent":
-        f = as_fraction(text)
-        return cls(f.numerator, f.denominator)
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.a, self.b)
-
-    def is_ell_integral(self, ell: int) -> bool:
-        return self.b % ell != 0
-
-    def __str__(self):
-        return str(self.a) if self.b == 1 else f"{self.a}/{self.b}"
 
 
 def primes_up_to(bound: int) -> list[int]:

@@ -1,8 +1,9 @@
-"""Truncated formal power series with exact coefficients.
+"""Truncated power series of eta powers, exact and modulo ell^v.
 
-A ``QSeries`` holds exact coefficients (Python ints or Fractions); residues
-mod ell^v are plain lists of ints.  The central objects are the eta-power
-series (q;q)_infinity^alpha whose coefficients are the fractional partition
+A series is a plain list: coefficient n is f[n] and the truncation is
+len(f) - 1.  Exact coefficients are Python ints or Fractions; residues mod
+ell^v are ints.  The central objects are the eta-power series
+(q;q)_infinity^alpha whose coefficients are the fractional partition
 numbers p_alpha(n).
 
 Three independent routes compute those coefficients:
@@ -25,7 +26,6 @@ number of guaranteed ell-adic digits of each one.
 
 from __future__ import annotations
 
-import operator
 import os
 from fractions import Fraction
 
@@ -33,7 +33,6 @@ import numpy as np
 
 from ._convolve import (
     FFT_MODULUS_LIMIT,
-    binary_power,
     convolve_mod,
     eta_integer_power_mod,
     product_bytes,
@@ -63,103 +62,6 @@ def divisor_sum_table(exponent: int, trunc: int) -> list[int]:
         for n in range(d, trunc + 1, d):
             values[n] += step
     return values
-
-
-class QSeries:
-    """A power series known modulo q^(truncation+1), coefficients dense."""
-
-    __slots__ = ("coeffs", "truncation")
-
-    def __init__(self, coeffs, truncation=None):
-        coeffs = list(coeffs)
-        if truncation is None:
-            truncation = len(coeffs) - 1
-        if truncation < 0:
-            raise ValueError("truncation must be >= 0")
-        if len(coeffs) < truncation + 1:
-            coeffs = coeffs + [0] * (truncation + 1 - len(coeffs))
-        self.coeffs = coeffs[: truncation + 1]
-        self.truncation = truncation
-
-    def __getitem__(self, n: int):
-        return self.coeffs[n]
-
-    def __len__(self):
-        return self.truncation + 1
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.truncation == other.truncation and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        more = ", ..." if self.truncation > 5 else ""
-        return f"QSeries([{head}{more}], T={self.truncation})"
-
-    def __add__(self, other):
-        t = min(self.truncation, other.truncation)
-        return QSeries([self.coeffs[n] + other.coeffs[n] for n in range(t + 1)], t)
-
-    def __sub__(self, other):
-        t = min(self.truncation, other.truncation)
-        return QSeries([self.coeffs[n] - other.coeffs[n] for n in range(t + 1)], t)
-
-    def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.truncation)
-
-    def __mul__(self, other):
-        """Truncated Cauchy product; result truncation is min(T1, T2)."""
-        t = min(self.truncation, other.truncation)
-        out = [0] * (t + 1)
-        for i in range(t + 1):
-            ci = self.coeffs[i]
-            if ci == 0:
-                continue
-            for j in range(t + 1 - i):
-                cj = other.coeffs[j]
-                if cj != 0:
-                    out[i + j] = out[i + j] + ci * cj
-        return QSeries(out, t)
-
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse; the constant term must be a unit."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ValueError("not invertible: constant term is zero")
-        inv0 = c0 if isinstance(c0, int) and c0 in (1, -1) else Fraction(1) / Fraction(c0)
-        out = [inv0] + [0] * self.truncation
-        for n in range(1, self.truncation + 1):
-            acc = 0
-            for j in range(1, n + 1):
-                cj = self.coeffs[j]
-                if cj != 0:
-                    acc = acc + cj * out[n - j]
-            out[n] = -(inv0 * acc)
-        return QSeries(out, self.truncation)
-
-    def __pow__(self, e: int) -> "QSeries":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return binary_power(self, e, QSeries([1], self.truncation), operator.mul)
-
-    def frobenius(self, ell: int) -> "QSeries":
-        """Substitute q -> q^ell; coefficients beyond floor(T/ell) drop."""
-        if ell < 1:
-            raise ValueError("ell must be >= 1")
-        out = [0] * (self.truncation + 1)
-        for n in range(self.truncation // ell + 1):
-            out[ell * n] = self.coeffs[n]
-        return QSeries(out, self.truncation)
-
-    def extract_progression(self, modulus: int, residue: int) -> "QSeries":
-        """g with g[n] = f[modulus*n + residue]; truncation floor((T-c)/m)."""
-        if not 0 <= residue < modulus:
-            raise ValueError("residue must lie in [0, modulus)")
-        t = (self.truncation - residue) // modulus
-        if t < 0:
-            raise HorizonError("horizon too small for this progression")
-        return QSeries([self.coeffs[modulus * n + residue] for n in range(t + 1)], t)
 
 
 def coefficient_denominator(alpha: Rational, n: int) -> int:
@@ -206,15 +108,16 @@ def _eta_numerators(alpha: Fraction, trunc: int):
     return u, dens
 
 
-def eta_power_rational(alpha: Rational, trunc: int) -> QSeries:
-    """(q;q)_infinity^alpha over Q, exact, coefficients in lowest terms."""
+def eta_power_rational(alpha: Rational, trunc: int) -> list:
+    """(q;q)_infinity^alpha over Q, exact, coefficients in lowest terms:
+    ints for integral alpha, else Fractions."""
     if trunc < 0:
         raise ValueError("truncation must be >= 0")
     f = as_fraction(alpha)
     u, dens = _eta_numerators(f, trunc)
     if f.denominator == 1:
-        return QSeries(u, trunc)
-    return QSeries([Fraction(u[n], dens[n]) for n in range(trunc + 1)], trunc)
+        return u
+    return [Fraction(u[n], dens[n]) for n in range(trunc + 1)]
 
 
 def physical_memory_bytes() -> int | None:
@@ -336,11 +239,11 @@ def eta_power_mod(alpha: Rational, ell: int, precision: int, trunc: int,
     raise ValueError(f"unknown method {method!r}")
 
 
-def reduce_series(f: QSeries, ell: int, precision: int) -> list[int]:
+def reduce_series(f: list, ell: int, precision: int) -> list[int]:
     """Coefficients of an exact series reduced mod ell^precision."""
     m = ell ** precision
     out = []
-    for c in f.coeffs:
+    for c in f:
         fc = Fraction(c)
         if fc.denominator % ell == 0:
             raise NotEllIntegralError(f"coefficient {c} not {ell}-integral")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etacong import cli, qseries
+from etacong import cli, modforms, qseries
 from etacong._convolve import product_bytes
 from etacong.cli import (
     EXIT_COUNTEREXAMPLE,
@@ -183,6 +183,30 @@ def test_hecke_prints_only_the_residue_above_the_exact_weight(capsys,
                                                                residue)
 
 
+@pytest.mark.parametrize("argv, horizons", [
+    (("--weight", "36"), [9]),
+    (("--weight", "120"), [100]),
+    (("--weight", "312", "--m-max", "1"), [27]),
+])
+def test_hecke_builds_the_exact_basis_once(capsys, monkeypatch, argv,
+                                           horizons):
+    # T_1..T_d and the determinant share one basis, built to the largest
+    # horizon the run needs: d^2 with the determinant, else max(m_max * d,
+    # d + 1)
+    build = modforms._build_vm_rows
+    built = []
+
+    def counted(weight, kind, trunc):
+        built.append(trunc)
+        return build(weight, kind, trunc)
+
+    monkeypatch.setattr(modforms, "_VM_CACHE", {})
+    monkeypatch.setattr(modforms, "_build_vm_rows", counted)
+    code, _ = run(capsys, "hecke", *argv, "--format", "json")
+    assert code == EXIT_OK
+    assert built == horizons
+
+
 def test_fft_rounding_fault_exits_3(capsys, monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft",
@@ -300,3 +324,12 @@ def test_known_defect_checker_exits_0():
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout == "coeffs mod 5^14 to 10000: 0 of 10001 wrong\n"
+
+
+def test_readme_library_example_runs():
+    # the README's Library block is executed as written, so its API calls
+    # and the values it asserts cannot drift from the package
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})

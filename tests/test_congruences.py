@@ -86,9 +86,9 @@ def test_search_respects_residue_filter(search_57_61):
         assert balanced_prime_admissible(Fraction(57, 61), claim.ell)
 
 
-def test_weight_cap_env_override(monkeypatch):
-    monkeypatch.setenv("ETACONG_MAX_WEIGHT", "100")
-    result = search_good_congruences(Fraction(57, 61), ell_max=110)
+def test_weight_cap_override():
+    result = search_good_congruences(Fraction(57, 61), ell_max=110,
+                                     max_weight=100)
     # (103, 26) sits at weight 312 > 100: an error entry, not a certificate
     reasons = {(r.ell, r.k): r.reason for r in result.rejections}
     assert "exceeds the cap" in reasons[(103, 26)]

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from etacong.numerics import (
     INFINITE_VALUATION,
-    FracExponent,
+    as_fraction,
     ell_valuation,
     factorial_valuation,
     legendre_symbol,
@@ -77,15 +77,15 @@ def test_legendre_symbol():
 
 
 def test_frac_exponent_normalization():
-    a = FracExponent(57, 61)
-    assert (a.a, a.b) == (57, 61)
-    assert FracExponent(2, -4) == FracExponent(-1, 2)
-    assert FracExponent.parse("-3/4").fraction == Fraction(-3, 4)
-    assert str(FracExponent.parse("5")) == "5"
-    assert FracExponent(57, 61).is_ell_integral(17)
-    assert not FracExponent(57, 61).is_ell_integral(61)
-    with pytest.raises(ZeroDivisionError):
-        FracExponent(1, 0)
+    # str() of the Fraction is the canonical alpha string the claims carry
+    assert str(as_fraction(Fraction(57, 61))) == "57/61"
+    assert str(as_fraction(Fraction(2, -4))) == "-1/2"
+    assert as_fraction("-3/4") == Fraction(-3, 4)
+    assert str(as_fraction("5")) == "5"
+    assert [str(as_fraction(t)) for t in (" 3/6 ", "1.5", "-0", "10/5")] == \
+        ["1/2", "3/2", "0", "2"]
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_fraction("1/0")
 
 
 @given(st.integers(min_value=2, max_value=400),
