@@ -21,7 +21,6 @@ from .numerics import (
 )
 from .qseries import (
     HorizonError,
-    coefficient_denominator,
     divisor_sum_table,
     eta_power_mod,
     eta_power_rational,
@@ -32,12 +31,9 @@ from .qseries import (
 from .modforms import (
     CUSPIDAL,
     FULL,
-    FormSpace,
     GoodPrimeCertificate,
     GoodPrimeRejection,
-    HeckeMatrix,
     WeightCapExceeded,
-    cusp_divisibility_check,
     delta,
     delta_power,
     dim_cusp_forms,
@@ -51,28 +47,22 @@ from .modforms import (
     hecke_matrix,
     is_good_prime,
     theta,
-    theta_fixed_point_check,
-    theta_power,
     victor_miller_basis,
 )
 from .congruences import (
     BALANCED,
     SQUARE_CLASS,
     CongruenceClaim,
-    IntegralPrimeBound,
     ResidueFilterResult,
     ScanCandidate,
     SearchResult,
     VerificationReport,
     balanced_prime_admissible,
     good_prime_bound,
-    integral_prime_bound,
     offset_admissible,
-    progression_identity_check,
     scan_balanced,
     search_good_congruences,
     square_class_families,
-    square_class_nonvacuous,
     verify_claim,
 )
 

@@ -33,15 +33,18 @@ from .qseries import (
     reduce_series,
 )
 from .modforms import (
+    CUSPIDAL,
     DEFAULT_MAX_WEIGHT,
     delta,
     delta_power,
     dim_cusp_forms,
     filtration,
     gram_determinant,
+    gram_determinant_of,
     gram_determinant_residue,
     hecke_matrix,
     theta,
+    victor_miller_basis,
 )
 from .congruences import (
     BALANCED,
@@ -290,6 +293,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n_max < 0:
+        raise UsageError("--N must be >= 0")
     if args.form == BALANCED:
         if args.offset is None:
             raise UsageError("balanced verification needs --offset")
@@ -320,6 +325,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.n_max < 0:
+        raise UsageError("--N must be >= 0")
     candidates = scan_balanced(as_fraction(args.alpha), args.ell, args.v,
                                args.n_max)
     payload = {
@@ -348,6 +355,8 @@ def cmd_filtration(args) -> int:
     ell = args.ell
     if ell < 5:
         raise UsageError("filtration requires ell >= 5")
+    if args.iters is not None and args.iters < 0:
+        raise UsageError("--iters must be >= 0")
     iters = args.iters if args.iters is not None else ell - 1
     base_weight = 12 * args.delta_exp
     nominal = base_weight + iters * (ell + 1)
@@ -370,8 +379,8 @@ def cmd_filtration(args) -> int:
 
 
 # hecke computes the exact Gram determinant up to this weight and above it
-# only the residue mod --ell: on a 2-core box the exact one took 4 s at
-# weight 240, 15 s at 300, 45 s at 360 and 108 s at 420
+# only the residue mod --ell: on a 2-core box the exact one took 1.4 s at
+# weight 240, 6.4 s at 300, 20 s at 360 and 55 s at 420
 EXACT_DET_WEIGHT = 300
 
 
@@ -379,12 +388,16 @@ def cmd_hecke(args) -> int:
     weight = args.weight
     if weight < 0 or weight % 2:
         raise UsageError("weight must be even and nonnegative")
+    if args.m_max is not None and args.m_max < 1:
+        raise UsageError("--m-max must be >= 1")
     d = dim_cusp_forms(weight)
     m_max = args.m_max if args.m_max is not None else d
-    # the cached exact basis only grows, so build the largest T_m first:
-    # the determinant starts at T_d, the matrices here at T_m_max
-    gram = gram_determinant(weight) if weight <= EXACT_DET_WEIGHT else None
-    mats = {m: hecke_matrix(weight, m) for m in range(m_max, 0, -1)}
+    exact = weight <= EXACT_DET_WEIGHT
+    # one basis serves the printed T_m and the determinant's T_1..T_d
+    top = max(m_max, d) if exact else m_max
+    basis = victor_miller_basis(weight, CUSPIDAL, max(top * d, d + 1))
+    mats = [hecke_matrix(weight, m, basis) for m in range(1, top + 1)]
+    gram = gram_determinant_of(mats[:d]) if exact else None
     residue = (gram_determinant_residue(weight, args.ell)
                if args.ell is not None else None)
     # the exact determinant and matrix entries are printed in full, also past
@@ -396,13 +409,12 @@ def cmd_hecke(args) -> int:
     try:
         payload = {
             "weight": weight, "dim": d,
-            "matrices": {str(m): [list(row) for row in mats[m].entries]
-                         for m in mats},
+            "matrices": {str(m): mats[m - 1] for m in range(1, m_max + 1)},
             "gramDet": gram,
         }
         lines = [f"weight {weight}: dim S = {d}"]
-        for m in sorted(mats):
-            lines.append(f"  T_{m} = {[list(r) for r in mats[m].entries]}")
+        for m in range(1, m_max + 1):
+            lines.append(f"  T_{m} = {mats[m - 1]}")
         if gram is not None:
             lines.append(f"  gram determinant = {gram}")
         if args.ell is not None:
@@ -461,8 +473,8 @@ def _selftest_checks(args):
 
     def check_hecke_small():
         tau = delta(12)
-        if any(hecke_matrix(12, m).entries[0][0] != tau[m]
-               for m in range(1, 7)):
+        basis = victor_miller_basis(12, CUSPIDAL, 6)
+        if any(hecke_matrix(12, m, basis) != [[tau[m]]] for m in range(1, 7)):
             return False
         return gram_determinant(12) == 1 and gram_determinant(24) == 83041344
 

@@ -151,18 +151,6 @@ class ResidueFilterResult:
         return self.consistent
 
 
-@dataclass(frozen=True)
-class IntegralPrimeBound:
-    """|alpha| + 4 bound on balanced-congruence primes for integral alpha.
-
-    Only asserted in the two proved parity cases: alpha even and negative,
-    or alpha odd and greater than 3.
-    """
-
-    bound: int
-    applicable: bool
-
-
 def good_prime_bound(alpha: Rational):
     """max(|26b - a|, |14b + a|), or None when alpha is an even integer in
     [-14, 26] (no finite bound; callers must cap explicitly)."""
@@ -180,15 +168,6 @@ def offset_admissible(alpha: Rational, ell: int, c: int) -> bool:
     if f.denominator % ell == 0:
         raise NotEllIntegralError(f"alpha not {ell}-integral")
     return (24 * c * f.denominator + f.numerator) % ell == 0
-
-
-def integral_prime_bound(alpha: Rational) -> IntegralPrimeBound:
-    f = as_fraction(alpha)
-    if f.denominator != 1:
-        raise ValueError("this bound requires integral alpha")
-    a = f.numerator
-    applicable = (a < 0 and a % 2 == 0) or (a > 3 and a % 2 == 1)
-    return IntegralPrimeBound(abs(a) + 4, applicable)
 
 
 def balanced_prime_admissible(alpha: Rational, ell: int) -> ResidueFilterResult:
@@ -395,21 +374,6 @@ def verify_claim(claim: CongruenceClaim, n_max: int,
                 tested, claim.v, time.perf_counter() - started)
     return VerificationReport(claim, n_min, n_max, "verified", None, tested,
                               claim.v, time.perf_counter() - started)
-
-
-def square_class_nonvacuous(claim: CongruenceClaim, n_max: int = 200) -> bool:
-    """True when some n <= n_max on the residue side (stride*n + shift a
-    nonzero square mod ell) has p_alpha(n) != 0 mod ell^v: the family says
-    something only because the non-residue side is special."""
-    if claim.variant != SQUARE_CLASS:
-        raise ValueError("only meaningful for square-class claims")
-    f = as_fraction(claim.alpha)
-    vals = eta_power_residues(f, claim.ell, claim.v, n_max)
-    for n in range(n_max + 1):
-        if legendre_symbol(claim.stride * n + claim.shift, claim.ell) == 1:
-            if int(vals[n]) % claim.modulus:
-                return True
-    return False
 
 
 def scan_balanced(alpha: Rational, ell: int, v: int, n_max: int

@@ -14,13 +14,14 @@ of det A exactly when it divides det G, which is the divisibility the
 good-prime test needs.
 
 Exact (big-integer) arithmetic is used for small weights; the search-scale
-path reduces everything mod ell up front and works on numpy arrays.
+path reduces everything mod ell up front and works on numpy arrays.  On
+both paths the caller builds the echelon basis once, at the horizon it
+needs, and passes it to each Hecke matrix; nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,29 +102,6 @@ def delta_power(k: int, trunc: int) -> list[int]:
                         lambda f, g: convolve_exact(f, g, trunc + 1))
 
 
-@dataclass(frozen=True)
-class FormSpace:
-    """An integral echelon basis of M_k or S_k up to a coefficient horizon.
-
-    Row i has coefficient 1 at q^(i+offset) and 0 at the other pivot columns,
-    offset being 0 for the full space and 1 for cusp forms.
-    """
-
-    weight: int
-    kind: str
-    dim: int
-    basis: tuple
-    horizon: int
-
-    @property
-    def offset(self) -> int:
-        return 1 if self.kind == CUSPIDAL else 0
-
-
-_VM_LOCK = threading.Lock()
-_VM_CACHE: dict = {}
-
-
 def _monomial_exponents(weight: int, j: int):
     """(a, b) with 4a + 6b = weight - 12j, b in {0, 1}; None if insoluble."""
     w = weight - 12 * j
@@ -135,33 +113,50 @@ def _monomial_exponents(weight: int, j: int):
     return (w - 6 * b) // 4, b
 
 
-def _build_vm_rows(weight: int, kind: str, trunc: int):
+def victor_miller_basis(weight: int, kind: str, trunc: int) -> list[list[int]]:
+    """Integral echelon basis of M_weight or S_weight to the given horizon.
+
+    Row i has coefficient 1 at q^(i+offset) and 0 at the other pivot columns,
+    offset being 0 for the full space and 1 for cusp forms; a horizon below
+    dim + offset is raised to it.  Built from the monomials Delta^j E4^a E6^b
+    with 4a + 6b + 12j = weight.  Going down one j raises a by 3, so the rows
+    are made from the top j down, one product with E4^3 per step, and the
+    Delta^j come from an ascending ladder: three exact products per row.
+    The mod-ell route's step Delta / E4^3 = 1/j is not used here: its
+    integer coefficients grow like e^(pi sqrt(3) n).
+    """
+    if weight < 0 or weight % 2:
+        raise ValueError("weight must be even and nonnegative")
+    if kind not in (FULL, CUSPIDAL):
+        raise ValueError(f"unknown kind {kind!r}")
     d = dim_cusp_forms(weight) if kind == CUSPIDAL else dim_modular_forms(weight)
     off = 1 if kind == CUSPIDAL else 0
     if d == 0:
         return []
+    top = off + d - 1
+    trunc = max(trunc, d + off)
+    if _monomial_exponents(weight, top) is None:
+        raise ArithmeticError("monomial spanning set disagrees with dimension")
+    a, b = _monomial_exponents(weight, top)
     e4 = eisenstein(4, trunc)
-    e6 = eisenstein(6, trunc)
     dlt = delta(trunc)
     n_out = trunc + 1
 
     def mul(f, g):
         return convolve_exact(f, g, n_out)
 
-    rows = []
-    delta_j = [1] + [0] * trunc
-    for _ in range(off):
-        delta_j = mul(delta_j, dlt)
-    for j in range(off, off + d):
-        ab = _monomial_exponents(weight, j)
-        if ab is None:
-            raise ArithmeticError("monomial spanning set disagrees with dimension")
-        a, b = ab
-        mono = binary_power(e4, a, [1] + [0] * trunc, mul)
-        if b:
-            mono = mul(mono, e6)
-        rows.append(mul(delta_j, mono))
-        delta_j = mul(delta_j, dlt)
+    # rows[i] holds Delta^(i+off) until the loop below multiplies it out
+    rows = [dlt if off else [1] + [0] * trunc]
+    for _ in range(d - 1):
+        rows.append(mul(rows[-1], dlt))
+    mono = binary_power(e4, a, [1] + [0] * trunc, mul)
+    if b:
+        mono = mul(mono, eisenstein(6, trunc))
+    e4_cubed = mul(mul(e4, e4), e4)
+    for i in range(d - 1, -1, -1):
+        rows[i] = mul(rows[i], mono)
+        if i:
+            mono = mul(mono, e4_cubed)
     # echelonize; pivots are already 1 (Delta^j has leading coefficient 1) so
     # only integer row subtractions occur and no denominator can appear
     for i in range(d):
@@ -172,35 +167,6 @@ def _build_vm_rows(weight: int, kind: str, trunc: int):
                 c = rows[i2][i + off]
                 rows[i2] = [x - c * y for x, y in zip(rows[i2], rows[i])]
     return rows
-
-
-def victor_miller_basis(weight: int, kind: str = CUSPIDAL,
-                        trunc: int | None = None) -> FormSpace:
-    """Integral echelon basis of M_weight or S_weight to the given horizon.
-
-    Built from the monomials Delta^j E4^a E6^b with 4a + 6b + 12j = weight;
-    results are cached per (weight, kind) at the largest horizon seen.
-    """
-    if weight < 0 or weight % 2:
-        raise ValueError("weight must be even and nonnegative")
-    if kind not in (FULL, CUSPIDAL):
-        raise ValueError(f"unknown kind {kind!r}")
-    d = dim_cusp_forms(weight) if kind == CUSPIDAL else dim_modular_forms(weight)
-    off = 1 if kind == CUSPIDAL else 0
-    if trunc is None:
-        trunc = d + off
-    trunc = max(trunc, d + off)
-    with _VM_LOCK:
-        cached = _VM_CACHE.get((weight, kind))
-        if cached is None or cached.horizon < trunc:
-            rows = _build_vm_rows(weight, kind, trunc)
-            cached = FormSpace(weight, kind, d,
-                               tuple(tuple(r) for r in rows), trunc)
-            _VM_CACHE[(weight, kind)] = cached
-    if cached.horizon == trunc:
-        return cached
-    return FormSpace(weight, kind, d,
-                     tuple(r[: trunc + 1] for r in cached.basis), trunc)
 
 
 def hecke_action(f, weight: int, m: int, trunc: int) -> list:
@@ -231,50 +197,16 @@ def _divisors(n):
     return low + [n // d for d in reversed(low) if d * d != n]
 
 
-@dataclass(frozen=True)
-class HeckeMatrix:
-    """Integer matrix of T_m on the cuspidal echelon basis of S_weight."""
+def hecke_matrix(weight: int, m: int, basis) -> list[list[int]]:
+    """Matrix of T_m on S_weight, given its cuspidal echelon basis rows;
+    column j expands row_j | T_m in the basis.
 
-    weight: int
-    index: int
-    entries: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __matmul__(self, other: "HeckeMatrix"):
-        n = self.dim
-        return tuple(
-            tuple(
-                sum(self.entries[i][t] * other.entries[t][j] for t in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-
-
-def hecke_matrix(weight: int, m: int) -> HeckeMatrix:
-    """Matrix of T_m on S_weight; column j expands row_j | T_m in the basis.
-
-    Coordinates in the echelon basis are just the coefficients at
-    q^1..q^d, so the basis needs m*d coefficients.  The cached basis grows
-    to each larger m it is asked for; callers that want several T_m build
-    the largest m first, so that the smaller ones reuse its basis.
+    Coordinates in the echelon basis are just the coefficients at q^1..q^d,
+    so the basis needs m*d coefficients; hecke_action refuses a shorter one.
     """
-    d = dim_cusp_forms(weight)
-    space = victor_miller_basis(weight, CUSPIDAL, max(m * d, d + 1))
-    cols = []
-    for j in range(d):
-        img = hecke_action(space.basis[j], weight, m, d)
-        cols.append(img[1:d + 1])
-    entries = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-    return HeckeMatrix(weight, m, entries)
-
-
-def _trace_product(a, b):
-    n = len(a)
-    return sum(a[i][j] * b[j][i] for i in range(n) for j in range(n))
+    d = len(basis)
+    cols = [hecke_action(row, weight, m, d)[1:] for row in basis]
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
 def _bareiss_determinant(mat) -> int:
@@ -300,22 +232,28 @@ def _bareiss_determinant(mat) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def gram_matrix(weight: int):
-    """G[m][n] = Tr(T_m T_n) for 1 <= m, n <= dim S_weight, exact integers."""
-    d = dim_cusp_forms(weight)
-    # T_d first: its basis is the longest, and the smaller m reuse it
-    mats = [hecke_matrix(weight, m).entries for m in range(d, 0, -1)][::-1]
-    return tuple(
-        tuple(_trace_product(mats[i], mats[j]) for j in range(d)) for i in range(d)
-    )
+def gram_matrix(mats):
+    """G[m][n] = Tr(T_m T_n) for the matrices T_1..T_d, exact integers."""
+    d = len(mats)
+    return [[sum(a[i][j] * b[j][i] for i in range(d) for j in range(d))
+             for b in mats] for a in mats]
+
+
+def gram_determinant_of(mats) -> int:
+    """det gram_matrix(mats): the square of the eigenform coefficient
+    determinant.  Empty space gives 1 by convention."""
+    return _bareiss_determinant(gram_matrix(mats))
 
 
 def gram_determinant(weight: int) -> int:
-    """det of the trace-pairing Gram matrix; the square of the eigenform
-    coefficient determinant.  Empty space gives 1 by convention."""
-    if dim_cusp_forms(weight) == 0:
+    """gram_determinant_of T_1..T_d on S_weight, over one basis built to the
+    d*d coefficients T_d needs."""
+    d = dim_cusp_forms(weight)
+    if d == 0:
         return 1
-    return _bareiss_determinant(gram_matrix(weight))
+    basis = victor_miller_basis(weight, CUSPIDAL, d * d)
+    return gram_determinant_of([hecke_matrix(weight, m, basis)
+                                for m in range(1, d + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -454,19 +392,6 @@ def hecke_ell_vanishes(weight: int, ell: int) -> bool:
     return not mat.any()
 
 
-def cusp_divisibility_check(g: list, weight: int, ell: int, r: int,
-                            trunc: int) -> bool:
-    """True iff g[ell^s * n] == 0 mod ell^s for all 1 <= s <= r in range."""
-    if len(g) - 1 < trunc:
-        raise HorizonError("horizon too small")
-    for s in range(1, r + 1):
-        step = ell ** s
-        for idx in range(0, trunc + 1, step):
-            if g[idx] % step:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # good primes
 # ---------------------------------------------------------------------------
@@ -576,27 +501,6 @@ def theta(f: list) -> list:
     return [n * c for n, c in enumerate(f)]
 
 
-def theta_power(f: list, e: int) -> list:
-    if e < 0:
-        raise ValueError("e must be >= 0")
-    for _ in range(e):
-        f = theta(f)
-    return f
-
-
-def theta_fixed_point_check(f: list, ell: int, trunc: int) -> bool:
-    """Whether theta^(ell-1) fixes f mod ell: equivalently every coefficient
-    at an exponent divisible by ell vanishes mod ell."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    if len(f) - 1 < trunc:
-        raise HorizonError("horizon too small")
-    for idx in range(0, trunc + 1, ell):
-        if psi(ell, f[idx]):
-            return False
-    return True
-
-
 ZERO_FORM = None  # filtration sentinel for f == 0 mod ell
 
 
@@ -629,13 +533,12 @@ def filtration(f: list, weight: int, ell: int):
         d = dim_modular_forms(w)
         if d == 0:
             continue
-        space = victor_miller_basis(w, FULL, horizon)
+        basis = victor_miller_basis(w, FULL, horizon)
         combo = [0] * (horizon + 1)
         for i in range(min(d, horizon + 1)):
             c = reduced[i]
             if c:
-                row = space.basis[i]
-                combo = [(x + c * y) % ell for x, y in zip(combo, row)]
+                combo = [(x + c * y) % ell for x, y in zip(combo, basis[i])]
         if all(x == y % ell for x, y in zip(combo, reduced)):
             return w
     raise ArithmeticError(

@@ -64,19 +64,10 @@ def divisor_sum_table(exponent: int, trunc: int) -> list[int]:
     return values
 
 
-def coefficient_denominator(alpha: Rational, n: int) -> int:
-    """Denominator of p_alpha(n) in lowest terms: b^n * prod_{p|b} p^ord_p(n!)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    b = as_fraction(alpha).denominator
-    den = b ** n
-    for p in prime_factors(b):
-        den *= p ** factorial_valuation(n, p)
-    return den
-
-
 def _eta_numerators(alpha: Fraction, trunc: int):
-    """Integers u(n) = p_alpha(n) * coefficient_denominator(alpha, n).
+    """Integers u(n) = p_alpha(n) * D(n), where D(n) = b^n prod_{p|b}
+    p^ord_p(n!), b the denominator of alpha, is the denominator of
+    p_alpha(n) in lowest terms.
 
     Clearing the predicted denominators keeps the whole recurrence in Z,
     which is much faster than Fraction arithmetic; every division below is

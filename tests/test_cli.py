@@ -23,6 +23,8 @@ from etacong.congruences import CongruenceClaim, verify_claim
 from etacong.modforms import gram_determinant, gram_determinant_residue
 from etacong.qseries import eta_power_rational, reduce_series
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -125,6 +127,8 @@ def test_search_json_headline(capsys):
     assert cert["k"] == 3 and cert["r"] == 2 and cert["m"] == 4
     assert cert["gramDetResidue"] != 0
     assert strongest[0]["claim"]["offset"] == 286
+    # byte for byte the checked-in oracle the benchmark compares against
+    assert out == (ROOT / "bench" / "data" / "search_57_61.json").read_text()
 
 
 def test_filtration_table(capsys):
@@ -166,10 +170,11 @@ def test_hecke_prints_determinants_past_the_digit_limit(capsys):
 
 def test_hecke_prints_only_the_residue_above_the_exact_weight(capsys,
                                                              monkeypatch):
-    def no_exact(weight):
+    def no_exact(*args):
         raise AssertionError("computed the exact determinant")
 
-    monkeypatch.setattr(cli, "gram_determinant", no_exact)
+    for name in ("gram_determinant", "gram_determinant_of"):
+        monkeypatch.setattr(cli, name, no_exact)
     weight = cli.EXACT_DET_WEIGHT + 12
     residue = gram_determinant_residue(weight, 1009)
     argv = ("hecke", "--weight", str(weight), "--m-max", "1", "--ell", "1009")
@@ -193,18 +198,36 @@ def test_hecke_builds_the_exact_basis_once(capsys, monkeypatch, argv,
     # T_1..T_d and the determinant share one basis, built to the largest
     # horizon the run needs: d^2 with the determinant, else max(m_max * d,
     # d + 1)
-    build = modforms._build_vm_rows
+    build = modforms.victor_miller_basis
     built = []
 
     def counted(weight, kind, trunc):
         built.append(trunc)
         return build(weight, kind, trunc)
 
-    monkeypatch.setattr(modforms, "_VM_CACHE", {})
-    monkeypatch.setattr(modforms, "_build_vm_rows", counted)
+    for module in (cli, modforms):
+        monkeypatch.setattr(module, "victor_miller_basis", counted)
     code, _ = run(capsys, "hecke", *argv, "--format", "json")
     assert code == EXIT_OK
     assert built == horizons
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--alpha", "-1", "--ell", "5", "--offset", "4", "--N", "-5"),
+     "--N must be >= 0"),
+    (("scan", "--alpha", "-1", "--ell", "5", "--N", "-1"), "--N must be >= 0"),
+    (("hecke", "--weight", "24", "--m-max", "0"), "--m-max must be >= 1"),
+    (("hecke", "--weight", "24", "--m-max", "-3"), "--m-max must be >= 1"),
+    (("filtration", "--ell", "5", "--iters", "-2"), "--iters must be >= 0"),
+], ids=["verify-N", "scan-N", "hecke-m-max-0", "hecke-m-max-negative",
+        "filtration-iters"])
+def test_vacuous_counts_exit_2(capsys, argv, message):
+    # each of these would test or print nothing and still exit 0
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_fft_rounding_fault_exits_3(capsys, monkeypatch):
@@ -320,7 +343,7 @@ def test_known_defect_checker_exits_0():
     # whose products take two limbs and the split int64 recombination,
     # against partition_numbers; -B keeps it from writing bytecode there
     done = subprocess.run([sys.executable, "-B", "bench/defects.py"],
-                          cwd=Path(__file__).resolve().parents[1],
+                          cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout == "coeffs mod 5^14 to 10000: 0 of 10001 wrong\n"
@@ -329,7 +352,7 @@ def test_known_defect_checker_exits_0():
 def test_readme_library_example_runs():
     # the README's Library block is executed as written, so its API calls
     # and the values it asserts cannot drift from the package
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     blocks = readme.split("```python\n")[1:]
     assert len(blocks) == 1
     exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})

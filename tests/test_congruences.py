@@ -9,15 +9,14 @@ from etacong.congruences import (
     CongruenceClaim,
     balanced_prime_admissible,
     good_prime_bound,
-    integral_prime_bound,
     offset_admissible,
     progression_identity_check,
     scan_balanced,
     search_good_congruences,
     square_class_families,
-    square_class_nonvacuous,
     verify_claim,
 )
+from oracles import integral_prime_bound, square_class_nonvacuous
 
 
 def test_good_prime_bound():

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from etacong.modforms import (
     _hecke_matrix_mod,
     _matmul_mod,
     _vm_cusp_basis_mod,
-    cusp_divisibility_check,
     delta,
     delta_power,
     dim_cusp_forms,
@@ -28,19 +28,33 @@ from etacong.modforms import (
     eisenstein,
     filtration,
     gram_determinant,
+    gram_determinant_of,
     gram_determinant_residue,
+    gram_matrix,
     hecke_action,
     hecke_ell_vanishes,
     hecke_matrix,
     is_good_prime,
     theta,
+    victor_miller_basis,
+)
+from oracles import (
+    cusp_divisibility_check,
     theta_fixed_point_check,
     theta_power,
-    victor_miller_basis,
 )
 
 TAU = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048, 7: -16744,
        8: 84480, 9: -113643, 10: -115920, 11: 534612}
+
+
+@functools.cache
+def _cusp_basis(weight):
+    """The exact echelon basis of S_weight, built once per weight, to
+    max(d^2, 13 d) + 1 coefficients: T_d needs d^2 and the mod-ell basis is
+    compared up to 13 d + 1."""
+    d = dim_cusp_forms(weight)
+    return victor_miller_basis(weight, CUSPIDAL, max(d * d, 13 * d) + 1)
 
 
 def test_eisenstein_expansions():
@@ -85,21 +99,25 @@ def test_dimension_formulas():
 def test_victor_miller_basis_echelon_and_integrality():
     for weight, kind in ((12, CUSPIDAL), (24, CUSPIDAL), (36, CUSPIDAL),
                          (24, FULL), (48, FULL)):
-        space = victor_miller_basis(weight, kind, 40)
-        off = space.offset
-        for i, row in enumerate(space.basis):
+        basis = victor_miller_basis(weight, kind, 40)
+        off = 1 if kind == CUSPIDAL else 0
+        d = dim_cusp_forms(weight) if off else dim_modular_forms(weight)
+        assert len(basis) == d
+        for i, row in enumerate(basis):
+            assert len(row) == 41
             assert all(isinstance(c, int) for c in row)
-            for j in range(space.dim):
+            for j in range(d):
                 assert row[j + off] == (1 if i == j else 0)
 
 
 def test_victor_miller_small_spaces():
-    s12 = victor_miller_basis(12, CUSPIDAL, 10)
-    assert s12.dim == 1
-    assert list(s12.basis[0]) == delta(10)
-    assert victor_miller_basis(36, CUSPIDAL, 10).dim == 3
-    m0 = victor_miller_basis(0, FULL, 5)
-    assert m0.dim == 1 and list(m0.basis[0]) == [1, 0, 0, 0, 0, 0]
+    assert victor_miller_basis(12, CUSPIDAL, 10) == [delta(10)]
+    assert len(victor_miller_basis(36, CUSPIDAL, 10)) == 3
+    assert victor_miller_basis(0, FULL, 5) == [[1, 0, 0, 0, 0, 0]]
+    assert victor_miller_basis(2, FULL, 5) == []
+    # a horizon below the pivots is raised to the last pivot, q^(d + offset)
+    short = victor_miller_basis(36, CUSPIDAL, 1)
+    assert [len(row) for row in short] == [5] * 3
     with pytest.raises(ValueError):
         victor_miller_basis(11, CUSPIDAL, 5)
     with pytest.raises(ValueError):
@@ -120,6 +138,9 @@ def test_hecke_action_horizon_guard():
     f = delta(10)
     with pytest.raises(HorizonError, match="horizon too small"):
         hecke_action(f, 12, 3, 10)
+    # so does a Hecke matrix whose basis is shorter than m * d
+    with pytest.raises(HorizonError, match="need 6, have 5"):
+        hecke_matrix(24, 3, victor_miller_basis(24, CUSPIDAL, 5))
 
 
 def test_hecke_action_eigenvalue_on_delta():
@@ -130,28 +151,30 @@ def test_hecke_action_eigenvalue_on_delta():
 
 def test_hecke_matrix_weight_12_is_tau():
     for m in range(1, 11):
-        assert hecke_matrix(12, m).entries == ((TAU[m],),)
+        assert hecke_matrix(12, m, _cusp_basis(12)) == [[TAU[m]]]
 
 
 def test_hecke_commutativity():
     for weight in (24, 36):
-        mats = {m: hecke_matrix(weight, m) for m in range(1, 6)}
+        mats = {m: np.array(hecke_matrix(weight, m, _cusp_basis(weight)),
+                            dtype=object) for m in range(1, 6)}
         for m in range(1, 6):
             for n in range(m + 1, 6):
-                assert mats[m] @ mats[n] == mats[n] @ mats[m]
+                assert (mats[m] @ mats[n]).tolist() == \
+                    (mats[n] @ mats[m]).tolist()
 
 
 def test_gram_matrix_symmetry_and_values():
-    from etacong.modforms import gram_matrix
-
-    g = gram_matrix(24)
+    mats = [hecke_matrix(24, m, _cusp_basis(24)) for m in (1, 2)]
+    g = gram_matrix(mats)
     assert g[0][1] == g[1][0]
+    assert gram_determinant_of(mats) == gram_determinant(24)
     assert gram_determinant(12) == 1
     assert gram_determinant(24) == 2 ** 6 * 3 ** 2 * 144169
 
 
 def test_gram_determinant_two_routes_weight_24():
-    t2 = hecke_matrix(24, 2).entries
+    t2 = hecke_matrix(24, 2, _cusp_basis(24))
     trace = t2[0][0] + t2[1][1]
     det = t2[0][0] * t2[1][1] - t2[0][1] * t2[1][0]
     assert gram_determinant(24) == trace * trace - 4 * det
@@ -177,7 +200,7 @@ def test_hecke_ell_vanishes_weight_12():
         assert hecke_ell_vanishes(12, ell) is want
     # the mod-ell matrix route agrees with the exact integer matrices
     for ell in (5, 11):
-        exact = hecke_matrix(12, ell).entries[0][0]
+        exact = hecke_matrix(12, ell, _cusp_basis(12))[0][0]
         assert (exact % ell == 0) is hecke_ell_vanishes(12, ell)
 
 
@@ -374,7 +397,7 @@ def test_cusp_basis_mod_matches_exact_basis(weight, ell):
     # the exact basis is quadratic in the horizon: for large ell only d^2+1
     horizons = {d * d + 1, ell * d + 1} if ell < 100 else {d * d + 1}
     for trunc in horizons:
-        exact = victor_miller_basis(weight, CUSPIDAL, trunc).basis
+        exact = [row[:trunc + 1] for row in _cusp_basis(weight)]
         got = _vm_cusp_basis_mod(weight, trunc, ell)
         assert got.tolist() == [[c % ell for c in row] for row in exact]
 
@@ -382,11 +405,13 @@ def test_cusp_basis_mod_matches_exact_basis(weight, ell):
 @pytest.mark.parametrize("weight", [120, 180])
 def test_hecke_matrix_mod_matches_exact(weight):
     d = dim_cusp_forms(weight)
+    exact = [hecke_matrix(weight, m, _cusp_basis(weight))
+             for m in range(1, d + 1)]
     # above 2^32, dd^(weight-1) * coefficient no longer fits int64
     for ell in (5, 13, 4099, 4294967311):
         basis = _vm_cusp_basis_mod(weight, d * d + 1, ell)
         for m in range(1, d + 1):
-            want = [[c % ell for c in row] for row in hecke_matrix(weight, m).entries]
+            want = [[c % ell for c in row] for row in exact[m - 1]]
             assert _hecke_matrix_mod(weight, m, ell, basis).tolist() == want
 
 

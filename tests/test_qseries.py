@@ -14,7 +14,6 @@ from etacong._convolve import (
 )
 from etacong.numerics import MemoryLimitError, NotEllIntegralError
 from etacong.qseries import (
-    coefficient_denominator,
     divisor_sum_table,
     eta_power_mod,
     eta_power_rational,
@@ -23,6 +22,7 @@ from etacong.qseries import (
     partition_numbers,
     reduce_series,
 )
+from oracles import coefficient_denominator
 
 
 def partition_oracle(n_max):
