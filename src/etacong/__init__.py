@@ -29,21 +29,17 @@ from .qseries import (
     partition_numbers,
 )
 from .modforms import (
-    CUSPIDAL,
-    FULL,
     GoodPrimeCertificate,
     GoodPrimeRejection,
     WeightCapExceeded,
     delta,
     delta_power,
     dim_cusp_forms,
-    dim_modular_forms,
     eisenstein,
     filtration,
     gram_determinant,
     gram_determinant_residue,
     hecke_action,
-    hecke_ell_vanishes,
     hecke_matrix,
     is_good_prime,
     theta,

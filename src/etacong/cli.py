@@ -33,8 +33,8 @@ from .qseries import (
     reduce_series,
 )
 from .modforms import (
-    CUSPIDAL,
     DEFAULT_MAX_WEIGHT,
+    check_filtration_prime,
     delta,
     delta_power,
     dim_cusp_forms,
@@ -200,7 +200,7 @@ def certificate_to_dict(cert) -> dict:
     return out
 
 
-def report_to_dict(report, include_timing: bool = False) -> dict:
+def report_to_dict(report) -> dict:
     out = {
         "claim": claim_to_dict(report.claim),
         "range": [report.n_min, report.n_max],
@@ -211,8 +211,6 @@ def report_to_dict(report, include_timing: bool = False) -> dict:
     if report.counterexample is not None:
         n, arg, residue = report.counterexample
         out["counterexample"] = {"n": n, "argument": arg, "residue": residue}
-    if include_timing:
-        out["wallClockS"] = report.wall_clock_s
     return out
 
 
@@ -353,8 +351,7 @@ def cmd_scan(args) -> int:
 
 def cmd_filtration(args) -> int:
     ell = args.ell
-    if ell < 5:
-        raise UsageError("filtration requires ell >= 5")
+    check_filtration_prime(ell)
     if args.iters is not None and args.iters < 0:
         raise UsageError("--iters must be >= 0")
     iters = args.iters if args.iters is not None else ell - 1
@@ -395,7 +392,11 @@ def cmd_hecke(args) -> int:
     exact = weight <= EXACT_DET_WEIGHT
     # one basis serves the printed T_m and the determinant's T_1..T_d
     top = max(m_max, d) if exact else m_max
-    basis = victor_miller_basis(weight, CUSPIDAL, max(top * d, d + 1))
+    horizon = max(top * d, d + 1)
+    if horizon > HARD_TRUNC_CAP:
+        raise UsageError(f"hecke needs an exact basis to {horizon} "
+                         f"coefficients, above the cap {HARD_TRUNC_CAP}")
+    basis = victor_miller_basis(weight, horizon)
     mats = [hecke_matrix(weight, m, basis) for m in range(1, top + 1)]
     gram = gram_determinant_of(mats[:d]) if exact else None
     residue = (gram_determinant_residue(weight, args.ell)
@@ -473,7 +474,7 @@ def _selftest_checks(args):
 
     def check_hecke_small():
         tau = delta(12)
-        basis = victor_miller_basis(12, CUSPIDAL, 6)
+        basis = victor_miller_basis(12, 6)
         if any(hecke_matrix(12, m, basis) != [[tau[m]]] for m in range(1, 7)):
             return False
         return gram_determinant(12) == 1 and gram_determinant(24) == 83041344

@@ -95,24 +95,17 @@ class CongruenceClaim:
 @dataclass(frozen=True)
 class VerificationReport:
     claim: CongruenceClaim
-    n_min: int
     n_max: int
     outcome: str  # "verified" | "counterexample"
     counterexample: tuple | None  # (n, argument, residue)
     n_tested: int
     precision_used: int
     wall_clock_s: float
+    n_min = 0  # a class constant, not a field: verification starts at n = 0
 
     @property
     def verified(self) -> bool:
         return self.outcome == "verified"
-
-
-@dataclass(frozen=True)
-class CandidateRejection:
-    ell: int
-    k: int
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -244,10 +237,9 @@ def search_good_congruences(alpha: Rational, ell_max: int | None = None,
                 outcome = is_good_prime(f, ell, k, max_weight=max_weight,
                                         allow_small_primes=allow_small_primes)
             except WeightCapExceeded as exc:
-                rejections.append(CandidateRejection(ell, k, str(exc)))
-                continue
+                outcome = GoodPrimeRejection(alpha_str, ell, k, str(exc))
             if isinstance(outcome, GoodPrimeRejection):
-                rejections.append(CandidateRejection(ell, k, outcome.reason))
+                rejections.append(outcome)
                 continue
             certificates.append(outcome)
             claims.extend(_balanced_claims_for(outcome))
@@ -330,49 +322,46 @@ def square_class_families(alpha: Rational, ell: int,
     return claims
 
 
-def verify_claim(claim: CongruenceClaim, n_max: int,
-                 n_min: int | None = None) -> VerificationReport:
-    """Exhaustively test a claim for n in [n_min, n_max].
+def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationReport:
+    """Exhaustively test a claim for n in [0, n_max].
 
     Evaluates p_alpha mod ell^v along the progression (balanced) or at every
     index whose side condition is a non-residue (square-class), reporting
     the first counterexample if any.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     f = as_fraction(claim.alpha)
     modulus = claim.modulus
     started = time.perf_counter()
     if claim.variant == BALANCED:
-        if n_min is None:
-            n_min = 0  # canonical offsets keep every argument nonnegative
+        # canonical offsets keep every argument nonnegative
         top_arg = modulus * n_max + claim.offset
         vals = eta_power_residues(f, claim.ell, claim.v, top_arg)
-        args = np.arange(n_min, n_max + 1, dtype=np.int64) * modulus + claim.offset
+        args = np.arange(n_max + 1, dtype=np.int64) * modulus + claim.offset
         residues = np.asarray(vals)[args]
         tested = int(args.size)
         hits = np.nonzero(residues)[0]
         if hits.size:
-            n = n_min + int(hits[0])
+            n = int(hits[0])
             return VerificationReport(
-                claim, n_min, n_max, "counterexample",
-                (n, modulus * n + claim.offset, int(residues[hits[0]])),
+                claim, n_max, "counterexample",
+                (n, modulus * n + claim.offset, int(residues[n])),
                 tested, claim.v, time.perf_counter() - started)
-        return VerificationReport(claim, n_min, n_max, "verified", None,
-                                  tested, claim.v,
-                                  time.perf_counter() - started)
-    if n_min is None:
-        n_min = 0
+        return VerificationReport(claim, n_max, "verified", None, tested,
+                                  claim.v, time.perf_counter() - started)
     vals = eta_power_residues(f, claim.ell, claim.v, n_max)
     tested = 0
-    for n in range(n_min, n_max + 1):
+    for n in range(n_max + 1):
         if legendre_symbol(claim.stride * n + claim.shift, claim.ell) != -1:
             continue
         tested += 1
         residue = int(vals[n]) % modulus
         if residue:
             return VerificationReport(
-                claim, n_min, n_max, "counterexample", (n, n, residue),
+                claim, n_max, "counterexample", (n, n, residue),
                 tested, claim.v, time.perf_counter() - started)
-    return VerificationReport(claim, n_min, n_max, "verified", None, tested,
+    return VerificationReport(claim, n_max, "verified", None, tested,
                               claim.v, time.perf_counter() - started)
 
 
@@ -384,6 +373,8 @@ def scan_balanced(alpha: Rational, ell: int, v: int, n_max: int
     Results are evidence, not certificates; each survivor is annotated with
     the two necessary-condition filters.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     f = as_fraction(alpha)
     modulus = ell ** v
     top = modulus * (n_max + 1) - 1

@@ -1,9 +1,9 @@
 """Level-one modular forms as exact integer q-expansions.
 
-Provides Eisenstein series, Delta and its powers, integral echelon
-(Victor-Miller) bases of M_k and S_k, Hecke operator matrices on the
-cuspidal echelon basis, the Gram determinant of trace pairings, the theta
-operator and the mod-ell weight filtration.
+Provides Eisenstein series, Delta and its powers, the integral echelon
+(Victor-Miller) basis of S_k, Hecke operator matrices on it, the Gram
+determinant of trace pairings, the theta operator and the mod-ell weight
+filtration.
 
 The Gram matrix G[m][n] = Tr(T_m T_n) is the bridge to eigenform data
 without any number-field arithmetic: the Hecke operators diagonalize
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._convolve import (
+    FFT_MODULUS_LIMIT,
     binary_power,
     convolve_exact,
     convolve_mod,
@@ -45,9 +46,6 @@ from .numerics import (
 )
 from .qseries import HorizonError, divisor_sum_table
 
-FULL = "full"
-CUSPIDAL = "cuspidal"
-
 #: m values in the non-ordinarity weight test (k - m divisible by ell - 1)
 NONORDINARY_M_SET = (4, 6, 8, 10, 14)
 
@@ -56,16 +54,12 @@ class WeightCapExceeded(RuntimeError):
     """A good-prime check needs a cusp form space beyond the weight cap."""
 
 
-def dim_modular_forms(weight: int) -> int:
-    """dim M_k at level one (even k; zero for odd or negative weight)."""
-    if weight < 0 or weight % 2:
-        return 0
-    return weight // 12 if weight % 12 == 2 else weight // 12 + 1
-
-
 def dim_cusp_forms(weight: int) -> int:
-    d = dim_modular_forms(weight)
-    return d - 1 if weight >= 4 else 0
+    """dim S_k at level one: k // 12, less one when k == 2 mod 12 (zero for
+    odd k and k < 4)."""
+    if weight < 4 or weight % 2:
+        return 0
+    return weight // 12 - 1 if weight % 12 == 2 else weight // 12
 
 
 def eisenstein(weight: int, trunc: int) -> list[int]:
@@ -113,31 +107,26 @@ def _monomial_exponents(weight: int, j: int):
     return (w - 6 * b) // 4, b
 
 
-def victor_miller_basis(weight: int, kind: str, trunc: int) -> list[list[int]]:
-    """Integral echelon basis of M_weight or S_weight to the given horizon.
+def victor_miller_basis(weight: int, trunc: int) -> list[list[int]]:
+    """Integral echelon basis of S_weight to the given horizon.
 
-    Row i has coefficient 1 at q^(i+offset) and 0 at the other pivot columns,
-    offset being 0 for the full space and 1 for cusp forms; a horizon below
-    dim + offset is raised to it.  Built from the monomials Delta^j E4^a E6^b
-    with 4a + 6b + 12j = weight.  Going down one j raises a by 3, so the rows
-    are made from the top j down, one product with E4^3 per step, and the
-    Delta^j come from an ascending ladder: three exact products per row.
-    The mod-ell route's step Delta / E4^3 = 1/j is not used here: its
-    integer coefficients grow like e^(pi sqrt(3) n).
+    Row i has coefficient 1 at q^(i+1) and 0 at the other pivot columns; a
+    horizon below dim + 1 is raised to it.  Built from the monomials
+    Delta^j E4^a E6^b with 4a + 6b + 12j = weight.  Going down one j raises
+    a by 3, so the rows are made from the top j down, one product with E4^3
+    per step, and the Delta^j come from an ascending ladder: three exact
+    products per row.  The mod-ell route's step Delta / E4^3 = 1/j is
+    not used here: its integer coefficients grow like e^(pi sqrt(3) n).
     """
     if weight < 0 or weight % 2:
         raise ValueError("weight must be even and nonnegative")
-    if kind not in (FULL, CUSPIDAL):
-        raise ValueError(f"unknown kind {kind!r}")
-    d = dim_cusp_forms(weight) if kind == CUSPIDAL else dim_modular_forms(weight)
-    off = 1 if kind == CUSPIDAL else 0
+    d = dim_cusp_forms(weight)
     if d == 0:
         return []
-    top = off + d - 1
-    trunc = max(trunc, d + off)
-    if _monomial_exponents(weight, top) is None:
+    trunc = max(trunc, d + 1)
+    if _monomial_exponents(weight, d) is None:
         raise ArithmeticError("monomial spanning set disagrees with dimension")
-    a, b = _monomial_exponents(weight, top)
+    a, b = _monomial_exponents(weight, d)
     e4 = eisenstein(4, trunc)
     dlt = delta(trunc)
     n_out = trunc + 1
@@ -145,8 +134,8 @@ def victor_miller_basis(weight: int, kind: str, trunc: int) -> list[list[int]]:
     def mul(f, g):
         return convolve_exact(f, g, n_out)
 
-    # rows[i] holds Delta^(i+off) until the loop below multiplies it out
-    rows = [dlt if off else [1] + [0] * trunc]
+    # rows[i] holds Delta^(i+1) until the loop below multiplies it out
+    rows = [dlt]
     for _ in range(d - 1):
         rows.append(mul(rows[-1], dlt))
     mono = binary_power(e4, a, [1] + [0] * trunc, mul)
@@ -160,11 +149,11 @@ def victor_miller_basis(weight: int, kind: str, trunc: int) -> list[list[int]]:
     # echelonize; pivots are already 1 (Delta^j has leading coefficient 1) so
     # only integer row subtractions occur and no denominator can appear
     for i in range(d):
-        if rows[i][i + off] != 1:
+        if rows[i][i + 1] != 1:
             raise ArithmeticError("echelon pivot is not 1")
         for i2 in range(d):
-            if i2 != i and rows[i2][i + off]:
-                c = rows[i2][i + off]
+            if i2 != i and rows[i2][i + 1]:
+                c = rows[i2][i + 1]
                 rows[i2] = [x - c * y for x, y in zip(rows[i2], rows[i])]
     return rows
 
@@ -251,7 +240,7 @@ def gram_determinant(weight: int) -> int:
     d = dim_cusp_forms(weight)
     if d == 0:
         return 1
-    basis = victor_miller_basis(weight, CUSPIDAL, d * d)
+    basis = victor_miller_basis(weight, d * d)
     return gram_determinant_of([hecke_matrix(weight, m, basis)
                                 for m in range(1, d + 1)])
 
@@ -283,15 +272,22 @@ def _matmul_mod(a, b, ell: int) -> np.ndarray:
     return ((a.astype(object) @ b.astype(object)) % ell).astype(np.int64)
 
 
+def _delta_mod(ell: int, n_out: int) -> np.ndarray:
+    """Delta mod ell to n_out coefficients, from the pentagonal product
+    q*(q;q)^24: no division by 1728 is needed, so ell = 2, 3 stay valid."""
+    dlt = np.zeros(n_out, dtype=np.int64)
+    dlt[1:] = eta_integer_power_mod(24, ell, n_out - 1)
+    return dlt
+
+
 def _vm_cusp_basis_mod(weight: int, trunc: int, ell: int):
     """Cuspidal echelon basis rows reduced mod ell (d x (trunc+1) int64).
 
     Row j of the spanning set is Delta^j E4^(a0-3j) E6^b = P X^j with
     P = E4^a0 E6^b and X = Delta / E4^3, so each row is one product with X
-    (E4^3 has constant term 1, a unit for every ell).  Delta is built from
-    the pentagonal product q*(q;q)^24 so that no division by 1728 is needed
-    and ell = 2, 3 stay valid.  The lead block U = basis[:, 1:d+1] is unit
-    upper triangular, so U^-1 @ basis is the reduced echelon form.
+    (E4^3 has constant term 1, a unit for every ell).  The lead block
+    U = basis[:, 1:d+1] is unit upper triangular, so U^-1 @ basis is the
+    reduced echelon form.
     """
     d = dim_cusp_forms(weight)
     n_out = trunc + 1
@@ -301,15 +297,14 @@ def _vm_cusp_basis_mod(weight: int, trunc: int, ell: int):
     # reduced from the exact expansions, so no int64 sum can overflow
     e4, e6 = (np.array([c % ell for c in eisenstein(w, trunc)],
                        dtype=np.int64) for w in (4, 6))
-    dlt = np.zeros(n_out, dtype=np.int64)
-    dlt[1:] = eta_integer_power_mod(24, ell, n_out - 1)
     if _monomial_exponents(weight, d) is None:
         raise ArithmeticError("monomial spanning set disagrees with dimension")
     a0, b = _monomial_exponents(weight, 0)
     row = power_mod(e4, a0, ell, n_out)
     if b:
         row = convolve_mod(row, e6, ell, n_out)
-    x = convolve_mod(dlt, inverse_mod(power_mod(e4, 3, ell, n_out), ell, n_out),
+    x = convolve_mod(_delta_mod(ell, n_out),
+                     inverse_mod(power_mod(e4, 3, ell, n_out), ell, n_out),
                      ell, n_out)
     for j in range(d):
         row = convolve_mod(row, x, ell, n_out)
@@ -379,17 +374,6 @@ def gram_determinant_residue(weight: int, ell: int) -> int:
     flat = mats.reshape(d, d * d)
     flat_t = mats.transpose(0, 2, 1).reshape(d, d * d)
     return _det_mod(_matmul_mod(flat, flat_t.T, ell), ell)
-
-
-def hecke_ell_vanishes(weight: int, ell: int) -> bool:
-    """True iff every entry of the T_ell matrix on S_weight is divisible by
-    ell.  Computed mod ell on the scalable basis."""
-    d = dim_cusp_forms(weight)
-    if d == 0:
-        return True
-    basis = _vm_cusp_basis_mod(weight, ell * d + 1, ell)
-    mat = _hecke_matrix_mod(weight, ell, ell, basis)
-    return not mat.any()
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +488,26 @@ def theta(f: list) -> list:
 ZERO_FORM = None  # filtration sentinel for f == 0 mod ell
 
 
+def check_filtration_prime(ell: int) -> None:
+    """Refuse ell < 5, and ell >= 2^33, beyond the mod-ell kernel's moduli."""
+    if ell < 5:
+        raise ValueError("filtration requires ell >= 5")
+    if ell >= FFT_MODULUS_LIMIT:
+        raise ValueError("filtration requires ell < 2^33")
+
+
 def filtration(f: list, weight: int, ell: int):
     """Least weight w == weight mod (ell-1) whose mod-ell space contains f.
 
     f must be (the reduction of) a weight-`weight` form with ell-integral
-    coefficients, known to at least floor(weight/12) + 2 coefficients.  For
-    each candidate w the unique combination of echelon basis rows matching
-    f's leading coefficients is compared against f up to the nominal
-    weight's horizon, which determines forms of weight <= `weight` at level
-    one.  Returns ZERO_FORM (None) when f vanishes mod ell.
+    coefficients, known to floor(weight/12) + 2 coefficients: past the
+    Sturm bound of every candidate weight.  Delta = q*(unit) maps M_w onto
+    S_(w+12) over Z, so f lies in M_w mod ell exactly when Delta*f lies in
+    S_(w+12) mod ell, compared one coefficient further out: against the
+    mod-ell cusp echelon rows combined by Delta*f's pivot coefficients.
+    Returns ZERO_FORM (None) when f vanishes mod ell.
     """
-    if ell < 5:
-        raise ValueError("filtration requires ell >= 5")
+    check_filtration_prime(ell)
     if weight < 0 or weight % 2:
         raise ValueError("weight must be even and nonnegative")
     horizon = weight // 12 + 2
@@ -524,22 +516,16 @@ def filtration(f: list, weight: int, ell: int):
             f"horizon too small: filtration at weight {weight} needs "
             f"{horizon} coefficients"
         )
-    reduced = [psi(ell, c) for c in f[: horizon + 1]]
-    if not any(reduced):
+    reduced = np.array([psi(ell, c) for c in f[: horizon + 1]], dtype=np.int64)
+    if not reduced.any():
         return ZERO_FORM
-    candidates = [w for w in range(0, weight + 1, 2)
-                  if w % (ell - 1) == weight % (ell - 1) and w != 2]
-    for w in candidates:
-        d = dim_modular_forms(w)
-        if d == 0:
-            continue
-        basis = victor_miller_basis(w, FULL, horizon)
-        combo = [0] * (horizon + 1)
-        for i in range(min(d, horizon + 1)):
-            c = reduced[i]
-            if c:
-                combo = [(x + c * y) % ell for x, y in zip(combo, basis[i])]
-        if all(x == y % ell for x, y in zip(combo, reduced)):
+    n_out = horizon + 2
+    target = convolve_mod(_delta_mod(ell, n_out), reduced, ell, n_out)
+    # the even w == weight mod ell - 1; w = 2 gives S_14 = 0, which no f fits
+    for w in range(weight % (ell - 1), weight + 1, ell - 1):
+        basis = _vm_cusp_basis_mod(w + 12, n_out - 1, ell)
+        lead = target[None, 1:basis.shape[0] + 1]
+        if np.array_equal(_matmul_mod(lead, basis, ell)[0], target):
             return w
     raise ArithmeticError(
         "no candidate weight contains f; the nominal weight is wrong"

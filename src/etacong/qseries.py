@@ -242,29 +242,23 @@ def reduce_series(f: list, ell: int, precision: int) -> list[int]:
     return out
 
 
-def frobenius_congruence_check(alpha: Rational, ell: int, r: int, trunc: int,
-                               method: str = "rational") -> bool:
+def frobenius_congruence_check(alpha: Rational, ell: int, r: int,
+                               trunc: int) -> bool:
     """Check (q;q)^{ell^r alpha} == (q^ell;q^ell)^{ell^(r-1) alpha} mod ell^r.
 
-    The default route computes both sides from the exact rational recurrence,
-    keeping the check independent of the descent backend (which is built on
-    this very congruence and would make the comparison circular).
+    Both sides come from the exact rational recurrence, keeping the check
+    independent of the descent backend (which is built on this very
+    congruence and would make the comparison circular).
     """
     f = as_fraction(alpha)
     if f.denominator % ell == 0:
         raise NotEllIntegralError(f"alpha not {ell}-integral")
     if r < 1:
         raise ValueError("r must be >= 1")
-    if method == "rational":
-        lhs = reduce_series(eta_power_rational(ell ** r * f, trunc), ell, r)
-        inner = reduce_series(
-            eta_power_rational(ell ** (r - 1) * f, trunc // ell), ell, r
-        )
-    elif method == "ledger":
-        lhs = eta_power_mod(ell ** r * f, ell, r, trunc, "ledger")[0]
-        inner = eta_power_mod(ell ** (r - 1) * f, ell, r, trunc // ell, "ledger")[0]
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    lhs = reduce_series(eta_power_rational(ell ** r * f, trunc), ell, r)
+    inner = reduce_series(
+        eta_power_rational(ell ** (r - 1) * f, trunc // ell), ell, r
+    )
     rhs = [0] * (trunc + 1)
     for n, v in enumerate(inner):
         rhs[ell * n] = v

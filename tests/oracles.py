@@ -5,10 +5,16 @@ Each is a direct transcription of the statement it checks; none is on a
 route the CLI or the search takes.
 """
 
+import functools
 from dataclasses import dataclass
 
 from etacong.congruences import SQUARE_CLASS, CongruenceClaim
-from etacong.modforms import theta
+from etacong.modforms import (
+    _hecke_matrix_mod,
+    _vm_cusp_basis_mod,
+    dim_cusp_forms,
+    theta,
+)
 from etacong.numerics import (
     Rational,
     as_fraction,
@@ -99,3 +105,110 @@ def square_class_nonvacuous(claim: CongruenceClaim, n_max: int = 200) -> bool:
             if int(vals[n]) % claim.modulus:
                 return True
     return False
+
+
+def hecke_ell_vanishes(weight: int, ell: int) -> bool:
+    """True iff every entry of the T_ell matrix on S_weight is divisible by
+    ell.  Computed mod ell on the scalable basis."""
+    d = dim_cusp_forms(weight)
+    if d == 0:
+        return True
+    basis = _vm_cusp_basis_mod(weight, ell * d + 1, ell)
+    mat = _hecke_matrix_mod(weight, ell, ell, basis)
+    return not mat.any()
+
+
+def _product_mod(f, g, ell: int) -> tuple:
+    """Schoolbook product of two series of equal length, truncated, mod ell."""
+    out = [0] * len(f)
+    for i, a in enumerate(f):
+        if a:
+            for j in range(len(f) - i):
+                out[i + j] = (out[i + j] + a * g[j]) % ell
+    return tuple(out)
+
+
+@functools.cache
+def _generators_mod(ell: int, n: int) -> dict:
+    """E4, E6 and Delta mod ell to n coefficients, each from its definition:
+    1 + 240 sum sigma_3(m) q^m, 1 - 504 sum sigma_5(m) q^m and
+    q prod (1 - q^m)^24."""
+    def eisenstein(power, scale):
+        return (1 % ell,) + tuple(
+            scale * sum(dd ** power for dd in range(1, m + 1) if m % dd == 0)
+            % ell for m in range(1, n))
+
+    delta = [0, 1 % ell] + [0] * (n - 2)
+    for m in range(1, n):
+        for _ in range(24):
+            for i in range(n - 1, m - 1, -1):  # times 1 - q^m, in place
+                delta[i] = (delta[i] - delta[i - m]) % ell
+    return {"e4": eisenstein(3, 240), "e6": eisenstein(5, -504),
+            "delta": tuple(delta)}
+
+
+@functools.cache
+def _power_mod(name: str, e: int, ell: int, n: int) -> tuple:
+    if e == 0:
+        return (1 % ell,) + (0,) * (n - 1)
+    return _product_mod(_power_mod(name, e - 1, ell, n),
+                        _generators_mod(ell, n)[name], ell)
+
+
+@functools.cache
+def _monomials_mod(w: int, ell: int, n: int) -> tuple:
+    """Every E4^a E6^b Delta^j with 4a + 6b + 12j = w, mod ell, n
+    coefficients: a spanning set of M_w (empty for w = 2 and odd w)."""
+    out = []
+    for j in range(w // 12 + 1):
+        for b in range((w - 12 * j) // 6 + 1):
+            rest = w - 12 * j - 6 * b
+            if rest % 4 == 0:
+                e4_e6 = _product_mod(_power_mod("e4", rest // 4, ell, n),
+                                     _power_mod("e6", b, ell, n), ell)
+                out.append(_product_mod(e4_e6, _power_mod("delta", j, ell, n),
+                                        ell))
+    return tuple(out)
+
+
+def _rank_mod(rows, ell: int) -> int:
+    """Rank of integer rows mod a prime ell, by Gaussian elimination."""
+    rows = [[x % ell for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, ell)
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                t = rows[i][col] * inv
+                rows[i] = [(x - t * y) % ell for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def monomial_rank(w: int, ell: int, horizon: int) -> int:
+    """Rank mod ell of the monomials E4^a E6^b Delta^j of weight w on the
+    coefficients 0..horizon: dim M_w once the horizon reaches w/12."""
+    return _rank_mod(_monomials_mod(w, ell, horizon + 1), ell)
+
+
+def in_weight_mod(f: list, w: int, ell: int, horizon: int) -> bool:
+    """Whether the integer series f lies in M_w mod ell, decided on the
+    coefficients 0..horizon (at least the Sturm bound w/12): appending f to
+    the monomials of weight w leaves their rank mod ell unchanged.  Shares
+    no code with either echelon basis."""
+    monomials = _monomials_mod(w, ell, horizon + 1)
+    reduced = tuple(c % ell for c in f[: horizon + 1])
+    return _rank_mod(monomials, ell) == _rank_mod(monomials + (reduced,), ell)
+
+
+def filtration_by_rank(f: list, weight: int, ell: int, horizon: int):
+    """Least w == weight mod (ell - 1) in [0, weight] with f in M_w mod ell
+    (in_weight_mod); None when f vanishes mod ell to the horizon."""
+    if not any(c % ell for c in f[: horizon + 1]):
+        return None
+    return next(w for w in range(weight % (ell - 1), weight + 1, ell - 1)
+                if in_weight_mod(f, w, ell, horizon))

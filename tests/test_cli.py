@@ -201,15 +201,47 @@ def test_hecke_builds_the_exact_basis_once(capsys, monkeypatch, argv,
     build = modforms.victor_miller_basis
     built = []
 
-    def counted(weight, kind, trunc):
+    def counted(weight, trunc):
         built.append(trunc)
-        return build(weight, kind, trunc)
+        return build(weight, trunc)
 
     for module in (cli, modforms):
         monkeypatch.setattr(module, "victor_miller_basis", counted)
     code, _ = run(capsys, "hecke", *argv, "--format", "json")
     assert code == EXIT_OK
     assert built == horizons
+
+
+@pytest.mark.parametrize("cap", [9, 8])
+def test_hecke_refuses_a_basis_past_the_trunc_cap(capsys, monkeypatch, cap):
+    # weight 36 prints T_1..T_3 and the determinant: a basis to 9 coefficients
+    build = modforms.victor_miller_basis
+    built = []
+
+    def counted(weight, trunc):
+        built.append(trunc)
+        return build(weight, trunc)
+
+    monkeypatch.setattr(cli, "victor_miller_basis", counted)
+    monkeypatch.setattr(cli, "HARD_TRUNC_CAP", cap)
+    code = main(["hecke", "--weight", "36"])
+    captured = capsys.readouterr()
+    if cap == 9:
+        assert (code, built, captured.err) == (EXIT_OK, [9], "")
+    else:
+        assert (code, built, captured.out) == (EXIT_USAGE, [], "")
+        assert captured.err == ("error: hecke needs an exact basis to 9 "
+                                "coefficients, above the cap 8\n")
+
+
+@pytest.mark.parametrize("argv", [("--iters", "0"), ()],
+                         ids=["iters-0", "default-iters"])
+def test_filtration_beyond_the_kernel_modulus_exits_2(capsys, argv):
+    # 2^33 + 17 is prime; the mod-ell basis multiplies only below 2^33
+    code = main(["filtration", "--ell", "8589934609", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err == "error: filtration requires ell < 2^33\n"
 
 
 @pytest.mark.parametrize("argv, message", [

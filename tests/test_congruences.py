@@ -16,6 +16,7 @@ from etacong.congruences import (
     square_class_families,
     verify_claim,
 )
+from etacong.modforms import GoodPrimeRejection
 from oracles import integral_prime_bound, square_class_nonvacuous
 
 
@@ -91,6 +92,9 @@ def test_weight_cap_override():
     # (103, 26) sits at weight 312 > 100: an error entry, not a certificate
     reasons = {(r.ell, r.k): r.reason for r in result.rejections}
     assert "exceeds the cap" in reasons[(103, 26)]
+    # every entry, the cap's included, is the good-prime test's own rejection
+    assert all(isinstance(r, GoodPrimeRejection) and r.alpha == "57/61"
+               for r in result.rejections)
     assert all(c.weight <= 100 for c in result.certificates)
     assert {c.ell for c in result.certificates} == {7, 11, 17, 79}
 
@@ -165,6 +169,20 @@ def test_verify_claim_counterexample():
     report = verify_claim(claim, 10)
     assert report.outcome == "counterexample"
     assert report.counterexample == (0, 1, 1)  # p(1) = 1
+
+
+def test_negative_counts_are_refused():
+    # n_max = -1 would test nothing yet report "verified" or survivors
+    balanced = CongruenceClaim(variant=BALANCED, alpha="-1", ell=5, v=1,
+                               offset=4)
+    square = CongruenceClaim(variant=SQUARE_CLASS, alpha="26", ell=5, v=2,
+                             stride=24, shift=1)
+    for claim in (balanced, square):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            verify_claim(claim, -5)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        scan_balanced(-1, 5, 1, -1)
+    assert verify_claim(balanced, 0).n_tested == 1
 
 
 def test_verify_claim_ramanujan():

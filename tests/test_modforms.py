@@ -10,8 +10,6 @@ from etacong.numerics import NotEllIntegralError
 from etacong._convolve import binary_power, convolve_exact
 from etacong.qseries import HorizonError, eta_power_rational
 from etacong.modforms import (
-    CUSPIDAL,
-    FULL,
     GoodPrimeCertificate,
     GoodPrimeRejection,
     WeightCapExceeded,
@@ -24,7 +22,6 @@ from etacong.modforms import (
     delta,
     delta_power,
     dim_cusp_forms,
-    dim_modular_forms,
     eisenstein,
     filtration,
     gram_determinant,
@@ -32,7 +29,6 @@ from etacong.modforms import (
     gram_determinant_residue,
     gram_matrix,
     hecke_action,
-    hecke_ell_vanishes,
     hecke_matrix,
     is_good_prime,
     theta,
@@ -40,6 +36,9 @@ from etacong.modforms import (
 )
 from oracles import (
     cusp_divisibility_check,
+    filtration_by_rank,
+    hecke_ell_vanishes,
+    monomial_rank,
     theta_fixed_point_check,
     theta_power,
 )
@@ -54,7 +53,7 @@ def _cusp_basis(weight):
     max(d^2, 13 d) + 1 coefficients: T_d needs d^2 and the mod-ell basis is
     compared up to 13 d + 1."""
     d = dim_cusp_forms(weight)
-    return victor_miller_basis(weight, CUSPIDAL, max(d * d, 13 * d) + 1)
+    return victor_miller_basis(weight, max(d * d, 13 * d) + 1)
 
 
 def test_eisenstein_expansions():
@@ -88,40 +87,42 @@ def test_delta_power_tau_k():
 
 
 def test_dimension_formulas():
-    assert [dim_modular_forms(k) for k in (0, 2, 4, 6, 8, 10, 12, 14)] == \
-        [1, 0, 1, 1, 1, 1, 2, 1]
+    assert [dim_cusp_forms(k) for k in (0, 2, 4, 6, 8, 10, 12, 14)] == \
+        [0, 0, 0, 0, 0, 0, 1, 0]
     assert dim_cusp_forms(12) == 1
     assert dim_cusp_forms(24) == 2
     assert dim_cusp_forms(36) == 3
     assert dim_cusp_forms(0) == 0
+    assert dim_cusp_forms(-12) == dim_cusp_forms(25) == 0
+    # dim S_k = dim M_k - 1 for k >= 4, dim M_k being the monomials' rank
+    for k in range(0, 122, 2):
+        rank = monomial_rank(k, 13, k // 12 + 2)
+        assert dim_cusp_forms(k) == max(rank - 1, 0)
 
 
 def test_victor_miller_basis_echelon_and_integrality():
-    for weight, kind in ((12, CUSPIDAL), (24, CUSPIDAL), (36, CUSPIDAL),
-                         (24, FULL), (48, FULL)):
-        basis = victor_miller_basis(weight, kind, 40)
-        off = 1 if kind == CUSPIDAL else 0
-        d = dim_cusp_forms(weight) if off else dim_modular_forms(weight)
+    for weight in (12, 24, 36, 48):
+        basis = victor_miller_basis(weight, 40)
+        d = dim_cusp_forms(weight)
         assert len(basis) == d
         for i, row in enumerate(basis):
             assert len(row) == 41
             assert all(isinstance(c, int) for c in row)
             for j in range(d):
-                assert row[j + off] == (1 if i == j else 0)
+                assert row[j + 1] == (1 if i == j else 0)
 
 
 def test_victor_miller_small_spaces():
-    assert victor_miller_basis(12, CUSPIDAL, 10) == [delta(10)]
-    assert len(victor_miller_basis(36, CUSPIDAL, 10)) == 3
-    assert victor_miller_basis(0, FULL, 5) == [[1, 0, 0, 0, 0, 0]]
-    assert victor_miller_basis(2, FULL, 5) == []
-    # a horizon below the pivots is raised to the last pivot, q^(d + offset)
-    short = victor_miller_basis(36, CUSPIDAL, 1)
+    assert victor_miller_basis(12, 10) == [delta(10)]
+    assert len(victor_miller_basis(36, 10)) == 3
+    assert victor_miller_basis(0, 5) == victor_miller_basis(14, 5) == []
+    # a horizon below the pivots is raised to d + 1
+    short = victor_miller_basis(36, 1)
     assert [len(row) for row in short] == [5] * 3
     with pytest.raises(ValueError):
-        victor_miller_basis(11, CUSPIDAL, 5)
+        victor_miller_basis(11, 5)
     with pytest.raises(ValueError):
-        victor_miller_basis(-4, FULL, 5)
+        victor_miller_basis(-4, 5)
 
 
 def test_divisors_in_increasing_order():
@@ -140,7 +141,7 @@ def test_hecke_action_horizon_guard():
         hecke_action(f, 12, 3, 10)
     # so does a Hecke matrix whose basis is shorter than m * d
     with pytest.raises(HorizonError, match="need 6, have 5"):
-        hecke_matrix(24, 3, victor_miller_basis(24, CUSPIDAL, 5))
+        hecke_matrix(24, 3, victor_miller_basis(24, 5))
 
 
 def test_hecke_action_eigenvalue_on_delta():
@@ -312,6 +313,36 @@ def test_filtration_theta_iterates_stay_above_base_weight():
 def test_filtration_requires_ell_at_least_5():
     with pytest.raises(ValueError, match="requires ell >= 5"):
         filtration(delta(10), 12, 3)
+    # and below the moduli the mod-ell basis multiplies, before any product
+    with pytest.raises(ValueError, match=r"requires ell < 2\^33"):
+        filtration(delta(10), 12, 2 ** 33 + 17)
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+def test_filtration_matches_the_rank_oracle(ell):
+    # Delta and Delta^2 with their theta iterates up to ell - 1, then E4, E6
+    # and E4 * Delta; the oracle compares ranks of the monomials of each
+    # candidate weight with and without f
+    cases = []
+    for d in (1, 2):
+        horizon = (12 * d + (ell - 1) * (ell + 1)) // 12 + 2
+        f = delta_power(d, horizon)
+        for i in range(ell):
+            cases.append((f, 12 * d + i * (ell + 1), horizon))
+            f = theta(f)
+    e4 = eisenstein(4, 3)
+    cases += [(e4, 4, 2), (eisenstein(6, 3), 6, 2),
+              (convolve_exact(e4, delta(3), 4), 16, 3)]
+    for f, weight, horizon in cases:
+        assert filtration(f, weight, ell) == \
+            filtration_by_rank(f, weight, ell, horizon), (weight, ell)
+
+
+def test_filtration_of_one_theta_step_at_a_large_prime():
+    # the step law: ell does not divide 12, so theta adds ell + 1
+    ell = 10007
+    weight = 12 + ell + 1
+    assert filtration(theta(delta(weight // 12 + 2)), weight, ell) == ell + 13
 
 
 def test_filtration_theta_step_law():

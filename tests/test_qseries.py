@@ -189,7 +189,13 @@ def test_frobenius_congruence(alpha, ell, r):
 
 
 def test_frobenius_congruence_ledger_route_agrees():
-    assert frobenius_congruence_check(Fraction(1, 2), 5, 1, 60, method="ledger")
+    # both sides of the congruence from the ledger route, for alpha = 1/2
+    # mod 5 to 60 coefficients
+    lhs = eta_power_mod(Fraction(5, 2), 5, 1, 60, "ledger")[0]
+    inner = eta_power_mod(Fraction(1, 2), 5, 1, 12, "ledger")[0]
+    rhs = [0] * 61
+    rhs[::5] = inner
+    assert lhs == rhs
 
 
 def test_residue_series_multiplication_tracks_precision():
