@@ -239,14 +239,14 @@ def cmd_coeffs(args) -> int:
     if args.mod is None:
         series = eta_power_rational(alpha, args.trunc)
         rows = [(n, str(c)) for n, c in enumerate(series)]
-        payload = {"alpha": args.alpha, "coeffs": [r[1] for r in rows]}
+        payload = {"alpha": str(alpha), "coeffs": [r[1] for r in rows]}
         _emit(args, payload, [f"{n} {s}" for n, s in rows],
               [("n", "coeff")] + list(rows))
         return EXIT_OK
     ell, v = args.mod
-    values, digits = eta_power_mod(alpha, ell, v, args.trunc)
-    rows = list(zip(range(args.trunc + 1), values, digits))
-    payload = {"alpha": args.alpha, "modulus": f"{ell}^{v}",
+    values = eta_power_mod(alpha, ell, v, args.trunc)
+    rows = [(n, val, v) for n, val in enumerate(values)]
+    payload = {"alpha": str(alpha), "modulus": f"{ell}^{v}",
                "coeffs": [{"n": n, "value": val, "precision": p}
                           for n, val, p in rows]}
     _emit(args, payload, [f"{n} {val} (precision {p})" for n, val, p in rows],
@@ -325,17 +325,17 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     if args.n_max < 0:
         raise UsageError("--N must be >= 0")
-    candidates = scan_balanced(as_fraction(args.alpha), args.ell, args.v,
-                               args.n_max)
+    alpha = as_fraction(args.alpha)
+    candidates = scan_balanced(alpha, args.ell, args.v, args.n_max)
     payload = {
-        "alpha": args.alpha, "ell": args.ell, "v": args.v, "N": args.n_max,
+        "alpha": str(alpha), "ell": args.ell, "v": args.v, "N": args.n_max,
         "candidates": [
             {"offset": c.offset, "offsetAdmissible": c.offset_admissible,
              "primeAdmissible": c.prime_admissible, "label": c.label}
             for c in candidates
         ],
     }
-    lines = [f"alpha = {args.alpha}, ell^v = {args.ell}^{args.v}, N = {args.n_max}"]
+    lines = [f"alpha = {alpha}, ell^v = {args.ell}^{args.v}, N = {args.n_max}"]
     for c in candidates:
         lines.append(f"  offset {c.offset}: {c.label}, "
                      f"offset filter {'ok' if c.offset_admissible else 'FAIL'}, "
@@ -358,6 +358,9 @@ def cmd_filtration(args) -> int:
     base_weight = 12 * args.delta_exp
     nominal = base_weight + iters * (ell + 1)
     horizon = nominal // 12 + 2
+    if horizon > HARD_TRUNC_CAP:
+        raise UsageError(f"filtration needs an exact series to {horizon} "
+                         f"coefficients, above the cap {HARD_TRUNC_CAP}")
     f = delta_power(args.delta_exp, horizon)
     rows = []
     for i in range(iters + 1):
@@ -456,12 +459,13 @@ def _selftest_checks(args):
             for alpha in (Fraction(1, 2), Fraction(3)) for ell in (5, 7))
 
     def check_residue_oracle():
+        # 5^2 and 17^2 take the descent, 5^15 and 17^9 (above 2^33) the ledger
         for alpha in (Fraction(1, 2), Fraction(57, 61)):
-            for ell in (5, 17):
-                exact = eta_power_rational(alpha, 40)
-                reduced = reduce_series(exact, ell, 2)
-                for method in ("descent", "ledger"):
-                    if reduced != eta_power_mod(alpha, ell, 2, 40, method)[0]:
+            exact = eta_power_rational(alpha, 40)
+            for ell, top in ((5, 15), (17, 9)):
+                for v in (2, top):
+                    if reduce_series(exact, ell, v) != eta_power_mod(
+                            alpha, ell, v, 40):
                         return False
         return True
 
@@ -502,7 +506,7 @@ def _selftest_checks(args):
                 if den % ell == 0:
                     continue
                 exact = reduce_series(eta_power_rational(alpha, 30), ell, 1)
-                if exact != eta_power_mod(alpha, ell, 1, 30)[0]:
+                if exact != eta_power_mod(alpha, ell, 1, 30):
                     return False
         return True
 

@@ -30,9 +30,9 @@ from .modforms import (
     is_good_prime,
 )
 from .numerics import (
-    NotEllIntegralError,
     Rational,
     as_fraction,
+    ell_integral,
     ell_valuation,
     legendre_symbol,
     mod_inverse,
@@ -157,9 +157,7 @@ def good_prime_bound(alpha: Rational):
 def offset_admissible(alpha: Rational, ell: int, c: int) -> bool:
     """Necessary condition for p_alpha(ell n + c) == 0 (mod ell) to hold for
     all n: 24c + alpha == 0 in Z/ell (as ell-integral rationals)."""
-    f = as_fraction(alpha)
-    if f.denominator % ell == 0:
-        raise NotEllIntegralError(f"alpha not {ell}-integral")
+    f = ell_integral(alpha, ell)
     return (24 * c * f.denominator + f.numerator) % ell == 0
 
 
@@ -294,8 +292,7 @@ def square_class_families(alpha: Rational, ell: int,
     f = as_fraction(alpha)
     if ell in (2, 3):
         raise ValueError("identity unavailable for ell in {2, 3}")
-    if f.denominator % ell == 0:
-        raise NotEllIntegralError(f"alpha not {ell}-integral")
+    ell_integral(f, ell)
     alpha_str = str(f)
     claims = []
     for shift_target, stride, name in ((1, 24, "euler"), (3, 8, "jacobi")):

@@ -36,9 +36,9 @@ from ._convolve import (
     power_mod,
 )
 from .numerics import (
-    NotEllIntegralError,
     Rational,
     as_fraction,
+    ell_integral,
     ell_valuation,
     is_prime,
     mod_inverse,
@@ -437,8 +437,7 @@ def is_good_prime(alpha: Rational, ell: int, k: int, *,
     alpha_str = str(f)
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    if f.denominator % ell == 0:
-        raise NotEllIntegralError(f"alpha not {ell}-integral")
+    ell_integral(f, ell)
     if k < 1:
         raise ValueError("k must be >= 1")
     if ell in (2, 3) and not allow_small_primes:

@@ -50,6 +50,15 @@ def as_fraction(x: Rational) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def ell_integral(alpha: Rational, ell: int) -> Fraction:
+    """alpha as a Fraction; NotEllIntegralError when ell divides its
+    denominator."""
+    f = as_fraction(alpha)
+    if f.denominator % ell == 0:
+        raise NotEllIntegralError(f"alpha not {ell}-integral")
+    return f
+
+
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound, by sieve of Eratosthenes."""
     if bound < 2:

@@ -10,24 +10,25 @@ Three independent routes compute those coefficients:
 
 * ``eta_power_rational`` -- exact rationals from the logarithmic-derivative
   recurrence n*c(n) = -alpha * sum sigma_1(j) c(n-j);
-* ``eta_power_mod(..., method="ledger")`` -- the same recurrence run on
-  residues at a padded modulus, charging each coefficient one lost ell-adic
-  digit per factor of ell it is divided by;
-* ``eta_power_mod(..., method="descent")`` -- repeated exponent reduction
-  through the Frobenius congruence
+* ``_eta_power_mod_ledger`` -- the same recurrence run on residues at a
+  padded modulus, charging one lost ell-adic digit per factor of ell it
+  divides by;
+* ``eta_power_residues`` -- repeated exponent reduction through the
+  Frobenius congruence
   (q;q)^{ell^r a} = (q^ell;q^ell)^{ell^(r-1) a} (mod ell^r),
   which never divides by the running index and therefore needs no padding.
 
-The first two are O(T^2) exact arithmetic and serve as oracles; the descent
-route is the scalable one (FFT-backed) used for searches and brute-force
-verification.  ``eta_power_mod`` returns the residues together with the
-number of guaranteed ell-adic digits of each one.
+The first two are O(T^2) exact arithmetic; the descent route is the
+scalable one (FFT-backed) used for searches and brute-force verification.
+``eta_power_mod`` returns the residues mod ell^v from the descent while
+ell^v fits its FFT backend and from the ledger above that.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -43,6 +44,8 @@ from .numerics import (
     PrecisionError,
     Rational,
     as_fraction,
+    ell_integral,
+    ell_valuation,
     factorial_valuation,
     mod_inverse,
     prime_factors,
@@ -127,13 +130,11 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int):
     (q^ell;q^ell)^{ell^(v-1) gamma} at truncation T // ell.  No division by
     the series index ever happens, so the result is exact mod ell^precision.
     """
-    f = as_fraction(alpha)
-    if f.denominator % ell == 0:
-        raise NotEllIntegralError(f"alpha not {ell}-integral")
+    f = ell_integral(alpha, ell)
     if precision < 1:
         raise ValueError("precision must be >= 1")
     if trunc < 0:
-        return np.zeros(0, dtype=np.int64)
+        raise ValueError("truncation must be >= 0")
     m = ell ** precision
     if m >= FFT_MODULUS_LIMIT:
         raise PrecisionError(
@@ -158,76 +159,51 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int):
     return out
 
 
-def _eta_power_mod_ledger(alpha: Fraction, ell: int, precision: int, trunc: int):
-    """Padded-modulus recurrence with an explicit per-coefficient ledger.
+def _eta_power_mod_ledger(alpha: Rational, ell: int, precision: int,
+                          trunc: int) -> list[int]:
+    """Padded-modulus recurrence, residues mod ell^precision.
 
     Works at ell^R with R = precision + ord_ell(trunc!) so the worst possible
     precision loss along the recurrence (one ord_ell(n) per division) still
-    leaves >= precision guaranteed digits; the ledger is verified at the end.
-    Returns (values mod ell^R, losses, R).
+    leaves >= precision guaranteed digits; the loss is verified at the end.
     """
-    pad = factorial_valuation(trunc, ell) if trunc > 0 else 0
-    big_exp = precision + pad
-    modulus = ell ** big_exp
-    a, b = alpha.numerator, alpha.denominator
-    scale = -a * mod_inverse(b, modulus) % modulus
-    sigma = divisor_sum_table(1, trunc)
-    values = [1] + [0] * trunc
-    losses = [0] * (trunc + 1)
-    worst = 0  # max loss among coefficients 0..n-1; the sum feeds them all in
-    for n in range(1, trunc + 1):
-        acc = 0
-        for j in range(1, n + 1):
-            v = values[n - j]
-            if v:
-                acc += sigma[j] * v
-        acc = acc * scale % modulus
-        e = 0
-        nn = n
-        while nn % ell == 0:
-            nn //= ell
-            e += 1
-        if e:
-            if acc % ell ** e:
-                raise PrecisionError("insufficient padding in ledger recurrence")
-            acc //= ell ** e
-        values[n] = acc * mod_inverse(nn, modulus) % modulus
-        losses[n] = worst + e
-        worst = losses[n]
-    # a-posteriori ledger check: every coefficient keeps >= precision digits
-    if big_exp - worst < precision:
-        raise PrecisionError("insufficient padding in ledger recurrence")
-    return values, losses, big_exp
-
-
-def eta_power_mod(alpha: Rational, ell: int, precision: int, trunc: int,
-                  method: str = "auto") -> tuple[list[int], list[int]]:
-    """(q;q)_infinity^alpha mod ell^precision as (values, digits).
-
-    values[n] is p_alpha(n) mod ell^precision and digits[n] the number of
-    ell-adic digits guaranteed for it, never fewer than ``precision``.
-    ``method`` selects the route: "descent" (exact mod ell^precision, so
-    digits are ``precision``), "ledger" (padded recurrence, quadratic,
-    oracle-grade; digits are what its padding keeps), or "auto" (the descent
-    while ell^precision fits its FFT backend, else the ledger).
-    """
-    f = as_fraction(alpha)
-    if f.denominator % ell == 0:
-        raise NotEllIntegralError(f"alpha not {ell}-integral")
+    f = ell_integral(alpha, ell)
     if precision < 1:
         raise ValueError("precision must be >= 1")
     if trunc < 0:
         raise ValueError("truncation must be >= 0")
-    if method == "auto":
-        method = "descent" if ell ** precision < FFT_MODULUS_LIMIT else "ledger"
-    if method == "descent":
-        values = eta_power_residues(f, ell, precision, trunc).tolist()
-        return values, [precision] * len(values)
-    if method == "ledger":
-        values, losses, big_exp = _eta_power_mod_ledger(f, ell, precision, trunc)
-        m = ell ** precision
-        return [v % m for v in values], [big_exp - loss for loss in losses]
-    raise ValueError(f"unknown method {method!r}")
+    big_exp = precision + factorial_valuation(trunc, ell)
+    modulus = ell ** big_exp
+    scale = -f.numerator * mod_inverse(f.denominator, modulus) % modulus
+    sigma = divisor_sum_table(1, trunc)
+    values = [1] + [0] * trunc
+    worst = 0  # digits lost so far; each coefficient feeds all later ones
+    for n in range(1, trunc + 1):
+        acc = sum(map(mul, sigma[n:0:-1], values))  # sigma(n - i) c(i), i < n
+        e = ell_valuation(n, ell)
+        acc, rest = divmod(acc * scale % modulus, ell ** e)
+        if rest:
+            raise PrecisionError("insufficient padding in ledger recurrence")
+        values[n] = acc * mod_inverse(n // ell ** e, modulus) % modulus
+        worst += e
+    # a-posteriori check: every coefficient keeps >= precision digits
+    if big_exp - worst < precision:
+        raise PrecisionError("insufficient padding in ledger recurrence")
+    m = ell ** precision
+    return [v % m for v in values]
+
+
+def eta_power_mod(alpha: Rational, ell: int, precision: int,
+                  trunc: int) -> list[int]:
+    """(q;q)_infinity^alpha mod ell^precision: values[n] is p_alpha(n) mod
+    ell^precision.
+
+    The descent while ell^precision fits its FFT backend, the padded ledger
+    recurrence (quadratic) above it.
+    """
+    if ell ** precision < FFT_MODULUS_LIMIT:
+        return eta_power_residues(alpha, ell, precision, trunc).tolist()
+    return _eta_power_mod_ledger(alpha, ell, precision, trunc)
 
 
 def reduce_series(f: list, ell: int, precision: int) -> list[int]:
@@ -250,9 +226,7 @@ def frobenius_congruence_check(alpha: Rational, ell: int, r: int,
     independent of the descent backend (which is built on this very
     congruence and would make the comparison circular).
     """
-    f = as_fraction(alpha)
-    if f.denominator % ell == 0:
-        raise NotEllIntegralError(f"alpha not {ell}-integral")
+    f = ell_integral(alpha, ell)
     if r < 1:
         raise ValueError("r must be >= 1")
     lhs = reduce_series(eta_power_rational(ell ** r * f, trunc), ell, r)

@@ -1,4 +1,9 @@
+import contextlib
+import functools
+import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -32,6 +37,31 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+@functools.cache
+def run_once(*argv):
+    """(exit code, stdout) of one in-process run, shared by the tests that
+    ask for the same argv (the 57/61 search takes seconds)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def readme_cli_lines():
+    """(argv, exit code) of each `etacong` line in the README's CLI block:
+    the code its comment names as "exit N", else 0."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "etacong", line
+        exit_code = re.search(r"\bexit (\d+)", comment)
+        lines.append((argv, int(exit_code.group(1)) if exit_code else EXIT_OK))
+    return lines
+
+
 def test_parse_modulus():
     assert parse_modulus("17^2") == (17, 2)
     assert parse_modulus("5**3") == (5, 3)
@@ -63,25 +93,52 @@ def test_coeffs_residue_headline(capsys):
     assert row.startswith("286 0 ")
 
 
+def coeffs_rows(out, fmt):
+    """(n, value, precision) rows of a coeffs --mod run."""
+    if fmt == "json":
+        return [(c["n"], c["value"], c["precision"])
+                for c in json.loads(out)["coeffs"]]
+    return [(int(n), int(value), int(p.rstrip(")")))
+            for n, value, _, p in (line.split() for line in out.splitlines())]
+
+
 @pytest.mark.parametrize("fmt", ["plain", "json"])
 def test_coeffs_beyond_the_fft_modulus_take_the_ledger(capsys, fmt):
-    # 5^15 > 2^33 is past the descent's FFT backend, so "auto" picks the
-    # padded ledger recurrence, whose precision varies with n
+    # 5^15 > 2^33 is past the descent's FFT backend, so the padded ledger
+    # recurrence answers; its residues carry 15 digits like the descent's
     code, out = run(capsys, "coeffs", "--alpha", "1/2", "--mod", "5^15",
                     "--trunc", "60", "--format", fmt)
     assert code == EXIT_OK
-    if fmt == "json":
-        rows = [(c["n"], c["value"], c["precision"])
-                for c in json.loads(out)["coeffs"]]
-    else:
-        rows = [(int(n), int(value), int(p.rstrip(")")))
-                for n, value, _, p in (line.split() for line in out.splitlines())]
+    rows = coeffs_rows(out, fmt)
     exact = reduce_series(eta_power_rational(Fraction(1, 2), 60), 5, 15)
     assert [(n, value) for n, value, _ in rows] == list(enumerate(exact))
-    precisions = [p for _, _, p in rows]
-    assert rows[0] == (0, 1, 29)
-    assert min(precisions) >= 15
-    assert len(set(precisions)) > 1
+    assert [p for _, _, p in rows] == [15] * 61
+    # the truncation changes the ledger's padding, not what it prints
+    code, short = run(capsys, "coeffs", "--alpha", "1/2", "--mod", "5^15",
+                      "--trunc", "12", "--format", fmt)
+    assert code == EXIT_OK
+    assert coeffs_rows(short, fmt) == rows[:13]
+    if fmt == "plain":
+        assert short.splitlines() == out.splitlines()[:13]
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--alpha", " 2/4", "--trunc", "2", "--format", "json"),
+    ("coeffs", "--alpha", "2/4", "--mod", "7", "--trunc", "2",
+     "--format", "json"),
+    ("scan", "--alpha", "2/4", "--ell", "7", "--N", "5", "--format", "json"),
+], ids=["coeffs-exact", "coeffs-mod", "scan"])
+def test_json_payloads_print_the_canonical_alpha(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["alpha"] == "1/2"
+
+
+def test_scan_plain_header_prints_the_canonical_alpha(capsys):
+    code, out = run(capsys, "scan", "--alpha", " -4/2", "--ell", "7",
+                    "--N", "5")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "alpha = -2, ell^v = 7^1, N = 5"
 
 
 def test_coeffs_trunc_cap(capsys):
@@ -117,7 +174,7 @@ def test_scan_plain(capsys):
 
 
 def test_search_json_headline(capsys):
-    code, out = run(capsys, "search", "--alpha", "57/61", "--format", "json")
+    code, out = run_once("search", "--alpha", "57/61", "--format", "json")
     assert code == EXIT_OK
     data = json.loads(out)
     strongest = [e for e in data["results"]
@@ -129,6 +186,34 @@ def test_search_json_headline(capsys):
     assert strongest[0]["claim"]["offset"] == 286
     # byte for byte the checked-in oracle the benchmark compares against
     assert out == (ROOT / "bench" / "data" / "search_57_61.json").read_text()
+
+
+def test_search_allows_ell_2_and_3_only_on_request(capsys):
+    code, out = run(capsys, "search", "--alpha", "3", "--lmax", "3",
+                    "--allow-ell-2-3", "--format", "json")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    # 24 - 3 = 3 * 7; 3^2 divides the weight-24 Gram determinant 83041344
+    assert [(e["claim"]["ell"], e["certificate"]["k"], e["certificate"]["r"])
+            for e in data["results"]] == [(3, 1, 1)]
+    assert [(r["ell"], r["k"], r["reason"].split(":")[0])
+            for r in data["rejections"]] == [(2, 1, "cond1 failed"),
+                                             (3, 2, "cond3 failed")]
+    claims = [claim_from_dict(e["claim"]) for e in data["results"]]
+    code, out = run(capsys, "search", "--alpha", "22", "--lmax", "3",
+                    "--allow-ell-2-3", "--format", "json")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    emitted = [claim_from_dict(e["claim"]) for e in data["results"]]
+    assert [c.describe() for c in emitted] == ["p_22(2n + 1) == 0 (mod 2)"]
+    for claim in claims + emitted:
+        assert verify_claim(claim, 2000).verified
+    for alpha in ("3", "22"):
+        code, out = run(capsys, "search", "--alpha", alpha, "--lmax", "3",
+                        "--format", "json")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert (data["results"], data["rejections"]) == ([], [])
 
 
 def test_filtration_table(capsys):
@@ -232,6 +317,44 @@ def test_hecke_refuses_a_basis_past_the_trunc_cap(capsys, monkeypatch, cap):
         assert (code, built, captured.out) == (EXIT_USAGE, [], "")
         assert captured.err == ("error: hecke needs an exact basis to 9 "
                                 "coefficients, above the cap 8\n")
+
+
+@pytest.mark.parametrize("cap", [144, 143])
+def test_filtration_refuses_a_series_past_the_trunc_cap(capsys, monkeypatch,
+                                                        cap):
+    # ell = 41, Delta^2, default 40 iterations: nominal weight 24 + 40 * 42,
+    # a series to 1704 // 12 + 2 = 144 coefficients
+    build = modforms.delta_power
+    built = []
+
+    def counted(d, trunc):
+        built.append(trunc)
+        return build(d, trunc)
+
+    monkeypatch.setattr(cli, "delta_power", counted)
+    monkeypatch.setattr(cli, "HARD_TRUNC_CAP", cap)
+    code = main(["filtration", "--ell", "41", "--delta", "2"])
+    captured = capsys.readouterr()
+    if cap == 144:
+        assert (code, built, captured.err) == (EXIT_OK, [144], "")
+    else:
+        assert (code, built, captured.out) == (EXIT_USAGE, [], "")
+        assert captured.err == ("error: filtration needs an exact series to "
+                                "144 coefficients, above the cap 143\n")
+
+
+def test_filtration_refuses_the_default_iterations_at_a_large_prime(
+        capsys, monkeypatch):
+    # ell - 1 = 10006 iterations would need a series to 8345007 coefficients
+    def refuse(d, trunc):
+        raise AssertionError(f"built Delta^{d} to {trunc}")
+
+    monkeypatch.setattr(cli, "delta_power", refuse)
+    code = main(["filtration", "--ell", "10007"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err == ("error: filtration needs an exact series to "
+                            "8345007 coefficients, above the cap 10000\n")
 
 
 @pytest.mark.parametrize("argv", [("--iters", "0"), ()],
@@ -388,3 +511,11 @@ def test_readme_library_example_runs():
     blocks = readme.split("```python\n")[1:]
     assert len(blocks) == 1
     exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("argv, exit_code", readme_cli_lines(),
+                         ids=lambda v: " ".join(v) if isinstance(v, list)
+                         else None)
+def test_readme_cli_block_runs(argv, exit_code):
+    # each line of the README's CLI block exits as its comment says
+    assert run_once(*argv)[0] == exit_code

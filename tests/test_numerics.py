@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from etacong.numerics import (
     INFINITE_VALUATION,
+    NotEllIntegralError,
     as_fraction,
+    ell_integral,
     ell_valuation,
     factorial_valuation,
     legendre_symbol,
@@ -15,6 +17,13 @@ from etacong.numerics import (
     primes_up_to,
     psi,
 )
+
+
+def test_ell_integral():
+    assert ell_integral(" 2/4", 3) == Fraction(1, 2)
+    assert ell_integral(-7, 2) == Fraction(-7)
+    with pytest.raises(NotEllIntegralError, match="alpha not 61-integral"):
+        ell_integral(Fraction(57, 61), 61)
 
 
 def test_ell_valuation_examples():

@@ -12,7 +12,11 @@ from etacong._convolve import (
     convolve_mod,
     product_bytes,
 )
-from etacong.numerics import MemoryLimitError, NotEllIntegralError
+from etacong.numerics import (
+    MemoryLimitError,
+    NotEllIntegralError,
+    PrecisionError,
+)
 from etacong.qseries import (
     divisor_sum_table,
     eta_power_mod,
@@ -142,13 +146,15 @@ def test_descent_beyond_int64_square_matches_partition_numbers():
 
 
 def test_eta_power_mod_headline_coefficient():
-    values, digits = eta_power_mod(Fraction(57, 61), 17, 2, 300)
+    values = eta_power_mod(Fraction(57, 61), 17, 2, 300)
     assert values[286] == 0
-    assert digits[286] >= 2
+    # one plain list of least residues mod 17^2, no digit annotation
+    assert type(values) is list and len(values) == 301
+    assert all(0 <= v < 17 ** 2 for v in values)
 
 
 def test_eta_power_mod_ramanujan_progression():
-    values, _ = eta_power_mod(-1, 5, 1, 100)
+    values = eta_power_mod(-1, 5, 1, 100)
     for n in range(4, 101, 5):
         assert values[n] == 0
 
@@ -160,10 +166,31 @@ def test_eta_power_mod_ramanujan_progression():
 def test_eta_power_mod_matches_rational_oracle(alpha, ell, r):
     t = 150
     exact = reduce_series(eta_power_rational(alpha, t), ell, r)
-    for method in ("descent", "ledger"):
-        values, digits = eta_power_mod(alpha, ell, r, t, method=method)
-        assert values == exact
-        assert all(p >= r for p in digits)
+    # both routes, each returning least residues mod ell^r
+    assert eta_power_residues(alpha, ell, r, t).tolist() == exact
+    assert qseries._eta_power_mod_ledger(alpha, ell, r, t) == exact
+    assert eta_power_mod(alpha, ell, r, t) == exact
+
+
+@pytest.mark.parametrize("alpha,ell,r", [(Fraction(1, 2), 5, 15),
+                                         (Fraction(57, 61), 17, 9)])
+def test_eta_power_mod_above_the_fft_modulus_takes_the_ledger(alpha, ell, r):
+    # ell^r > 2^33: the descent refuses it, eta_power_mod takes the ledger
+    t = 60
+    with pytest.raises(PrecisionError):
+        eta_power_residues(alpha, ell, r, t)
+    exact = reduce_series(eta_power_rational(alpha, t), ell, r)
+    assert eta_power_mod(alpha, ell, r, t) == exact
+
+
+@pytest.mark.parametrize("route", [eta_power_residues,
+                                   qseries._eta_power_mod_ledger,
+                                   eta_power_mod])
+def test_both_routes_refuse_a_negative_truncation(route):
+    with pytest.raises(ValueError, match="truncation must be >= 0"):
+        route(Fraction(1, 2), 5, 2, -1)
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        route(Fraction(1, 2), 5, 0, 10)
 
 
 def test_eta_power_mod_rejects_bad_prime():
@@ -171,11 +198,14 @@ def test_eta_power_mod_rejects_bad_prime():
         eta_power_mod(Fraction(57, 61), 61, 1, 10)
     with pytest.raises(NotEllIntegralError):
         eta_power_residues(Fraction(57, 61), 61, 1, 10)
+    with pytest.raises(NotEllIntegralError):
+        qseries._eta_power_mod_ledger(Fraction(57, 61), 61, 1, 10)
 
 
 def test_eta_power_residues_matches_object_route():
+    # the descent's int64 array against the ledger's list
     vals = eta_power_residues(Fraction(-3, 4), 7, 2, 80)
-    values, _ = eta_power_mod(Fraction(-3, 4), 7, 2, 80)
+    values = qseries._eta_power_mod_ledger(Fraction(-3, 4), 7, 2, 80)
     assert [int(v) for v in vals] == values
 
 
@@ -191,17 +221,18 @@ def test_frobenius_congruence(alpha, ell, r):
 def test_frobenius_congruence_ledger_route_agrees():
     # both sides of the congruence from the ledger route, for alpha = 1/2
     # mod 5 to 60 coefficients
-    lhs = eta_power_mod(Fraction(5, 2), 5, 1, 60, "ledger")[0]
-    inner = eta_power_mod(Fraction(1, 2), 5, 1, 12, "ledger")[0]
+    lhs = qseries._eta_power_mod_ledger(Fraction(5, 2), 5, 1, 60)
+    inner = qseries._eta_power_mod_ledger(Fraction(1, 2), 5, 1, 12)
     rhs = [0] * 61
     rhs[::5] = inner
     assert lhs == rhs
 
 
 def test_residue_series_multiplication_tracks_precision():
-    f, f_digits = eta_power_mod(Fraction(1, 2), 5, 2, 20)
-    g, g_digits = eta_power_mod(Fraction(-1, 2), 5, 2, 20)
-    assert min(f_digits + g_digits) >= 2
+    # one factor from each route, both least residues mod 5^2
+    f = eta_power_residues(Fraction(1, 2), 5, 2, 20)
+    g = qseries._eta_power_mod_ledger(Fraction(-1, 2), 5, 2, 20)
+    assert all(0 <= v < 5 ** 2 for v in [*f.tolist(), *g])
     prod = convolve_mod(f, g, 5 ** 2, 21)
     assert prod[0] == 1
     for n in range(1, 21):
