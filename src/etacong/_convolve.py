@@ -19,6 +19,8 @@ A call where even one pair at the most limbs would pass the limit (for
 any modulus below ``FFT_MODULUS_LIMIT``, not before 2^27 coefficients) is
 refused before transforming, and every rounded value is still checked to
 lie within 0.25 of an integer; both checks raise ``PrecisionError``.
+``fixed_operand_mod`` serves many products by one fixed operand through
+the same kernel: that operand's limb spectra are computed once.
 ``binary_power`` is the one square-and-multiply loop; every power in the
 package goes through it, and ``inverse_mod`` inverts a series by Newton
 iteration on top of ``convolve_mod``.
@@ -190,21 +192,46 @@ def product_bytes(n_out, m):
     return spectra * spectrum + 4 * 8 * n_out
 
 
-def _convolve_fft_mod(a, b, m, n_out):
-    length = _fft_length(len(a) + len(b) - 1)
-    short = min(len(a), len(b))
-    limbs, bits = _limb_layout(m, short)
+def _fft_layout(m, len_a, len_b):
+    """(length, short, limbs, bits) of a product of len_a by len_b
+    coefficients mod m: the FFT length, the shorter operand's length and
+    ``_limb_layout``'s limbs for it."""
+    short = min(len_a, len_b)
+    return (_fft_length(len_a + len_b - 1), short) + _limb_layout(m, short)
+
+
+def _limb_spectra(x, m, layout):
+    length, _, limbs, bits = layout
+    return [np.fft.rfft(limb, length)
+            for limb in _balanced_limbs(x, m, limbs, bits)]
+
+
+def _convolve_fft_mod(a, b, m, n_out, fixed=None):
+    """a * b mod m to n_out coefficients by limb-split real FFTs.
+
+    ``fixed`` is ``(layout, spectra)``, b's limb spectra at a layout that
+    covers a, from ``fixed_operand_mod``; they are read, never changed.
+    """
+    if fixed is None:
+        layout = _fft_layout(m, len(a), len(b))
+        fb = None
+    else:
+        layout, fb = fixed
+        # _pairs_spectrum clears the slots of the list it is given
+        fb = list(fb)
+    length, short, limbs, bits = layout
     # limb pairs one inverse transform may sum: group * pair bound < limit
     group = (ROUNDING_LIMIT - 1) // (4 ** (bits - 1) * short)
     lift = -(-ROUNDING_LIMIT // m) * m
-    fa = [np.fft.rfft(x, length) for x in _balanced_limbs(a, m, limbs, bits)]
-    fb = fa if b is a else [
-        np.fft.rfft(x, length) for x in _balanced_limbs(b, m, limbs, bits)]
+    fa = _limb_spectra(a, m, layout)
+    if fb is None:
+        fb = fa if b is a else _limb_spectra(b, m, layout)
     out = None
     for s in range(2 * limbs - 1):
         low, high = max(0, s - limbs + 1), min(s, limbs - 1) + 1
         shift = pow(2, bits * s, m)
         for first in range(low, high, group):
+            # in place only on fa, a's own spectra, never on a fixed fb
             residues = _exact_residues(
                 _pairs_spectrum(fa, fb, s, first, min(first + group, high)),
                 length, n_out, m, lift)
@@ -217,22 +244,57 @@ def _convolve_fft_mod(a, b, m, n_out):
     return out
 
 
+def _fft_modulus(m):
+    m = int(m)
+    if m >= FFT_MODULUS_LIMIT:
+        raise ValueError("modulus too large for the fft backend")
+    return m
+
+
+def _is_direct(len_a, len_b, m):
+    """Whether np.convolve's int64 sums stay exact and beat FFT set-up."""
+    return (min(len_a, len_b) * (m - 1) ** 2 < (1 << 62)
+            and max(len_a, len_b) <= _DIRECT_SIZE_LIMIT)
+
+
 def convolve_mod(a, b, m, n_out):
     """Truncated convolution of int64 arrays, reduced mod m (exact).
 
     Requires 0 <= entries < m.  For m beyond FFT_MODULUS_LIMIT use
     convolve_exact and reduce.
     """
-    m = int(m)
-    if m >= FFT_MODULUS_LIMIT:
-        raise ValueError("modulus too large for the fft backend")
+    m = _fft_modulus(m)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     n_out = min(n_out, len(a) + len(b) - 1)
-    small = min(len(a), len(b))
-    if small * (m - 1) ** 2 < (1 << 62) and max(len(a), len(b)) <= _DIRECT_SIZE_LIMIT:
+    if _is_direct(len(a), len(b), m):
         return np.convolve(a, b)[:n_out] % m
     return _convolve_fft_mod(a, b, m, n_out)
+
+
+def fixed_operand_mod(b, m, n_out):
+    """The product a -> convolve_mod(a, b, m, n_out) for a fixed b.
+
+    b's limb spectra are computed once, at the layout of an n_out-long a,
+    and every product transforms only its own a (cut to n_out
+    coefficients, which is all the truncated product reads).  Short
+    products take the direct path, as in ``convolve_mod``.
+    """
+    m = _fft_modulus(m)
+    b = np.asarray(b, dtype=np.int64)[:n_out]
+    fixed = None
+    if not _is_direct(n_out, len(b), m):
+        layout = _fft_layout(m, n_out, len(b))
+        fixed = (layout, _limb_spectra(b, m, layout))
+
+    def times_b(a):
+        a = np.asarray(a, dtype=np.int64)[:n_out]
+        if fixed is None:
+            return np.convolve(a, b)[:n_out] % m
+        return _convolve_fft_mod(a, b, m, min(n_out, len(a) + len(b) - 1),
+                                 fixed)
+
+    return times_b
 
 
 def binary_power(base, exponent, result, mul):

@@ -35,6 +35,7 @@ from .qseries import (
 from .modforms import (
     DEFAULT_MAX_WEIGHT,
     check_filtration_prime,
+    check_kernel_prime,
     delta,
     delta_power,
     dim_cusp_forms,
@@ -255,6 +256,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.max_weight < 12:
+        raise UsageError("--max-weight must be >= 12")
     result = search_good_congruences(
         as_fraction(args.alpha), ell_max=args.ell_max,
         max_weight=args.max_weight, allow_small_primes=args.allow_small_primes)
@@ -390,6 +393,8 @@ def cmd_hecke(args) -> int:
         raise UsageError("weight must be even and nonnegative")
     if args.m_max is not None and args.m_max < 1:
         raise UsageError("--m-max must be >= 1")
+    if args.ell is not None:
+        check_kernel_prime(args.ell, "hecke --ell")
     d = dim_cusp_forms(weight)
     m_max = args.m_max if args.m_max is not None else d
     exact = weight <= EXACT_DET_WEIGHT

@@ -210,6 +210,9 @@ def search_good_congruences(alpha: Rational, ell_max: int | None = None,
     with the failing condition; a candidate beyond the weight cap becomes an
     error entry rather than a global failure.
     """
+    if max_weight < 12:
+        # every cond3 weight is 12k >= 12: a lower cap decides no candidate
+        raise ValueError("max_weight must be >= 12")
     f = as_fraction(alpha)
     alpha_str = str(f)
     bound = good_prime_bound(f)

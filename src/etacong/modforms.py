@@ -14,9 +14,17 @@ of det A exactly when it divides det G, which is the divisibility the
 good-prime test needs.
 
 Exact (big-integer) arithmetic is used for small weights; the search-scale
-path reduces everything mod ell up front and works on numpy arrays.  On
-both paths the caller builds the echelon basis once, at the horizon it
-needs, and passes it to each Hecke matrix; nothing is cached between calls.
+path reduces everything mod ell up front and works on numpy arrays.  The
+two paths compute G differently.  The exact one builds the matrices
+T_1..T_d on the echelon basis and sums Tr(T_m T_n) over them.  The mod-ell
+one uses the trace t(N) = Tr T_N: at level one T_m T_n is the sum over
+e | (m, n) of e^(k-1) T_(mn/e^2), so G[m][n] = sum e^(k-1) t(mn/e^2).  The
+trace form sum t(N) q^N lies in S_k, so t up to d^2 is one combination of
+the d basis rows, with weights t(1..d) read off the same rows; no Hecke
+matrix is formed.  The mod-ell basis takes E4 and E6 from a divisor sieve
+mod ell and computes the limb spectra of its fixed factor X = Delta / E4^3
+once.  On both paths the caller builds the echelon basis once, at the
+horizon it needs; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from ._convolve import (
     convolve_exact,
     convolve_mod,
     eta_integer_power_mod,
+    fixed_operand_mod,
     inverse_mod,
     power_mod,
 )
@@ -280,34 +289,77 @@ def _delta_mod(ell: int, n_out: int) -> np.ndarray:
     return dlt
 
 
-def _vm_cusp_basis_mod(weight: int, trunc: int, ell: int):
+def _eisenstein_mod(weight: int, ell: int, trunc: int) -> np.ndarray:
+    """E4 or E6 mod ell to trunc + 1 coefficients, by a divisor sieve.
+
+    sigma_(w-1)(n) sums dd^(w-1) over the divisors dd of n <= T = trunc.
+    Each dd <= s = isqrt(T) is added into its multiples; each larger
+    divisor dd = n/k has its cofactor k <= T/(s+1) <= s, so for each k the
+    powers of every dd in (s, T/k] are added into the k*dd at once: about
+    2s Python steps.  Exact for ell < 2^33: a sum of at most tau(n) terms
+    below ell stays far inside int64, and the powers are taken in Python
+    ints where (ell - 1)^2 would pass it.
+    """
+    scale = {4: 240, 6: -504}.get(weight)
+    if scale is None:
+        raise ValueError("only weights 4 and 6 are generators")
+    sig = np.zeros(trunc + 1, dtype=np.int64)
+    s = math.isqrt(trunc)
+    for dd in range(1, s + 1):
+        sig[dd::dd] += pow(dd, weight - 1, ell)
+    wide = (ell - 1) ** 2 >= 1 << 63
+    base = np.arange(s + 1, trunc + 1, dtype=object if wide else np.int64)
+    base %= ell
+    powers = base
+    for _ in range(weight - 2):
+        powers = powers * base % ell
+    powers = powers.astype(np.int64)
+    for k in range(1, trunc // (s + 1) + 1):
+        top = trunc // k
+        sig[k * (s + 1):k * top + 1:k] += powers[:top - s]
+    # |scale| < 2^9, so the signed product stays below 2^42; % is floored
+    series = sig % ell * scale % ell
+    series[0] = 1 % ell
+    return series
+
+
+def _cusp_generators_mod(ell: int, n_out: int):
+    """E4, E6 and the product by X = Delta / E4^3 mod ell, to n_out
+    coefficients: what the mod-ell basis of every weight shares.  E4^3 has
+    constant term 1, a unit for every ell."""
+    e4 = _eisenstein_mod(4, ell, n_out - 1)
+    x = convolve_mod(_delta_mod(ell, n_out),
+                     inverse_mod(power_mod(e4, 3, ell, n_out), ell, n_out),
+                     ell, n_out)
+    return e4, _eisenstein_mod(6, ell, n_out - 1), fixed_operand_mod(
+        x, ell, n_out)
+
+
+def _vm_cusp_basis_mod(weight: int, trunc: int, ell: int, generators=None):
     """Cuspidal echelon basis rows reduced mod ell (d x (trunc+1) int64).
 
     Row j of the spanning set is Delta^j E4^(a0-3j) E6^b = P X^j with
-    P = E4^a0 E6^b and X = Delta / E4^3, so each row is one product with X
-    (E4^3 has constant term 1, a unit for every ell).  The lead block
+    P = E4^a0 E6^b and X = Delta / E4^3, so each row is one product with X,
+    whose limb spectra are computed once.  The lead block
     U = basis[:, 1:d+1] is unit upper triangular, so U^-1 @ basis is the
-    reduced echelon form.
+    reduced echelon form.  ``generators`` is
+    ``_cusp_generators_mod(ell, trunc + 1)``, passed by a caller that
+    builds bases of several weights at one horizon.
     """
     d = dim_cusp_forms(weight)
     n_out = trunc + 1
     basis = np.zeros((d, n_out), dtype=np.int64)
     if d == 0:
         return basis
-    # reduced from the exact expansions, so no int64 sum can overflow
-    e4, e6 = (np.array([c % ell for c in eisenstein(w, trunc)],
-                       dtype=np.int64) for w in (4, 6))
     if _monomial_exponents(weight, d) is None:
         raise ArithmeticError("monomial spanning set disagrees with dimension")
+    e4, e6, times_x = generators or _cusp_generators_mod(ell, n_out)
     a0, b = _monomial_exponents(weight, 0)
     row = power_mod(e4, a0, ell, n_out)
     if b:
         row = convolve_mod(row, e6, ell, n_out)
-    x = convolve_mod(_delta_mod(ell, n_out),
-                     inverse_mod(power_mod(e4, 3, ell, n_out), ell, n_out),
-                     ell, n_out)
     for j in range(d):
-        row = convolve_mod(row, x, ell, n_out)
+        row = times_x(row)
         basis[j] = row
     lead = basis[:, 1:d + 1]
     if (np.diagonal(lead) != 1 % ell).any() or np.tril(lead, -1).any():
@@ -361,19 +413,46 @@ def _det_mod(matrix, ell: int) -> int:
     return det
 
 
+def _divisor_scaled_sum(weight: int, ell: int, d: int, term, dims: int):
+    """sum over e <= d of e^(weight-1) * term(e, j), mod ell, placed at the
+    indices (e j_1 - 1, ..., e j_dims - 1): a d^dims int64 array.
+
+    term(e, j) gets j = 1..d//e and returns, on that grid, integers below
+    2^62.  Each scaling is a matmul with inner size 1, exact also where
+    ell^2 > 2^63.
+    """
+    out = np.zeros((d,) * dims, dtype=np.int64)
+    for e in range(1, d + 1):
+        block = term(e, np.arange(1, d // e + 1)) % ell
+        scale = np.array([[pow(e, weight - 1, ell)]], dtype=np.int64)
+        scaled = _matmul_mod(block.reshape(-1, 1), scale, ell)
+        grid = (slice(e - 1, None, e),) * dims
+        out[grid] = (out[grid] + scaled.reshape(block.shape)) % ell
+    return out
+
+
 def gram_determinant_residue(weight: int, ell: int) -> int:
-    """det of the Gram matrix mod ell, via the mod-ell basis (scales to the
-    weights the good-prime search visits)."""
+    """det of the Gram matrix mod ell, from the trace form on the mod-ell
+    basis (scales to the weights the good-prime search visits).
+
+    With t(N) = Tr T_N, T_m T_n = sum over e | (m, n) of e^(k-1) T_(mn/e^2)
+    gives G[m][n] = sum e^(k-1) t(mn/e^2), which reads t to d^2.  The trace
+    form sum t(N) q^N lies in S_k, so it is c @ basis with c_i = t(i) =
+    sum over j of (T_i)_jj = sum over e | (i, j) of e^(k-1) a_(ij/e^2)(f_j).
+    """
     d = dim_cusp_forms(weight)
     if d == 0:
         return 1 % ell
-    basis = _vm_cusp_basis_mod(weight, d * d + 1, ell)
-    mats = np.stack([_hecke_matrix_mod(weight, m, ell, basis)
-                     for m in range(1, d + 1)])
-    # Tr(T_m T_n) as one matmul of the flattened stacks
-    flat = mats.reshape(d, d * d)
-    flat_t = mats.transpose(0, 2, 1).reshape(d, d * d)
-    return _det_mod(_matmul_mod(flat, flat_t.T, ell), ell)
+    basis = _vm_cusp_basis_mod(weight, d * d, ell)
+
+    def diagonal(e, j):  # [i', j'] -> a_(i' j')(f_(e j')), summed over j'
+        return basis[(e * j - 1)[None, :], np.outer(j, j)].sum(axis=1)
+
+    trace = _divisor_scaled_sum(weight, ell, d, diagonal, 1)
+    t = _matmul_mod(trace[None, :], basis, ell)[0]
+    gram = _divisor_scaled_sum(weight, ell, d,
+                               lambda e, j: t[np.outer(j, j)], 2)
+    return _det_mod(gram, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +566,18 @@ def theta(f: list) -> list:
 ZERO_FORM = None  # filtration sentinel for f == 0 mod ell
 
 
+def check_kernel_prime(ell: int, task: str) -> None:
+    """Refuse ell >= 2^33, beyond the moduli of the mod-ell kernel, before
+    any work: ``task`` names what needs it."""
+    if ell >= FFT_MODULUS_LIMIT:
+        raise ValueError(f"{task} requires ell < 2^33")
+
+
 def check_filtration_prime(ell: int) -> None:
     """Refuse ell < 5, and ell >= 2^33, beyond the mod-ell kernel's moduli."""
     if ell < 5:
         raise ValueError("filtration requires ell >= 5")
-    if ell >= FFT_MODULUS_LIMIT:
-        raise ValueError("filtration requires ell < 2^33")
+    check_kernel_prime(ell, "filtration")
 
 
 def filtration(f: list, weight: int, ell: int):
@@ -520,9 +605,10 @@ def filtration(f: list, weight: int, ell: int):
         return ZERO_FORM
     n_out = horizon + 2
     target = convolve_mod(_delta_mod(ell, n_out), reduced, ell, n_out)
+    generators = _cusp_generators_mod(ell, n_out)
     # the even w == weight mod ell - 1; w = 2 gives S_14 = 0, which no f fits
     for w in range(weight % (ell - 1), weight + 1, ell - 1):
-        basis = _vm_cusp_basis_mod(w + 12, n_out - 1, ell)
+        basis = _vm_cusp_basis_mod(w + 12, n_out - 1, ell, generators)
         lead = target[None, 1:basis.shape[0] + 1]
         if np.array_equal(_matmul_mod(lead, basis, ell)[0], target):
             return w

@@ -8,9 +8,13 @@ route the CLI or the search takes.
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from etacong.congruences import SQUARE_CLASS, CongruenceClaim
 from etacong.modforms import (
+    _det_mod,
     _hecke_matrix_mod,
+    _matmul_mod,
     _vm_cusp_basis_mod,
     dim_cusp_forms,
     theta,
@@ -116,6 +120,22 @@ def hecke_ell_vanishes(weight: int, ell: int) -> bool:
     basis = _vm_cusp_basis_mod(weight, ell * d + 1, ell)
     mat = _hecke_matrix_mod(weight, ell, ell, basis)
     return not mat.any()
+
+
+def gram_residue_by_stack(weight: int, ell: int) -> int:
+    """det of the Gram matrix Tr(T_m T_n) mod ell from the d x d x d stack
+    of the Hecke matrices T_1..T_d mod ell, as one matmul of the flattened
+    stack.  Shares the mod-ell basis with gram_determinant_residue, not its
+    trace-form route."""
+    d = dim_cusp_forms(weight)
+    if d == 0:
+        return 1 % ell
+    basis = _vm_cusp_basis_mod(weight, d * d, ell)
+    mats = np.stack([_hecke_matrix_mod(weight, m, ell, basis)
+                     for m in range(1, d + 1)])
+    flat = mats.reshape(d, d * d)
+    flat_t = mats.transpose(0, 2, 1).reshape(d, d * d)
+    return _det_mod(_matmul_mod(flat, flat_t.T, ell), ell)
 
 
 def _product_mod(f, g, ell: int) -> tuple:

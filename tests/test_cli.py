@@ -367,6 +367,19 @@ def test_filtration_beyond_the_kernel_modulus_exits_2(capsys, argv):
     assert captured.err == "error: filtration requires ell < 2^33\n"
 
 
+def test_hecke_beyond_the_kernel_modulus_exits_2_before_any_work(
+        capsys, monkeypatch):
+    # 2^33 + 17 is prime; the Gram residue is taken only below 2^33
+    def refuse(weight, trunc):
+        raise AssertionError(f"built the exact basis of S_{weight}")
+
+    monkeypatch.setattr(cli, "victor_miller_basis", refuse)
+    code = main(["hecke", "--weight", "240", "--ell", "8589934609"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err == "error: hecke --ell requires ell < 2^33\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--alpha", "-1", "--ell", "5", "--offset", "4", "--N", "-5"),
      "--N must be >= 0"),
@@ -374,8 +387,13 @@ def test_filtration_beyond_the_kernel_modulus_exits_2(capsys, argv):
     (("hecke", "--weight", "24", "--m-max", "0"), "--m-max must be >= 1"),
     (("hecke", "--weight", "24", "--m-max", "-3"), "--m-max must be >= 1"),
     (("filtration", "--ell", "5", "--iters", "-2"), "--iters must be >= 0"),
+    (("search", "--alpha", "57/61", "--lmax", "20", "--max-weight", "-5"),
+     "--max-weight must be >= 12"),
+    (("search", "--alpha", "57/61", "--max-weight", "11"),
+     "--max-weight must be >= 12"),
 ], ids=["verify-N", "scan-N", "hecke-m-max-0", "hecke-m-max-negative",
-        "filtration-iters"])
+        "filtration-iters", "search-max-weight-negative",
+        "search-max-weight-11"])
 def test_vacuous_counts_exit_2(capsys, argv, message):
     # each of these would test or print nothing and still exit 0
     code = main(list(argv))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from etacong import congruences
 from etacong.numerics import NotEllIntegralError, psi
 from etacong.congruences import (
     BALANCED,
@@ -183,6 +184,24 @@ def test_negative_counts_are_refused():
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         scan_balanced(-1, 5, 1, -1)
     assert verify_claim(balanced, 0).n_tested == 1
+
+
+def test_vacuous_weight_cap_is_refused(monkeypatch):
+    # every cond3 weight is 12k >= 12, so a lower cap decides no candidate
+    def tried(*args, **kwargs):
+        raise AssertionError("a candidate was tried")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(congruences, "is_good_prime", tried)
+        for cap in (-5, 0, 11):
+            with pytest.raises(ValueError, match="max_weight must be >= 12"):
+                search_good_congruences(Fraction(57, 61), ell_max=20,
+                                        max_weight=cap)
+    capped = search_good_congruences(Fraction(57, 61), ell_max=20,
+                                     max_weight=12)
+    # the lowest cap that decides something: (7, 1) at weight 12
+    assert [(c.ell, c.weight) for c in capped.certificates] == [(7, 12)]
+    assert any("exceeds the cap 12" in r.reason for r in capped.rejections)
 
 
 def test_verify_claim_ramanujan():

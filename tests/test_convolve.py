@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from etacong import _convolve
 from etacong.numerics import PrecisionError
 from etacong._convolve import (
+    _DIRECT_SIZE_LIMIT,
     FFT_MODULUS_LIMIT,
     ROUNDING_LIMIT,
     _balanced_limbs,
@@ -16,6 +17,7 @@ from etacong._convolve import (
     convolve_exact,
     convolve_mod,
     eta_integer_power_mod,
+    fixed_operand_mod,
     inverse_mod,
     pentagonal_mod,
     power_mod,
@@ -250,6 +252,33 @@ def test_fft_counts_per_square_and_product(monkeypatch, m, limbs):
     counts.clear()
     convolve_mod(a, a.copy(), m, FFT_N)
     assert counts == {"rfft": 2 * limbs, "irfft": 2 * limbs - 1}
+
+
+@pytest.mark.parametrize("m, n, limbs", [
+    (5 ** 6, _DIRECT_SIZE_LIMIT, 0),  # the direct path: no transform
+    (5 ** 6, 2000, 1),
+    (5 ** 13, 2000, 2),
+    (2 ** 33 - 9, 40000, 3),  # a prime just below the modulus limit
+])
+def test_fixed_operand_matches_convolve_mod(monkeypatch, m, n, limbs):
+    if limbs:
+        assert n > _DIRECT_SIZE_LIMIT and _limb_layout(m, n)[0] == limbs
+    rng = np.random.default_rng(n)
+    b = np.full(n, m // 2 + 1, dtype=np.int64)  # the centred extreme
+    operands = [rng.integers(0, m, n, dtype=np.int64),
+                np.full(n, m // 2, dtype=np.int64),
+                rng.integers(0, m, n // 3, dtype=np.int64),  # shorter
+                rng.integers(0, m, n + 5, dtype=np.int64)]   # cut to n
+    operands.append(operands[0].copy())
+    wants = [convolve_mod(a[:n], b, m, n).tolist() for a in operands]
+    counts = count_transforms(monkeypatch)
+    times_b = fixed_operand_mod(b, m, n)
+    assert counts["rfft"] == limbs
+    # five products by the same spectra: a product that changed them would
+    # spoil the ones after it
+    assert [times_b(a).tolist() for a in operands] == wants
+    # b was transformed once, each a once per limb
+    assert counts["rfft"] == limbs * (1 + len(operands))
 
 
 # inverse transforms per product when each sums at most `group` limb pairs

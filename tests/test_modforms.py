@@ -37,6 +37,7 @@ from etacong.modforms import (
 from oracles import (
     cusp_divisibility_check,
     filtration_by_rank,
+    gram_residue_by_stack,
     hecke_ell_vanishes,
     monomial_rank,
     theta_fixed_point_check,
@@ -61,6 +62,20 @@ def test_eisenstein_expansions():
     assert eisenstein(6, 3) == [1, -504, -16632, -122976]
     with pytest.raises(ValueError):
         eisenstein(8, 3)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 691, 4294967311, 2 ** 33 - 9])
+def test_eisenstein_sieve_matches_the_exact_series(ell):
+    # horizons at, just below and just above squares, where the sieve's
+    # two loops meet
+    for trunc in (0, 1, 2, 3, 4, 8, 24, 25, 26, 1000):
+        for weight in (4, 6):
+            got = modforms._eisenstein_mod(weight, ell, trunc)
+            assert got.dtype == np.int64
+            assert got.tolist() == [c % ell
+                                    for c in eisenstein(weight, trunc)]
+    with pytest.raises(ValueError):
+        modforms._eisenstein_mod(8, ell, 10)
 
 
 def test_delta_expansion_and_tau():
@@ -181,17 +196,42 @@ def test_gram_determinant_two_routes_weight_24():
     assert gram_determinant(24) == trace * trace - 4 * det
 
 
+# small primes, primes dividing the weight-120 determinant (47, 79), and
+# moduli past 2^31.5, where (ell - 1)^2 no longer fits int64
+GRAM_PRIMES = (2, 3, 5, 7, 13, 47, 79, 179, 431, 4099, 65537, 4294967311,
+               8589934583)
+
+
 def test_gram_residue_matches_exact():
     # at weight 120, 2, 3, 5, 7, 11, 13, 17, 37, 47 and 79 divide it
     cases = [(24, 5), (24, 11), (36, 17), (36, 13)] + [
         (120, ell) for ell in (2, 3, 5, 7, 13, 47, 79, 19, 4099, 65537,
-                               4294967311)]
+                               4294967311)] + [
+        (weight, ell) for weight in (12, 24, 36, 48, 60, 72, 96, 120)
+        for ell in GRAM_PRIMES]
+    exact = {}
     for weight, ell in cases:
-        assert gram_determinant_residue(weight, ell) == \
-            gram_determinant(weight) % ell
+        if weight not in exact:
+            exact[weight] = gram_determinant(weight)
+        assert gram_determinant_residue(weight, ell) == exact[weight] % ell
     assert gram_determinant_residue(36, 17) != 0
     assert gram_determinant_residue(120, 79) == 0
     assert gram_determinant_residue(120, 19) != 0
+
+
+@pytest.mark.parametrize("weight", [12, 24, 132, 240, 396])
+def test_gram_residue_matches_the_stack_oracle(weight):
+    for ell in GRAM_PRIMES:
+        assert gram_determinant_residue(weight, ell) == \
+            gram_residue_by_stack(weight, ell), ell
+
+
+@pytest.mark.parametrize("weight, ell, residue", [(1968, 179, 0),
+                                                  (1728, 431, 391)])
+def test_gram_residue_of_the_search_candidates(weight, ell, residue):
+    # two cond3 decisions of the 57/61 search, a rejection and a certificate
+    assert gram_determinant_residue(weight, ell) == residue
+    assert gram_residue_by_stack(weight, ell) == residue
 
 
 def test_hecke_ell_vanishes_weight_12():
@@ -449,14 +489,20 @@ def test_hecke_matrix_mod_matches_exact(weight):
 @pytest.mark.parametrize("fault, value", [("diagonal", 2), ("below", 1)])
 def test_cusp_basis_mod_refuses_a_bad_lead_block(monkeypatch, fault, value):
     d = dim_cusp_forms(120)
-    convolve = modforms.convolve_mod
+    fixed_operand_mod = modforms.fixed_operand_mod
 
-    def corrupt_last_row(f, g, m, n_out):
-        out = convolve(f, g, m, n_out)
-        if np.flatnonzero(out)[:1].tolist() == [d]:  # the row led by q^d
-            out[d if fault == "diagonal" else 1] = value
-        return out
+    def corrupting(b, m, n_out):
+        # the rows are the products by X, the basis's fixed operand
+        times_b = fixed_operand_mod(b, m, n_out)
 
-    monkeypatch.setattr(modforms, "convolve_mod", corrupt_last_row)
+        def corrupt_last_row(a):
+            out = times_b(a)
+            if np.flatnonzero(out)[:1].tolist() == [d]:  # the row led by q^d
+                out[d if fault == "diagonal" else 1] = value
+            return out
+
+        return corrupt_last_row
+
+    monkeypatch.setattr(modforms, "fixed_operand_mod", corrupting)
     with pytest.raises(ArithmeticError, match="pivot"):
         _vm_cusp_basis_mod(120, d * d + 1, 5)
