@@ -23,7 +23,10 @@ lie within 0.25 of an integer; both checks raise ``PrecisionError``.
 the same kernel: that operand's limb spectra are computed once.
 ``binary_power`` is the one square-and-multiply loop; every power in the
 package goes through it, and ``inverse_mod`` inverts a series by Newton
-iteration on top of ``convolve_mod``.
+iteration on top of ``convolve_mod``.  ``eta_integer_power_mod`` raises
+Euler's pentagonal series to e, or Jacobi's cube (q;q)^3, as sparse, to
+e / 3 when that chain costs fewer transforms (two per square, three per
+product).
 """
 
 from __future__ import annotations
@@ -377,6 +380,31 @@ def pentagonal_mod(m, n_out):
     return out
 
 
+def jacobi_cube_mod(m, n_out):
+    """(q;q)_infinity^3 mod m by Jacobi's identity:
+    sum_(j >= 0) (-1)^j (2j + 1) q^(j(j+1)/2)."""
+    out = np.zeros(n_out, dtype=np.int64)
+    j = 0
+    while j * (j + 1) // 2 < n_out:
+        out[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1) % m
+        j += 1
+    return out
+
+
+def _chain_cost(exponent):
+    """Transforms binary_power spends on a one-limb power: two per square,
+    three per product, for bits(e) - 1 squares and popcount(e) - 1 products."""
+    return 2 * (exponent.bit_length() - 1) + 3 * (bin(exponent).count("1") - 1)
+
+
 def eta_integer_power_mod(exponent, m, n_out):
-    """(q;q)_infinity^exponent mod m for an integer exponent >= 0."""
-    return power_mod(pentagonal_mod(m, n_out), exponent, m, n_out)
+    """(q;q)_infinity^exponent mod m for an integer exponent >= 0.
+
+    A multiple of 3 starts from Jacobi's cube, as sparse as Euler's
+    pentagonal series, when e / 3 takes a cheaper chain than e: 72 becomes
+    J^24, four squares and a product instead of six and a product.
+    """
+    e = operator.index(exponent)
+    if e > 0 and e % 3 == 0 and _chain_cost(e // 3) < _chain_cost(e):
+        return power_mod(jacobi_cube_mod(m, n_out), e // 3, m, n_out)
+    return power_mod(pentagonal_mod(m, n_out), e, m, n_out)

@@ -77,6 +77,9 @@ class CongruenceClaim:
             if (self.stride, self.shift) not in ((24, 1), (8, 1)):
                 raise ValueError("square-class claim needs (stride, shift) in "
                                  "{(24,1), (8,1)}")
+            if self.ell == 2:
+                raise ValueError("square-class claim needs an odd prime: "
+                                 "mod 2 there is no non-residue")
         else:
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -351,18 +354,37 @@ def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationReport:
         return VerificationReport(claim, n_max, "verified", None, tested,
                                   claim.v, time.perf_counter() - started)
     vals = eta_power_residues(f, claim.ell, claim.v, n_max)
-    tested = 0
-    for n in range(n_max + 1):
-        if legendre_symbol(claim.stride * n + claim.shift, claim.ell) != -1:
-            continue
-        tested += 1
-        residue = int(vals[n]) % modulus
-        if residue:
-            return VerificationReport(
-                claim, n_max, "counterexample", (n, n, residue),
-                tested, claim.v, time.perf_counter() - started)
-    return VerificationReport(claim, n_max, "verified", None, tested,
-                              claim.v, time.perf_counter() - started)
+    picked = _nonresidue_indices(claim.stride, claim.shift, claim.ell,
+                                 n_max + 1)
+    residues = vals[picked]
+    hits = np.nonzero(residues)[0]
+    if hits.size:
+        i = int(hits[0])
+        n = int(picked[i])
+        # n_tested counts the non-residue arguments up to the counterexample
+        return VerificationReport(
+            claim, n_max, "counterexample", (n, n, int(residues[i])),
+            i + 1, claim.v, time.perf_counter() - started)
+    return VerificationReport(claim, n_max, "verified", None,
+                              int(picked.size), claim.v,
+                              time.perf_counter() - started)
+
+
+def _nonresidue_indices(stride, shift, ell, count):
+    """The n < count, ascending, with stride*n + shift a quadratic
+    non-residue mod the odd prime ell."""
+    classes = (stride * np.arange(count, dtype=np.int64) + shift) % ell
+    if ell > count:
+        # fewer arguments than residues: one symbol per argument is cheaper
+        symbols = np.array([legendre_symbol(int(c), ell) for c in classes])
+    else:
+        # the ell symbols from the squares of 1..(ell-1)/2, the residues
+        table = np.full(ell, -1, dtype=np.int8)
+        roots = np.arange(1, (ell + 1) // 2, dtype=np.int64)
+        table[roots * roots % ell] = 1
+        table[0] = 0
+        symbols = table[classes]
+    return np.nonzero(symbols == -1)[0]
 
 
 def scan_balanced(alpha: Rational, ell: int, v: int, n_max: int

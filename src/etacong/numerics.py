@@ -123,6 +123,9 @@ def mod_inverse(x: int, modulus: int) -> int:
 
 def legendre_symbol(a: int, ell: int) -> int:
     """(a/ell) in {-1, 0, 1} for an odd prime ell."""
+    if ell < 3 or ell % 2 == 0:
+        # every unit mod 2 is a square: (./2) has no -1 to give
+        raise ValueError(f"the Legendre symbol needs an odd prime, not {ell}")
     a %= ell
     if a == 0:
         return 0

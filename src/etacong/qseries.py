@@ -20,6 +20,9 @@ Three independent routes compute those coefficients:
 
 The first two are O(T^2) exact arithmetic; the descent route is the
 scalable one (FFT-backed) used for searches and brute-force verification.
+Each descent level is one power of (q;q) and one product by the next
+level's series in q^ell, taken one residue class mod ell at a time once
+the classes outgrow the direct product (``_times_dilated``).
 ``eta_power_mod`` returns the residues mod ell^v from the descent while
 ell^v fits its FFT backend and from the ledger above that.
 """
@@ -33,9 +36,11 @@ from operator import mul
 import numpy as np
 
 from ._convolve import (
+    _DIRECT_SIZE_LIMIT,
     FFT_MODULUS_LIMIT,
     convolve_mod,
     eta_integer_power_mod,
+    fixed_operand_mod,
     product_bytes,
 )
 from .numerics import (
@@ -152,11 +157,31 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int):
     out = eta_integer_power_mod(e, m, trunc + 1)
     gamma = (f - e) / m
     if gamma != 0 and trunc >= ell:
-        dilated = np.zeros(trunc + 1, dtype=np.int64)
-        dilated[::ell] = eta_power_residues(
-            ell ** (precision - 1) * gamma, ell, precision, trunc // ell)
-        out = convolve_mod(out, dilated, m, trunc + 1)
+        out = _times_dilated(out, eta_power_residues(
+            ell ** (precision - 1) * gamma, ell, precision, trunc // ell),
+            ell, m)
     return out
+
+
+def _times_dilated(series, inner, ell, m):
+    """series(q) * inner(q^ell) mod m, to len(series) coefficients.
+
+    The product keeps each residue class mod ell to itself: coefficients
+    r, r + ell, ... of the result are series[r::ell] * inner.  Classes
+    longer than the direct path's size limit take one product each by
+    inner's spectra, computed once, and the result is written in place;
+    shorter ones take the one product by inner zero-padded to full length.
+    """
+    width = len(inner)
+    if width > _DIRECT_SIZE_LIMIT:
+        times_inner = fixed_operand_mod(inner, m, width)
+        for r in range(ell):
+            row = series[r::ell]
+            row[:] = times_inner(row)[:len(row)]
+        return series
+    dilated = np.zeros(len(series), dtype=np.int64)
+    dilated[::ell] = inner
+    return convolve_mod(series, dilated, m, len(series))
 
 
 def _eta_power_mod_ledger(alpha: Rational, ell: int, precision: int,

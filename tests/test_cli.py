@@ -403,6 +403,17 @@ def test_vacuous_counts_exit_2(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+def test_square_class_verify_at_ell_2_exits_2(capsys):
+    # no residue mod 2 is a non-residue: the parent reported a
+    # counterexample at n = 0 and exited 4
+    code = main(["verify", "--alpha", "3", "--ell", "2", "--form",
+                 "squareClass", "--stride", "8", "--N", "20"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err == ("error: square-class claim needs an odd prime: "
+                            "mod 2 there is no non-residue\n")
+
+
 def test_fft_rounding_fault_exits_3(capsys, monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft",

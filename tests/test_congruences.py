@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from etacong import congruences
-from etacong.numerics import NotEllIntegralError, psi
+from etacong.numerics import NotEllIntegralError, legendre_symbol, psi
+from etacong.qseries import eta_power_residues
 from etacong.congruences import (
     BALANCED,
     SQUARE_CLASS,
@@ -170,6 +171,47 @@ def test_verify_claim_counterexample():
     report = verify_claim(claim, 10)
     assert report.outcome == "counterexample"
     assert report.counterexample == (0, 1, 1)  # p(1) = 1
+
+
+def square_class_by_loop(claim, n_max):
+    """(outcome, counterexample, n_tested) of a square-class claim, one
+    Legendre symbol per argument."""
+    vals = eta_power_residues(claim.alpha, claim.ell, claim.v, n_max)
+    tested = 0
+    for n in range(n_max + 1):
+        if legendre_symbol(claim.stride * n + claim.shift, claim.ell) == -1:
+            tested += 1
+            if vals[n] % claim.modulus:
+                return "counterexample", (n, n, int(vals[n])), tested
+    return "verified", None, tested
+
+
+@pytest.mark.parametrize("alpha, ell, v, stride, holds", [
+    ("26", 5, 2, 24, True),          # euler family, alpha - 1 = 5^2
+    ("8", 5, 1, 8, True),            # jacobi family, alpha - 3 = 5
+    ("10008", 10007, 1, 24, True),   # more residues than arguments
+    ("-1", 5, 1, 24, False),
+    ("26", 7, 2, 8, False),
+    ("-1", 3, 1, 8, False),
+    ("57/61", 3, 1, 24, True),       # 24n + 1 == 1 (mod 3): nothing tested
+    ("-1", 10007, 1, 8, False),
+])
+def test_square_class_verify_matches_the_loop(alpha, ell, v, stride, holds):
+    claim = CongruenceClaim(variant=SQUARE_CLASS, alpha=alpha, ell=ell, v=v,
+                            stride=stride, shift=1)
+    for n_max in (0, 1, 2 * ell, 700):
+        report = verify_claim(claim, n_max)
+        want = square_class_by_loop(claim, n_max)
+        assert (report.outcome, report.counterexample,
+                report.n_tested) == want, n_max
+    assert report.verified == holds
+
+
+def test_square_class_claims_refuse_ell_2():
+    for stride in (8, 24):
+        with pytest.raises(ValueError, match="odd prime"):
+            CongruenceClaim(variant=SQUARE_CLASS, alpha="3", ell=2, v=1,
+                            stride=stride, shift=1)
 
 
 def test_negative_counts_are_refused():

@@ -19,9 +19,11 @@ from etacong._convolve import (
     eta_integer_power_mod,
     fixed_operand_mod,
     inverse_mod,
+    jacobi_cube_mod,
     pentagonal_mod,
     power_mod,
 )
+from etacong.qseries import eta_power_rational
 
 # one, two and three limbs at FFT_N coefficients.  289 has one limb at any
 # length.  5^6 and 5^14 are held at two and three by hold_limbs, since on
@@ -111,6 +113,49 @@ def test_power_mod_matches_repeated_multiplication():
         direct = convolve_mod(direct, base, 97, 50)
     assert np.array_equal(power_mod(base, 24, 97, 50), direct)
     assert np.array_equal(eta_integer_power_mod(24, 97, 50), direct)
+
+
+@pytest.mark.parametrize("m", [2, 289, 5 ** 13, 2 ** 33 - 9])
+def test_jacobi_cube_is_the_rational_cube(m):
+    want = [c % m for c in eta_power_rational(3, 400)]
+    for n_out in (0, 1, 2, 3, 4, 7, 401):
+        assert jacobi_cube_mod(m, n_out).tolist() == want[:n_out]
+
+
+# top-level descent exponents: 72 for 17^2, 15624 = 5^6 - 1, 32769 for
+# 65537 at alpha = 1/2, which stays on the pentagonal chain
+CHAIN_EXPONENTS = [3, 6, 24, 72, 15624, 32769]
+
+
+@pytest.mark.parametrize("m", [289, 5 ** 13, 5 ** 14, 2 ** 33 - 9])
+@pytest.mark.parametrize("n_out", [1, 2, 512, 513, 10 ** 5])
+def test_eta_integer_power_equals_the_pentagonal_chain(m, n_out):
+    exponents = CHAIN_EXPONENTS
+    if n_out == 10 ** 5:
+        # one, two, three and three limbs at the longest length; there the
+        # long chains run at one limb only, to keep the suite quick
+        assert _limb_layout(m, n_out)[0] == {289: 1, 5 ** 13: 2}.get(m, 3)
+        if m != 289:
+            exponents = [3, 72]
+    for e in exponents:
+        chain = power_mod(pentagonal_mod(m, n_out), e, m, n_out)
+        assert np.array_equal(eta_integer_power_mod(e, m, n_out), chain), e
+
+
+def test_jacobi_seed_only_where_its_chain_is_cheaper(monkeypatch):
+    seeds = []
+    for name in ("jacobi_cube_mod", "pentagonal_mod"):
+        def seed(m, n_out, _name=name, _fn=getattr(_convolve, name)):
+            seeds.append(_name[:3])
+            return _fn(m, n_out)
+        monkeypatch.setattr(_convolve, name, seed)
+    for e in (0, 1, 2, 3, 6, 24, 72, 15624, 32769, 3 * 2 ** 10):
+        eta_integer_power_mod(e, 97, 50)
+    # 3 * 2^10 costs 10 squares from the cube, 11 squares and a product
+    # from the pentagonal series; 32769 = 2^15 + 1 would cost 47 transforms
+    # as J^10923 against 33
+    assert seeds == ["pen", "pen", "pen", "jac", "jac", "jac", "jac", "jac",
+                     "pen", "jac"]
 
 
 def test_modulus_limit_guard():

@@ -1,11 +1,13 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from etacong import qseries
 from etacong._convolve import (
+    _DIRECT_SIZE_LIMIT,
     _limb_layout,
     binary_power,
     convolve_exact,
@@ -285,6 +287,48 @@ def test_peak_cases_cover_one_two_and_three_limbs():
 @pytest.mark.parametrize("alpha,ell,v,trunc", PEAK_CASES)
 def test_descent_peak_stays_within_product_bytes(alpha, ell, v, trunc):
     # the first FFT-sized call loads numpy.fft
+    eta_power_residues(alpha, ell, v, 1000)
+    tracemalloc.start()
+    try:
+        eta_power_residues(alpha, ell, v, trunc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= product_bytes(trunc + 1, ell ** v)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 17, 101])
+@pytest.mark.parametrize("width", [_DIRECT_SIZE_LIMIT, _DIRECT_SIZE_LIMIT + 1])
+def test_dilated_product_by_class_equals_the_padded_product(ell, width):
+    # width is inner's length, the longest class: 512 takes the padded
+    # product, 513 the class route, at the largest power of ell below 2^33
+    m = ell
+    while m * ell < 2 ** 33:
+        m *= ell
+    assert _limb_layout(m, width)[0] == 2
+    rng = np.random.default_rng(ell * width)
+    inner = rng.integers(0, m, width, dtype=np.int64)
+    series = rng.integers(0, m, ell * width, dtype=np.int64)
+    dilated = np.zeros(len(series), dtype=np.int64)
+    dilated[::ell] = inner
+    want = convolve_mod(series, dilated, m, len(series))
+    # the truncations T with T // ell + 1 == width: every T mod ell on the
+    # class route, whose classes it changes, the two ends on the padded one
+    lengths = range(ell * (width - 1) + 1, ell * width + 1)
+    if width <= _DIRECT_SIZE_LIMIT:
+        lengths = lengths[::ell - 1]
+    for n in lengths:
+        got = qseries._times_dilated(series[:n].copy(), inner, ell, m)
+        assert np.array_equal(got, want[:n]), n
+
+
+@pytest.mark.parametrize("alpha,ell,v,trunc", [
+    (Fraction(57, 61), 2, 12, 40_000),
+    (Fraction(57, 61), 101, 2, 101 * 600),
+])
+def test_class_route_peak_stays_within_product_bytes(alpha, ell, v, trunc):
+    # the top level multiplies by inner(q^ell) one residue class at a time
+    assert trunc // ell + 1 > _DIRECT_SIZE_LIMIT
     eta_power_residues(alpha, ell, v, 1000)
     tracemalloc.start()
     try:

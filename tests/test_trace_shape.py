@@ -1,12 +1,15 @@
 """The traced benchmark result's shape: the span tracer in ``bench/`` around
 a tiny search yields every per-layer metric BENCHMARK.json declares, each
-finite, so a traced run can print them as strict JSON.  Reads ``bench/``
-and changes nothing there.
+finite, so a traced run can print them as strict JSON, and around the tiny
+descents it sees one ``eta_power_residues`` span per level.  Reads
+``bench/`` and changes nothing there.
 """
 
 import json
 import math
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # added by bench/run.py around the tracer's own metrics
@@ -32,3 +35,24 @@ def test_traced_search_carries_every_declared_metric(capsys, monkeypatch):
     # gram_determinant_residue: candidates 5, 7, 11 and 17 reach it
     assert metrics["congruences.is_good_prime.cond3"] == 4
     assert metrics["modforms._vm_cusp_basis_mod.calls"] == 4
+
+
+@pytest.mark.parametrize("workload, calls, depth", [
+    ("verify", 4, 4),     # truncations 58086, 3416, 200, 11 for 17^2
+    ("residues", 12, 6),  # 6 levels for 5^6 to 10^4, 6 for 5^13 to 5000
+])
+def test_traced_descent_spans_every_level(monkeypatch, workload, calls, depth):
+    # a route that skips a level's span fails here, not only in bench/
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+    import workloads
+    from etacong import cli  # noqa: F401  (bound before the tracer patches)
+
+    run, check, _ = workloads.WORKLOADS[workload]
+    params = workloads.make_params(workload, 7, tiny=True)
+    with spans.Tracer() as tracer:
+        outputs = run(params)
+    metrics = tracer.metrics()
+    assert check(params, outputs)[1] == 0
+    assert metrics["qseries.eta_power_residues.calls"] == calls
+    assert metrics["qseries.eta_power_residues.depth"] == depth
