@@ -27,6 +27,9 @@ iteration on top of ``convolve_mod``.  ``eta_integer_power_mod`` raises
 Euler's pentagonal series to e, or Jacobi's cube (q;q)^3, as sparse, to
 e / 3 when that chain costs fewer transforms (two per square, three per
 product).
+Every other product of residues mod m < 2^33 goes through ``mul_mod``,
+elementwise, or ``_matmul_mod``, float64 BLAS on limbs recombined by
+``mul_mod``.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ FFT_MODULUS_LIMIT = 1 << 33
 _DIRECT_SIZE_LIMIT = 1 << 9
 # every exact coefficient an inverse transform recovers stays below this
 ROUNDING_LIMIT = 1 << 47
+# every float64 product-sum a _matmul_mod limb product forms stays below this
+_MATMUL_LIMIT = 1 << 52
 
 
 def convolve_exact(a, b, n_out):
@@ -162,20 +167,42 @@ def _exact_residues(spectrum, length, n_out, m, lift):
     return residues
 
 
-def _add_scaled(out, residues, shift, m):
-    """out = (out + residues * shift) mod m in place; residues is consumed."""
-    if m * (m - 1) >= 1 << 63:
-        # (m-1)^2 overflows int64: split the shift so that, with m < 2^33,
-        # no product reaches 2^50
-        hi, shift = divmod(shift, 1 << 16)
-        upper = residues * hi
-        upper %= m
-        upper <<= 16
-        out += upper
-        del upper
-    residues *= shift
-    out += residues
-    out %= m
+def mul_mod(a, b, m):
+    """a * b mod m elementwise for int64 residues in [0, m), exact for every
+    m < 2^33 (a larger m raises ValueError): where (m - 1)^2 passes int64,
+    b is split into 16-bit halves, so that no product reaches 2^50."""
+    m = _fft_modulus(m)
+    if (m - 1) ** 2 < 1 << 63:
+        return a * b % m
+    product = a * (b >> 16) % m
+    product <<= 16
+    product += a * (b & 0xFFFF)
+    return product % m
+
+
+def _matmul_mod(a, b, ell):
+    """a @ b mod ell for int64 matrices with entries in [0, ell), ell < 2^33.
+
+    a is cut into the widest w-bit limbs whose float64 BLAS product-sums,
+    nonnegative and at most (min(2^w, ell) - 1)(ell - 1) * inner, stay
+    exact below 2^52: one limb while (ell - 1)^2 * inner does.  ``mul_mod``
+    recombines the limb products.  No width fits past an inner size of
+    about 2^19 near ell = 2^33: ``PrecisionError``.
+    """
+    width = max(1, (ell - 1).bit_length())
+    row_sum = (ell - 1) * max(1, a.shape[-1])
+    bits = width if (ell - 1) * row_sum < _MATMUL_LIMIT else (
+        (_MATMUL_LIMIT - 1) // row_sum + 1).bit_length() - 1
+    if bits < 1:
+        raise PrecisionError(f"matmul mod {ell} out of float64 range")
+    b = b.astype(np.float64)
+    out = None
+    for shift in range(0, width, bits):
+        limb = a if bits == width else (a >> shift) & ((1 << bits) - 1)
+        part = (limb.astype(np.float64) @ b).astype(np.int64) % ell
+        out = part if out is None else (
+            out + mul_mod(part, pow(2, shift, ell), ell)) % ell
+    return out
 
 
 def product_bytes(n_out, m):
@@ -241,7 +268,8 @@ def _convolve_fft_mod(a, b, m, n_out, fixed=None):
             if out is None:
                 out = residues  # shift 0 holds one pair, at weight 2^0
             else:
-                _add_scaled(out, residues, shift, m)
+                out += mul_mod(residues, shift, m)
+                out %= m
             # the next transforms run without this shift's residues
             del residues
     return out

@@ -19,13 +19,11 @@ from fractions import Fraction
 
 from .numerics import (
     MemoryLimitError,
-    NotEllIntegralError,
     PrecisionError,
     as_fraction,
     is_prime,
 )
 from .qseries import (
-    HorizonError,
     eta_power_mod,
     eta_power_rational,
     frobenius_congruence_check,
@@ -409,32 +407,22 @@ def cmd_hecke(args) -> int:
     gram = gram_determinant_of(mats[:d]) if exact else None
     residue = (gram_determinant_residue(weight, args.ell)
                if args.ell is not None else None)
-    # the exact determinant and matrix entries are printed in full, also past
-    # the int-to-str digit limit of Python >= 3.10.7 (4300 digits by default,
-    # which the determinant passes from weight 240 on)
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digit_limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        payload = {
-            "weight": weight, "dim": d,
-            "matrices": {str(m): mats[m - 1] for m in range(1, m_max + 1)},
-            "gramDet": gram,
-        }
-        lines = [f"weight {weight}: dim S = {d}"]
-        for m in range(1, m_max + 1):
-            lines.append(f"  T_{m} = {mats[m - 1]}")
-        if gram is not None:
-            lines.append(f"  gram determinant = {gram}")
-        if args.ell is not None:
-            payload["gramDetResidue"] = residue
-            payload["ell"] = args.ell
-            lines.append(f"  gram determinant mod {args.ell} = {residue}")
-        csv_rows = [("weight", "dim", "gramDet"), (weight, d, gram)]
-        _emit(args, payload, lines, csv_rows)
-    finally:
-        if digit_limit:
-            sys.set_int_max_str_digits(digit_limit)
+    payload = {
+        "weight": weight, "dim": d,
+        "matrices": {str(m): mats[m - 1] for m in range(1, m_max + 1)},
+        "gramDet": gram,
+    }
+    lines = [f"weight {weight}: dim S = {d}"]
+    for m in range(1, m_max + 1):
+        lines.append(f"  T_{m} = {mats[m - 1]}")
+    if gram is not None:
+        lines.append(f"  gram determinant = {gram}")
+    if args.ell is not None:
+        payload["gramDetResidue"] = residue
+        payload["ell"] = args.ell
+        lines.append(f"  gram determinant mod {args.ell} = {residue}")
+    csv_rows = [("weight", "dim", "gramDet"), (weight, d, gram)]
+    _emit(args, payload, lines, csv_rows)
     return EXIT_OK
 
 
@@ -552,9 +540,14 @@ def main(argv=None) -> int:
         "hecke": cmd_hecke,
         "selftest": cmd_selftest,
     }
+    # exact values print in full past Python's int-to-str digit limit (4300
+    # digits from 3.10.7): Gram determinants, p_alpha(n)'s denominators
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    set_digit_limit(0)
     try:
         return handlers[args.command](args)
-    except (UsageError, NotEllIntegralError, HorizonError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PrecisionError as exc:
@@ -563,6 +556,8 @@ def main(argv=None) -> int:
     except MemoryLimitError as exc:
         print(f"memory error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
+    finally:
+        set_digit_limit(digit_limit)
 
 
 if __name__ == "__main__":

@@ -403,13 +403,13 @@ def scan_balanced(alpha: Rational, ell: int, v: int, n_max: int
     vals = np.asarray(eta_power_residues(f, ell, v, top))
     table = vals.reshape(n_max + 1, modulus)
     surviving_offsets = np.nonzero(~table.any(axis=0))[0]
+    try:
+        filt = bool(balanced_prime_admissible(f, ell))
+    except ValueError:
+        filt = True  # filter preconditions unmet; says nothing
     survivors = []
     for c in map(int, surviving_offsets):
         kim = offset_admissible(f, ell, c % ell)
-        try:
-            filt = bool(balanced_prime_admissible(f, ell))
-        except ValueError:
-            filt = True  # filter preconditions unmet; says nothing
         survivors.append(ScanCandidate(
             c, kim, filt, f"empirical ({n_max}-tested)"))
     return survivors

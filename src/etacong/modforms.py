@@ -23,8 +23,10 @@ trace form sum t(N) q^N lies in S_k, so t up to d^2 is one combination of
 the d basis rows, with weights t(1..d) read off the same rows; no Hecke
 matrix is formed.  The mod-ell basis takes E4 and E6 from a divisor sieve
 mod ell and computes the limb spectra of its fixed factor X = Delta / E4^3
-once.  On both paths the caller builds the echelon basis once, at the
-horizon it needs; nothing is cached between calls.
+once.  Its residue products, exact for every ell < 2^33, are
+``_convolve.mul_mod`` (elementwise) and ``_matmul_mod``.  On both paths the
+caller builds the echelon basis once, at the horizon it needs; nothing is
+cached between calls.
 """
 
 from __future__ import annotations
@@ -36,12 +38,14 @@ import numpy as np
 
 from ._convolve import (
     FFT_MODULUS_LIMIT,
+    _matmul_mod,
     binary_power,
     convolve_exact,
     convolve_mod,
     eta_integer_power_mod,
     fixed_operand_mod,
     inverse_mod,
+    mul_mod,
     power_mod,
 )
 from .numerics import (
@@ -258,27 +262,9 @@ def gram_determinant(weight: int) -> int:
 # mod-ell fast path: basis, Hecke stack and Gram determinant as int64 arrays
 # ---------------------------------------------------------------------------
 
-#: exact-sum limits of the two numpy dtypes _matmul_mod can multiply in
-_FLOAT_MATMUL_LIMIT = 1 << 52
-_INT_MATMUL_LIMIT = 1 << 62
 #: columns per block when the basis is solved in place (bounds the float64
 #: copies the solve makes to about d * 4096 * 8 bytes each)
 _SOLVE_BLOCK = 4096
-
-
-def _matmul_mod(a, b, ell: int) -> np.ndarray:
-    """a @ b mod ell, exact, for int64 matrices with entries in [0, ell).
-
-    Every product-sum is below (ell-1)^2 * inner: float64 BLAS when that is
-    below 2^52, int64 below 2^62, Python ints beyond.
-    """
-    magnitude = (ell - 1) ** 2 * a.shape[-1]
-    if magnitude < _FLOAT_MATMUL_LIMIT:
-        prod = np.round(a.astype(np.float64) @ b.astype(np.float64))
-        return prod.astype(np.int64) % ell
-    if magnitude < _INT_MATMUL_LIMIT:
-        return (a @ b) % ell
-    return ((a.astype(object) @ b.astype(object)) % ell).astype(np.int64)
 
 
 def _delta_mod(ell: int, n_out: int) -> np.ndarray:
@@ -297,8 +283,7 @@ def _eisenstein_mod(weight: int, ell: int, trunc: int) -> np.ndarray:
     divisor dd = n/k has its cofactor k <= T/(s+1) <= s, so for each k the
     powers of every dd in (s, T/k] are added into the k*dd at once: about
     2s Python steps.  Exact for ell < 2^33: a sum of at most tau(n) terms
-    below ell stays far inside int64, and the powers are taken in Python
-    ints where (ell - 1)^2 would pass it.
+    below ell stays far inside int64, and the powers go through mul_mod.
     """
     scale = {4: 240, 6: -504}.get(weight)
     if scale is None:
@@ -307,13 +292,9 @@ def _eisenstein_mod(weight: int, ell: int, trunc: int) -> np.ndarray:
     s = math.isqrt(trunc)
     for dd in range(1, s + 1):
         sig[dd::dd] += pow(dd, weight - 1, ell)
-    wide = (ell - 1) ** 2 >= 1 << 63
-    base = np.arange(s + 1, trunc + 1, dtype=object if wide else np.int64)
-    base %= ell
-    powers = base
-    for _ in range(weight - 2):
-        powers = powers * base % ell
-    powers = powers.astype(np.int64)
+    base = np.arange(s + 1, trunc + 1, dtype=np.int64) % ell
+    powers = binary_power(base, weight - 2, base,
+                          lambda f, g: mul_mod(f, g, ell))
     for k in range(1, trunc // (s + 1) + 1):
         top = trunc // k
         sig[k * (s + 1):k * top + 1:k] += powers[:top - s]
@@ -384,9 +365,7 @@ def _hecke_matrix_mod(weight: int, m: int, ell: int, basis) -> np.ndarray:
     for dd in _divisors(m)[1:]:
         rows = n[dd - 1::dd] - 1  # the n <= d divisible by dd, less one
         cols = basis[:, m // dd * n[: len(rows)]].T
-        # scaled as a matmul with inner size 1: exact also where ell^2 > 2^63
-        scale = np.array([[pow(dd, weight - 1, ell)]], dtype=np.int64)
-        scaled = _matmul_mod(cols.reshape(-1, 1), scale, ell).reshape(cols.shape)
+        scaled = mul_mod(cols, pow(dd, weight - 1, ell), ell)
         out[rows] = (out[rows] + scaled) % ell
     return out
 
@@ -405,11 +384,10 @@ def _det_mod(matrix, ell: int) -> int:
             a[[i, pivot]] = a[[pivot, i]]
             det = -det % ell
         det = det * int(a[i, i]) % ell
-        inv = np.array([[mod_inverse(int(a[i, i]), ell)]], dtype=np.int64)
-        a[i:i + 1, i:] = _matmul_mod(inv, a[i:i + 1, i:], ell)
+        a[i, i:] = mul_mod(a[i, i:], mod_inverse(int(a[i, i]), ell), ell)
         # one rank-1 update clears column i below the pivot
         a[i + 1:, i:] = (a[i + 1:, i:]
-                         - _matmul_mod(a[i + 1:, i:i + 1], a[i:i + 1, i:], ell)) % ell
+                         - mul_mod(a[i + 1:, i:i + 1], a[i, i:], ell)) % ell
     return det
 
 
@@ -418,16 +396,14 @@ def _divisor_scaled_sum(weight: int, ell: int, d: int, term, dims: int):
     indices (e j_1 - 1, ..., e j_dims - 1): a d^dims int64 array.
 
     term(e, j) gets j = 1..d//e and returns, on that grid, integers below
-    2^62.  Each scaling is a matmul with inner size 1, exact also where
-    ell^2 > 2^63.
+    2^62.
     """
     out = np.zeros((d,) * dims, dtype=np.int64)
     for e in range(1, d + 1):
         block = term(e, np.arange(1, d // e + 1)) % ell
-        scale = np.array([[pow(e, weight - 1, ell)]], dtype=np.int64)
-        scaled = _matmul_mod(block.reshape(-1, 1), scale, ell)
+        scaled = mul_mod(block, pow(e, weight - 1, ell), ell)
         grid = (slice(e - 1, None, e),) * dims
-        out[grid] = (out[grid] + scaled.reshape(block.shape)) % ell
+        out[grid] = (out[grid] + scaled) % ell
     return out
 
 

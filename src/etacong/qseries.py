@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -73,18 +74,19 @@ def divisor_sum_table(exponent: int, trunc: int) -> list[int]:
 
 
 def _eta_numerators(alpha: Fraction, trunc: int):
-    """Integers u(n) = p_alpha(n) * D(n), where D(n) = b^n prod_{p|b}
-    p^ord_p(n!), b the denominator of alpha, is the denominator of
-    p_alpha(n) in lowest terms.
+    """(u, steps): integers u(n) = p_alpha(n) * D(n), where D(n) = b^n
+    prod_{p|b} p^ord_p(n!), b the denominator of alpha, is the denominator
+    of p_alpha(n) in lowest terms, and the small ints steps[n] = D(n)/D(n-1).
 
     Clearing the predicted denominators keeps the whole recurrence in Z,
-    which is much faster than Fraction arithmetic; every division below is
-    checked to be exact.
+    which is much faster than Fraction arithmetic.  D(n) sum_j sigma(j)
+    c(n - j) is summed by Horner over the steps, with no big division; the
+    one division per n is checked to be exact.
     """
     a, b = alpha.numerator, alpha.denominator
     b_primes = prime_factors(b)
     sigma = divisor_sum_table(1, trunc)
-    dens = [1] * (trunc + 1)
+    steps = [1] * (trunc + 1)
     for n in range(1, trunc + 1):
         step = b
         for p in b_primes:
@@ -92,19 +94,17 @@ def _eta_numerators(alpha: Fraction, trunc: int):
             while nn % p == 0:
                 step *= p
                 nn //= p
-        dens[n] = dens[n - 1] * step
+        steps[n] = step
     u = [1] + [0] * trunc
     for n in range(1, trunc + 1):
         acc = 0
-        dn = dens[n]
-        for j in range(1, n + 1):
-            if u[n - j]:
-                acc += sigma[j] * u[n - j] * (dn // dens[n - j])
+        for sig, x, step in zip(sigma[n:0:-1], u, steps[1:n + 1]):
+            acc = (acc + sig * x) * step
         q, r = divmod(-a * acc, b * n)
         if r:
             raise ArithmeticError("eta recurrence lost integrality")
         u[n] = q
-    return u, dens
+    return u, steps
 
 
 def eta_power_rational(alpha: Rational, trunc: int) -> list:
@@ -113,10 +113,10 @@ def eta_power_rational(alpha: Rational, trunc: int) -> list:
     if trunc < 0:
         raise ValueError("truncation must be >= 0")
     f = as_fraction(alpha)
-    u, dens = _eta_numerators(f, trunc)
+    u, steps = _eta_numerators(f, trunc)
     if f.denominator == 1:
         return u
-    return [Fraction(u[n], dens[n]) for n in range(trunc + 1)]
+    return [Fraction(x, den) for x, den in zip(u, accumulate(steps, mul))]
 
 
 def physical_memory_bytes() -> int | None:

@@ -253,6 +253,25 @@ def test_hecke_prints_determinants_past_the_digit_limit(capsys):
     assert table.splitlines()[-1] == f"120,10,{want}"
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
+def test_coeffs_prints_values_past_the_digit_limit(capsys):
+    # p_alpha(25) has the denominator (10^200)^25 2^22 5^6: over 5000 digits
+    alpha = Fraction(1, 10 ** 200)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run(capsys, "coeffs", "--alpha", str(alpha),
+                        "--trunc", "25")
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        assert code == EXIT_OK
+        want = eta_power_rational(alpha, 25)[25]
+        assert out.splitlines()[25] == f"25 {want}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_hecke_prints_only_the_residue_above_the_exact_weight(capsys,
                                                              monkeypatch):
     def no_exact(*args):

@@ -20,6 +20,7 @@ from etacong._convolve import (
     fixed_operand_mod,
     inverse_mod,
     jacobi_cube_mod,
+    mul_mod,
     pentagonal_mod,
     power_mod,
 )
@@ -162,6 +163,27 @@ def test_modulus_limit_guard():
     with pytest.raises(ValueError, match="modulus too large"):
         convolve_mod(np.ones(4, dtype=np.int64), np.ones(4, dtype=np.int64),
                      1 << 40, 4)
+    with pytest.raises(ValueError, match="modulus too large"):
+        mul_mod(np.ones(4, dtype=np.int64), 1, FFT_MODULUS_LIMIT)
+
+
+# 3037000493 is the largest prime with (m - 1)^2 < 2^63, where the product
+# is taken whole; from the next prime, 3037000507, b is split in 16-bit halves
+@pytest.mark.parametrize("m", [2, 3037000493, 3037000507, 4294967311,
+                               2 ** 33 - 9])
+def test_mul_mod_matches_python_ints(m):
+    rng = np.random.default_rng(m)
+    col = rng.integers(0, m, size=(6, 1), dtype=np.int64)
+    row = rng.integers(0, m, size=(1, 5), dtype=np.int64)
+    col[0, 0] = row[0, 0] = m - 1
+    top = np.full(5, m - 1, dtype=np.int64)
+    for a, b in ((top, top), (col, row), (row, col), (col, m - 1),
+                 (m - 1, row), (row, 1), (row, row)):
+        got = mul_mod(a, b, m)
+        x, y = np.broadcast_arrays(a, b)
+        assert got.dtype == np.int64 and got.shape == x.shape
+        assert got.ravel().tolist() == [
+            int(u) * int(v) % m for u, v in zip(x.ravel(), y.ravel())]
 
 
 def test_convolve_mod_worst_case_beyond_int64_square():

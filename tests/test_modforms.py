@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from etacong import modforms
-from etacong.numerics import NotEllIntegralError
-from etacong._convolve import binary_power, convolve_exact
+from etacong import _convolve, modforms
+from etacong.numerics import NotEllIntegralError, PrecisionError
+from etacong._convolve import binary_power, convolve_exact, mul_mod
 from etacong.qseries import HorizonError, eta_power_rational
 from etacong.modforms import (
     GoodPrimeCertificate,
@@ -206,7 +206,7 @@ def test_gram_residue_matches_exact():
     # at weight 120, 2, 3, 5, 7, 11, 13, 17, 37, 47 and 79 divide it
     cases = [(24, 5), (24, 11), (36, 17), (36, 13)] + [
         (120, ell) for ell in (2, 3, 5, 7, 13, 47, 79, 19, 4099, 65537,
-                               4294967311)] + [
+                               4294967311, 2 ** 33 - 9)] + [
         (weight, ell) for weight in (12, 24, 36, 48, 60, 72, 96, 120)
         for ell in GRAM_PRIMES]
     exact = {}
@@ -421,28 +421,48 @@ def _python_matmul_mod(a, b, ell):
              for col in zip(*b.tolist())] for row in a.tolist()]
 
 
-@pytest.mark.parametrize("ell, inner, limits", [
-    (4099, 30, None),                    # float64 BLAS
-    (4099, 30, (0, 1 << 62)),            # int64, forced
-    (4099, 30, (0, 0)),                  # Python ints, forced
-    (2 ** 29 - 3, 8, None),              # int64: float64 would round
-    (2 ** 31 - 1, 4, None),              # Python ints: int64 would overflow
+# the limbs _matmul_mod splits a into: one while (ell-1)^2 * inner < 2^52
+MATMUL_LIMBS = {
+    (4099, 30): 1,
+    (33554467, 3): 1,           # (ell-1)^2 * inner just below 2^52
+    (33554467, 4): 2,           # and just above
+    (2 ** 29 - 3, 8): 2,        # int64 would not overflow, float64 would round
+    (2 ** 31 - 1, 4): 2,        # int64 would overflow
+    (2 ** 33 - 9, 40000): 11,   # 3-bit limbs at about d^2 for the weight cap
+}
+
+
+@pytest.mark.parametrize("ell, inner, error", [
+    (ell, inner, None) for ell, inner in MATMUL_LIMBS] + [
+    (2 ** 33 - 9, 2 ** 19 + 1, PrecisionError),  # not even 1-bit limbs fit
 ])
-def test_matmul_mod_every_branch_is_exact(monkeypatch, ell, inner, limits):
-    if limits is not None:
-        monkeypatch.setattr(modforms, "_FLOAT_MATMUL_LIMIT", limits[0])
-        monkeypatch.setattr(modforms, "_INT_MATMUL_LIMIT", limits[1])
+def test_matmul_mod_every_branch_is_exact(monkeypatch, ell, inner, error):
+    if error is not None:
+        with pytest.raises(error):
+            _matmul_mod(np.zeros((1, inner), dtype=np.int64),
+                        np.zeros((inner, 1), dtype=np.int64), ell)
+        return
     rng = random.Random(ell + inner)
     a = _random_matrix(rng, 5, inner, ell)
     b = _random_matrix(rng, inner, 7, ell)
     a[0, :] = ell - 1  # the worst case sums to (ell-1)^2 * inner
     b[:, 0] = ell - 1
+    calls = []
+
+    def counted_mul_mod(x, y, m):
+        calls.append(y)
+        return mul_mod(x, y, m)
+
+    # every limb but the lowest is recombined by one mul_mod
+    monkeypatch.setattr(_convolve, "mul_mod", counted_mul_mod)
     got = _matmul_mod(a, b, ell)
+    assert len(calls) + 1 == MATMUL_LIMBS[ell, inner]
     assert got.dtype == np.int64
     assert got.tolist() == _python_matmul_mod(a, b, ell)
 
 
-@pytest.mark.parametrize("ell", [2, 3, 4099, 2 ** 31 - 1])
+@pytest.mark.parametrize("ell", [2, 3, 4099, 2 ** 31 - 1, 4294967311,
+                                 2 ** 33 - 9])
 def test_det_mod_matches_bareiss(ell):
     rng = random.Random(ell)
     for size in range(1, 9):

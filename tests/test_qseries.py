@@ -82,6 +82,20 @@ def test_eta_power_rational_hand_value():
     assert eta_power_rational(Fraction(1, 2), 2)[2] == Fraction(-5, 8)
 
 
+@pytest.mark.parametrize("alpha", [Fraction(57, 61), Fraction(-7, 1000),
+                                   Fraction(3, 997), Fraction(5, 12)])
+def test_eta_power_rational_matches_the_fraction_recurrence(alpha):
+    # n c(n) = -alpha sum_j sigma_1(j) c(n - j), in Fractions throughout
+    trunc = 80
+    sigma = [sum(d for d in range(1, j + 1) if j % d == 0)
+             for j in range(trunc + 1)]
+    c = [Fraction(1)]
+    for n in range(1, trunc + 1):
+        c.append(-alpha * sum(sigma[j] * c[n - j] for j in range(1, n + 1))
+                 / n)
+    assert eta_power_rational(alpha, trunc) == c
+
+
 def test_pentagonal_support():
     series = eta_power_rational(1, 100)
     support = {n for n, c in enumerate(series) if c}
