@@ -256,6 +256,8 @@ def cmd_coeffs(args) -> int:
 def cmd_search(args) -> int:
     if args.max_weight < 12:
         raise UsageError("--max-weight must be >= 12")
+    if args.ell_max is not None and args.ell_max < 2:
+        raise UsageError("--lmax must be >= 2")
     result = search_good_congruences(
         as_fraction(args.alpha), ell_max=args.ell_max,
         max_weight=args.max_weight, allow_small_primes=args.allow_small_primes)

@@ -216,6 +216,9 @@ def search_good_congruences(alpha: Rational, ell_max: int | None = None,
     if max_weight < 12:
         # every cond3 weight is 12k >= 12: a lower cap decides no candidate
         raise ValueError("max_weight must be >= 12")
+    if ell_max is not None and ell_max < 2:
+        # no prime lies below 2: the search would try no candidate
+        raise ValueError("ell_max must be >= 2")
     f = as_fraction(alpha)
     alpha_str = str(f)
     bound = good_prime_bound(f)

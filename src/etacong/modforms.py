@@ -21,7 +21,12 @@ one uses the trace t(N) = Tr T_N: at level one T_m T_n is the sum over
 e | (m, n) of e^(k-1) T_(mn/e^2), so G[m][n] = sum e^(k-1) t(mn/e^2).  The
 trace form sum t(N) q^N lies in S_k, so t up to d^2 is one combination of
 the d basis rows, with weights t(1..d) read off the same rows; no Hecke
-matrix is formed.  The mod-ell basis takes E4 and E6 from a divisor sieve
+matrix is formed.  Before that d x (d^2 + 1) basis, a larger space (d >=
+23) first tries a one-sided proof that ell | det G on a basis to horizon
+2d: det G is the discriminant of the Hecke algebra T, and a T_2 mod ell
+that is not semisimple (its Krylov sequence's minimal polynomial has a
+repeated factor) shows a nilpotent in T (x) F_ell, which the trace form
+kills.  The mod-ell basis takes E4 and E6 from a divisor sieve
 mod ell and computes the limb spectra of its fixed factor X = Delta / E4^3
 once.  Its residue products, exact for every ell < 2^33, are
 ``_convolve.mul_mod`` (elementwise) and ``_matmul_mod``.  On both paths the
@@ -37,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._convolve import (
+    _DIRECT_SIZE_LIMIT,
     FFT_MODULUS_LIMIT,
     _matmul_mod,
     binary_power,
@@ -407,6 +413,65 @@ def _divisor_scaled_sum(weight: int, ell: int, d: int, term, dims: int):
     return out
 
 
+def _poly_rem(a: list, b: list, ell: int) -> list:
+    """a mod b over F_ell; coefficient lists low to high, b's top nonzero.
+    The remainder comes back without trailing zeros ([] for zero)."""
+    a = list(a)
+    inv = mod_inverse(b[-1], ell)
+    while len(a) >= len(b):
+        c = a.pop() * inv % ell
+        shift = len(a) - len(b) + 1
+        for i, x in enumerate(b[:-1]):
+            a[shift + i] = (a[shift + i] - c * x) % ell
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _nilpotent_witness(matrix, ell: int) -> bool:
+    """True when the d x d matrix M mod ell is provably not semisimple.
+
+    Berlekamp-Massey finds the minimal polynomial mu of the 2d scalars
+    u . M^i v for the fixed vectors u = e_1 and v = (1, ..., 1).  mu divides
+    the minimal polynomial of M, which is squarefree when M is semisimple,
+    so a repeated factor of mu, gcd(mu, mu') not constant, is a proof.
+    F_ell is perfect, so the test holds in every degree; mu' = 0 with
+    deg mu >= 1 (mu a polynomial in x^ell) counts too.  False proves
+    nothing.
+    """
+    d = matrix.shape[0]
+    # the Krylov vectors M^i v for i < 2d, doubling their number per step
+    krylov, power = np.ones((d, 1), dtype=np.int64), matrix
+    while krylov.shape[1] < 2 * d:
+        krylov = np.hstack([krylov, _matmul_mod(power, krylov, ell)])
+        power = _matmul_mod(power, power, ell)
+    seq = krylov[0, :2 * d].tolist()
+    # Berlekamp-Massey: before step n, conn = 1 + c_1 x + ... + c_L x^L
+    # (L = length) generates seq[:n], and len(conn) <= L + 1 <= n + 1, so
+    # seq[n - i] never wraps; prev is conn before the last change of L,
+    # last that step's discrepancy and gap the steps since
+    conn, prev, length, gap, last = [1], [1], 0, 1, 1
+    for n in range(2 * d):
+        disc = sum(c * seq[n - i] for i, c in enumerate(conn)) % ell
+        if disc:
+            scale = disc * mod_inverse(last, ell) % ell
+            step = conn + [0] * (len(prev) + gap - len(conn))
+            for i, c in enumerate(prev):
+                step[i + gap] = (step[i + gap] - scale * c) % ell
+            if 2 * length <= n:
+                prev, length, last, gap = conn, n + 1 - length, disc, 0
+            conn = step
+        gap += 1
+    mu = (conn + [0] * (length + 1 - len(conn)))[::-1]  # x^L conn(1/x)
+    deriv = [i * c % ell for i, c in enumerate(mu)][1:]
+    while deriv and not deriv[-1]:
+        deriv.pop()
+    a, b = mu, deriv
+    while b:
+        a, b = b, _poly_rem(a, b, ell)
+    return len(a) > 1
+
+
 def gram_determinant_residue(weight: int, ell: int) -> int:
     """det of the Gram matrix mod ell, from the trace form on the mod-ell
     basis (scales to the weights the good-prime search visits).
@@ -415,10 +480,21 @@ def gram_determinant_residue(weight: int, ell: int) -> int:
     gives G[m][n] = sum e^(k-1) t(mn/e^2), which reads t to d^2.  The trace
     form sum t(N) q^N lies in S_k, so it is c @ basis with c_i = t(i) =
     sum over j of (T_i)_jj = sum over e | (i, j) of e^(k-1) a_(ij/e^2)(f_j).
+
+    Once the basis rows d^2 + 1 pass the direct-product length (d >= 23),
+    a cheap proof of 0 is tried first, on a basis to horizon 2d: det G is
+    the discriminant of the trace form on T = Z[T_1..T_d], and
+    ``_nilpotent_witness`` on T_2 mod ell shows that T (x) F_ell is not a
+    product of fields, so it has a nilpotent, which the trace form kills.
+    Without that proof the trace-form route runs as above.
     """
     d = dim_cusp_forms(weight)
     if d == 0:
         return 1 % ell
+    if d * d + 1 > _DIRECT_SIZE_LIMIT:
+        short = _vm_cusp_basis_mod(weight, 2 * d, ell)
+        if _nilpotent_witness(_hecke_matrix_mod(weight, 2, ell, short), ell):
+            return 0
     basis = _vm_cusp_basis_mod(weight, d * d, ell)
 
     def diagonal(e, j):  # [i', j'] -> a_(i' j')(f_(e j')), summed over j'

@@ -410,9 +410,11 @@ def test_hecke_beyond_the_kernel_modulus_exits_2_before_any_work(
      "--max-weight must be >= 12"),
     (("search", "--alpha", "57/61", "--max-weight", "11"),
      "--max-weight must be >= 12"),
+    (("search", "--alpha", "57/61", "--lmax", "1"), "--lmax must be >= 2"),
+    (("search", "--alpha", "57/61", "--lmax", "-3"), "--lmax must be >= 2"),
 ], ids=["verify-N", "scan-N", "hecke-m-max-0", "hecke-m-max-negative",
         "filtration-iters", "search-max-weight-negative",
-        "search-max-weight-11"])
+        "search-max-weight-11", "search-lmax-1", "search-lmax-negative"])
 def test_vacuous_counts_exit_2(capsys, argv, message):
     # each of these would test or print nothing and still exit 0
     code = main(list(argv))

@@ -18,8 +18,12 @@ from etacong.congruences import (
     square_class_families,
     verify_claim,
 )
-from etacong.modforms import GoodPrimeRejection
-from oracles import integral_prime_bound, square_class_nonvacuous
+from etacong.modforms import GoodPrimeRejection, gram_determinant
+from oracles import (
+    gram_residue_by_stack,
+    integral_prime_bound,
+    square_class_nonvacuous,
+)
 
 
 def test_good_prime_bound():
@@ -244,6 +248,35 @@ def test_vacuous_weight_cap_is_refused(monkeypatch):
     # the lowest cap that decides something: (7, 1) at weight 12
     assert [(c.ell, c.weight) for c in capped.certificates] == [(7, 12)]
     assert any("exceeds the cap 12" in r.reason for r in capped.rejections)
+
+
+def test_vacuous_prime_bound_is_refused(monkeypatch):
+    # no prime lies below 2, so such a search would try no candidate
+    def tried(*args, **kwargs):
+        raise AssertionError("a candidate was tried")
+
+    monkeypatch.setattr(congruences, "is_good_prime", tried)
+    for ell_max in (-3, 0, 1):
+        with pytest.raises(ValueError, match="ell_max must be >= 2"):
+            search_good_congruences(Fraction(57, 61), ell_max=ell_max)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(57, 61), Fraction(3, 997),
+                                   Fraction(-7, 1000), Fraction(-1)],
+                         ids=str)
+def test_cond3_decisions_match_the_stack_and_the_exact_determinant(alpha):
+    # every cond3 outcome of the search, from its witness or its trace form,
+    # against the Hecke-stack Gram and, up to weight 120, the exact one
+    result = search_good_congruences(alpha, max_weight=600)
+    decisions = [(c.ell, c.weight, c.gram_det_residue)
+                 for c in result.certificates] + [
+        (r.ell, 12 * r.k, 0) for r in result.rejections
+        if r.reason.startswith("cond3")]
+    assert result.certificates and decisions
+    for ell, weight, residue in decisions:
+        assert gram_residue_by_stack(weight, ell) == residue, (ell, weight)
+        if weight <= 120:
+            assert gram_determinant(weight) % ell == residue, (ell, weight)
 
 
 def test_verify_claim_ramanujan():

@@ -234,6 +234,95 @@ def test_gram_residue_of_the_search_candidates(weight, ell, residue):
     assert gram_residue_by_stack(weight, ell) == residue
 
 
+def _similar_mod(blocks, ell, seed):
+    """P M P^-1 mod ell for the block-diagonal M of the given blocks and a
+    random unit upper triangular P, as an int64 array: a matrix with M's
+    minimal polynomial whose entries are spread over all of F_ell."""
+    d = sum(len(b) for b in blocks)
+    m = [[0] * d for _ in range(d)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            m[at + i][at:at + len(row)] = row
+        at += len(block)
+    rng = random.Random(seed)
+    p = [[rng.randrange(ell) if c > r else int(c == r) for c in range(d)]
+         for r in range(d)]
+    p_inv = [[int(c == r) for c in range(d)] for r in range(d)]
+    for col in range(d - 1, -1, -1):  # back substitution, unit diagonal
+        for row in range(col - 1, -1, -1):
+            p_inv[row][col] = -sum(p[row][k] * p_inv[k][col]
+                                   for k in range(row + 1, col + 1)) % ell
+
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(r, c)) % ell for c in zip(*b)]
+                for r in a]
+
+    return np.array(mul(mul(p, m), p_inv), dtype=np.int64)
+
+
+def _companion(coeffs):
+    """Companion matrix of x^n - sum c_i x^i, coeffs = (c_0, ..., c_(n-1))."""
+    n = len(coeffs)
+    return [[int(i == j + 1) if j < n - 1 else coeffs[i] for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("blocks, ell, witness", [
+    ([[[3, 1], [0, 3]]], 7, True),                      # Jordan block
+    ([[[1]], [[2]], [[5]]], 7, False),                  # distinct eigenvalues
+    ([_companion([2, 0, 0, 0, 0])], 5, True),           # x^5 - 2, mu' = 0
+    ([_companion([2, 0, 0, 0, 0, 0, 0])], 7, True),     # x^7 - 2, mu' = 0
+    ([[[4]]], 7, False),                                # d = 1
+    ([[[0]]], 7, False),
+    ([_companion([6, 0]), [[0, 1], [0, 0]]], 7, True),  # x^2 + 1 and x^2
+    ([_companion([6, 0]), [[3]]], 7, False),            # irreducible x^2 + 1
+], ids=["jordan", "diagonal", "x^5-2", "x^7-2", "d-1", "zero-1x1",
+        "field-and-nilpotent", "field-and-scalar"])
+def test_nilpotent_witness_on_hand_built_matrices(blocks, ell, witness):
+    assert modforms._nilpotent_witness(
+        _similar_mod(blocks, ell, 0), ell) is witness
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_nilpotent_witness_is_exact_below_2_33(repeated):
+    # 28 distinct eigenvalues plus one 2 x 2 block, conjugated so that the
+    # Krylov products run on full-width residues near 2^33
+    ell = 2 ** 33 - 9
+    last = [[7, 1], [0, 7]] if repeated else [[7, 0], [0, 8]]
+    blocks = [[[ell - 3 * i - 100]] for i in range(28)] + [last]
+    assert modforms._nilpotent_witness(
+        _similar_mod(blocks, ell, 1), ell) is repeated
+
+
+# primes dividing det G at weight 288, 420 or 600 among them: 2, 5, 13, 29,
+# 37, 47, 89, 131, 173 and 239; at (420, 37) T_2 is semisimple mod 37
+WITNESS_PRIMES = (2, 5, 13, 29, 37, 47, 89, 101, 131, 173, 239, 4099, 65537,
+                  2 ** 33 - 9)
+
+
+@pytest.mark.parametrize("weight", [288, 420, 600])
+def test_gram_residue_with_the_witness_matches_the_stack(weight, monkeypatch):
+    # above the gate (d >= 23) every rejection the witness decides skips the
+    # d x d^2 basis; the answer must still be the stack oracle's
+    witness = modforms._nilpotent_witness
+    proofs = []
+
+    def recorded(matrix, ell):
+        proofs.append(witness(matrix, ell))
+        return proofs[-1]
+
+    monkeypatch.setattr(modforms, "_nilpotent_witness", recorded)
+    residues = {ell: gram_determinant_residue(weight, ell)
+                for ell in WITNESS_PRIMES}
+    monkeypatch.undo()
+    assert len(proofs) == len(WITNESS_PRIMES)
+    for (ell, residue), proof in zip(residues.items(), proofs):
+        assert residue == gram_residue_by_stack(weight, ell), ell
+        assert residue == 0 or not proof, ell
+    assert any(proofs)
+
+
 def test_hecke_ell_vanishes_weight_12():
     expected = {2: True, 3: True, 5: True, 7: True, 11: False, 13: False,
                 17: False, 19: False}

@@ -56,3 +56,22 @@ def test_traced_descent_spans_every_level(monkeypatch, workload, calls, depth):
     assert check(params, outputs)[1] == 0
     assert metrics["qseries.eta_power_residues.calls"] == calls
     assert metrics["qseries.eta_power_residues.depth"] == depth
+
+
+@pytest.mark.parametrize("weight, ell, residue, bases, dets", [
+    (1968, 179, 0, 1, 0),    # 57/61's rejection: T_2's witness decides it
+    (1728, 431, 391, 2, 1),  # 57/61's certificate: no witness, Gram route
+])
+def test_traced_cond3_skips_the_long_basis_on_a_witness(
+        monkeypatch, weight, ell, residue, bases, dets):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+    from etacong import modforms
+
+    with spans.Tracer() as tracer:
+        got = modforms.gram_determinant_residue(weight, ell)
+    metrics = tracer.metrics()
+    assert got == residue
+    assert metrics["modforms._hecke_matrix_mod.calls"] == 1
+    assert metrics["modforms._vm_cusp_basis_mod.calls"] == bases
+    assert metrics["modforms._det_mod.calls"] == dets
