@@ -16,6 +16,7 @@ results are labelled accordingly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .modforms import (
     is_good_prime,
 )
 from .numerics import (
+    MemoryLimitError,
     Rational,
     as_fraction,
     ell_integral,
@@ -39,7 +41,7 @@ from .numerics import (
     primes_up_to,
     psi,
 )
-from .qseries import eta_power_residues
+from .qseries import eta_power_residues, physical_memory_bytes
 from ._convolve import convolve_mod, eta_integer_power_mod
 
 BALANCED = "balanced"
@@ -211,7 +213,9 @@ def search_good_congruences(alpha: Rational, ell_max: int | None = None,
     p_alpha(ell^v n - k) == 0 (mod ell^v) for every 1 <= v <= r, the
     strongest (v = r) flagged canonical.  Candidates that fail are recorded
     with the failing condition; a candidate beyond the weight cap becomes an
-    error entry rather than a global failure.
+    error entry rather than a global failure.  A search that would try no
+    candidate raises ValueError, and one whose prime sieve would not fit in
+    physical memory raises MemoryLimitError, both before any work.
     """
     if max_weight < 12:
         # every cond3 weight is 12k >= 12: a lower cap decides no candidate
@@ -227,6 +231,16 @@ def search_good_congruences(alpha: Rational, ell_max: int | None = None,
             "no finite good-prime bound for this alpha; pass ell_max")
     effective = bound if ell_max is None else (
         ell_max if bound is None else min(bound, ell_max))
+    # the sieve takes one byte per integer, half that again for its first
+    # strike, and 40 bytes (pointer and int) for each of the primes, fewer
+    # than 1.26 x / ln x
+    need = 3 * effective // 2 + int(51 * effective / math.log(effective))
+    have = physical_memory_bytes()
+    if have is not None and need > have:
+        raise MemoryLimitError(
+            f"sieving the primes up to {effective} needs about "
+            f"{need / 2**30:.2f} GiB, more than the {have / 2**30:.2f} GiB "
+            f"of physical memory")
     certificates = []
     claims = []
     rejections = []
@@ -250,6 +264,10 @@ def search_good_congruences(alpha: Rational, ell_max: int | None = None,
                 continue
             certificates.append(outcome)
             claims.extend(_balanced_claims_for(outcome))
+    if not certificates and not rejections:
+        raise ValueError(
+            f"no prime up to {effective} gives a candidate (2 and 3 only on "
+            f"request, none dividing the denominator of alpha)")
     certificates.sort(key=lambda c: (c.ell, c.k))
     claims.sort(key=lambda c: (c.ell, c.v, c.offset))
     rejections.sort(key=lambda r: (r.ell, r.k))

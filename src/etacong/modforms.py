@@ -36,6 +36,7 @@ cached between calls.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -310,28 +311,14 @@ def _eisenstein_mod(weight: int, ell: int, trunc: int) -> np.ndarray:
     return series
 
 
-def _cusp_generators_mod(ell: int, n_out: int):
-    """E4, E6 and the product by X = Delta / E4^3 mod ell, to n_out
-    coefficients: what the mod-ell basis of every weight shares.  E4^3 has
-    constant term 1, a unit for every ell."""
-    e4 = _eisenstein_mod(4, ell, n_out - 1)
-    x = convolve_mod(_delta_mod(ell, n_out),
-                     inverse_mod(power_mod(e4, 3, ell, n_out), ell, n_out),
-                     ell, n_out)
-    return e4, _eisenstein_mod(6, ell, n_out - 1), fixed_operand_mod(
-        x, ell, n_out)
-
-
-def _vm_cusp_basis_mod(weight: int, trunc: int, ell: int, generators=None):
+def _vm_cusp_basis_mod(weight: int, trunc: int, ell: int):
     """Cuspidal echelon basis rows reduced mod ell (d x (trunc+1) int64).
 
     Row j of the spanning set is Delta^j E4^(a0-3j) E6^b = P X^j with
-    P = E4^a0 E6^b and X = Delta / E4^3, so each row is one product with X,
-    whose limb spectra are computed once.  The lead block
-    U = basis[:, 1:d+1] is unit upper triangular, so U^-1 @ basis is the
-    reduced echelon form.  ``generators`` is
-    ``_cusp_generators_mod(ell, trunc + 1)``, passed by a caller that
-    builds bases of several weights at one horizon.
+    P = E4^a0 E6^b and X = Delta / E4^3 (E4^3 has constant term 1, a unit
+    for every ell), so each row is one product with X, whose limb spectra
+    are computed once.  The lead block U = basis[:, 1:d+1] is unit upper
+    triangular, so U^-1 @ basis is the reduced echelon form.
     """
     d = dim_cusp_forms(weight)
     n_out = trunc + 1
@@ -340,11 +327,15 @@ def _vm_cusp_basis_mod(weight: int, trunc: int, ell: int, generators=None):
         return basis
     if _monomial_exponents(weight, d) is None:
         raise ArithmeticError("monomial spanning set disagrees with dimension")
-    e4, e6, times_x = generators or _cusp_generators_mod(ell, n_out)
+    e4 = _eisenstein_mod(4, ell, trunc)
+    times_x = fixed_operand_mod(convolve_mod(
+        _delta_mod(ell, n_out),
+        inverse_mod(power_mod(e4, 3, ell, n_out), ell, n_out),
+        ell, n_out), ell, n_out)
     a0, b = _monomial_exponents(weight, 0)
     row = power_mod(e4, a0, ell, n_out)
     if b:
-        row = convolve_mod(row, e6, ell, n_out)
+        row = convolve_mod(row, _eisenstein_mod(6, ell, trunc), ell, n_out)
     for j in range(d):
         row = times_x(row)
         basis[j] = row
@@ -641,6 +632,8 @@ def filtration(f: list, weight: int, ell: int):
     S_(w+12) over Z, so f lies in M_w mod ell exactly when Delta*f lies in
     S_(w+12) mod ell, compared one coefficient further out: against the
     mod-ell cusp echelon rows combined by Delta*f's pivot coefficients.
+    E_(ell-1) == 1 mod ell puts M_w inside M_(w+ell-1), so membership only
+    grows along the candidates and a bisection finds the least one.
     Returns ZERO_FORM (None) when f vanishes mod ell.
     """
     check_filtration_prime(ell)
@@ -657,13 +650,17 @@ def filtration(f: list, weight: int, ell: int):
         return ZERO_FORM
     n_out = horizon + 2
     target = convolve_mod(_delta_mod(ell, n_out), reduced, ell, n_out)
-    generators = _cusp_generators_mod(ell, n_out)
-    # the even w == weight mod ell - 1; w = 2 gives S_14 = 0, which no f fits
-    for w in range(weight % (ell - 1), weight + 1, ell - 1):
-        basis = _vm_cusp_basis_mod(w + 12, n_out - 1, ell, generators)
+
+    def contains(w):
+        basis = _vm_cusp_basis_mod(w + 12, n_out - 1, ell)
         lead = target[None, 1:basis.shape[0] + 1]
-        if np.array_equal(_matmul_mod(lead, basis, ell)[0], target):
-            return w
-    raise ArithmeticError(
-        "no candidate weight contains f; the nominal weight is wrong"
-    )
+        return np.array_equal(_matmul_mod(lead, basis, ell)[0], target)
+
+    # the even w == weight mod ell - 1; w = 2 gives S_14 = 0, which no f fits
+    candidates = range(weight % (ell - 1), weight + 1, ell - 1)
+    first = bisect.bisect_left(candidates, True, key=contains)
+    if first == len(candidates):
+        raise ArithmeticError(
+            "no candidate weight contains f; the nominal weight is wrong"
+        )
+    return candidates[first]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etacong import cli, modforms, qseries
+from etacong import cli, congruences, modforms, qseries
 from etacong._convolve import product_bytes
 from etacong.cli import (
     EXIT_COUNTEREXAMPLE,
@@ -29,6 +29,8 @@ from etacong.modforms import gram_determinant, gram_determinant_residue
 from etacong.qseries import eta_power_rational, reduce_series
 
 ROOT = Path(__file__).resolve().parents[1]
+NO_CANDIDATE = ("gives a candidate (2 and 3 only on request, none dividing "
+                "the denominator of alpha)")
 
 
 def run(capsys, *argv):
@@ -208,12 +210,32 @@ def test_search_allows_ell_2_and_3_only_on_request(capsys):
     assert [c.describe() for c in emitted] == ["p_22(2n + 1) == 0 (mod 2)"]
     for claim in claims + emitted:
         assert verify_claim(claim, 2000).verified
+    # without the flag no prime up to 3 gives a candidate: refused
     for alpha in ("3", "22"):
-        code, out = run(capsys, "search", "--alpha", alpha, "--lmax", "3",
-                        "--format", "json")
-        assert code == EXIT_OK
-        data = json.loads(out)
-        assert (data["results"], data["rejections"]) == ([], [])
+        code = main(["search", "--alpha", alpha, "--lmax", "3",
+                     "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: no prime up to 3 {NO_CANDIDATE}\n"
+
+
+def test_search_past_memory_exits_3_before_sieving(capsys, monkeypatch):
+    # good_prime_bound(1/10^8) = 2,599,999,999: a sieve of that many bytes
+    # and a list of about 1.3e8 primes
+    def no_sieve(bound):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(congruences, "physical_memory_bytes", lambda: 1 << 16)
+    monkeypatch.setattr(congruences, "primes_up_to", no_sieve)
+    code = main(["search", "--alpha", "1/100000000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PRECISION
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "memory error: sieving the primes up to 2599999999 needs about ")
+    assert captured.err.endswith(
+        "GiB, more than the 0.00 GiB of physical memory\n")
 
 
 def test_filtration_table(capsys):
@@ -412,9 +434,18 @@ def test_hecke_beyond_the_kernel_modulus_exits_2_before_any_work(
      "--max-weight must be >= 12"),
     (("search", "--alpha", "57/61", "--lmax", "1"), "--lmax must be >= 2"),
     (("search", "--alpha", "57/61", "--lmax", "-3"), "--lmax must be >= 2"),
+    # 2 and 3 need --allow-ell-2-3; 5 divides 1/5's denominator; 24k == 5
+    # == 0 mod 5 leaves no k
+    (("search", "--alpha", "57/61", "--lmax", "4"),
+     f"no prime up to 4 {NO_CANDIDATE}"),
+    (("search", "--alpha", "1/5", "--lmax", "5"),
+     f"no prime up to 5 {NO_CANDIDATE}"),
+    (("search", "--alpha", "5", "--lmax", "5"),
+     f"no prime up to 5 {NO_CANDIDATE}"),
 ], ids=["verify-N", "scan-N", "hecke-m-max-0", "hecke-m-max-negative",
         "filtration-iters", "search-max-weight-negative",
-        "search-max-weight-11", "search-lmax-1", "search-lmax-negative"])
+        "search-max-weight-11", "search-lmax-1", "search-lmax-negative",
+        "search-lmax-4", "search-denominator", "search-no-k"])
 def test_vacuous_counts_exit_2(capsys, argv, message):
     # each of these would test or print nothing and still exit 0
     code = main(list(argv))

@@ -259,6 +259,13 @@ def test_vacuous_prime_bound_is_refused(monkeypatch):
     for ell_max in (-3, 0, 1):
         with pytest.raises(ValueError, match="ell_max must be >= 2"):
             search_good_congruences(Fraction(57, 61), ell_max=ell_max)
+    # 2 and 3 are skipped by default, and 4 is not prime
+    for ell_max in (2, 3, 4):
+        with pytest.raises(ValueError, match=f"no prime up to {ell_max} "):
+            search_good_congruences(Fraction(57, 61), ell_max=ell_max)
+    # 5 divides the denominator of 1/5
+    with pytest.raises(ValueError, match="no prime up to 5 gives a candidate"):
+        search_good_congruences(Fraction(1, 5), ell_max=5)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(57, 61), Fraction(3, 997),

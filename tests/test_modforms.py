@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -447,7 +448,7 @@ def test_filtration_requires_ell_at_least_5():
         filtration(delta(10), 12, 2 ** 33 + 17)
 
 
-@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+@pytest.mark.parametrize("ell", [5, 7, 11, 13, 17, 19])
 def test_filtration_matches_the_rank_oracle(ell):
     # Delta and Delta^2 with their theta iterates up to ell - 1, then E4, E6
     # and E4 * Delta; the oracle compares ranks of the monomials of each
@@ -465,6 +466,60 @@ def test_filtration_matches_the_rank_oracle(ell):
     for f, weight, horizon in cases:
         assert filtration(f, weight, ell) == \
             filtration_by_rank(f, weight, ell, horizon), (weight, ell)
+
+
+def _theta_iterates_of_delta(ell):
+    """(theta^i Delta, 12 + i (ell + 1)) for i < ell, each to the horizon
+    filtration needs at its nominal weight."""
+    f = delta((12 + (ell - 1) * (ell + 1)) // 12 + 2)
+    out = []
+    for i in range(ell):
+        out.append((f, 12 + i * (ell + 1)))
+        f = theta(f)
+    return out
+
+
+def _filtration_by_scan(f, weight, ell):
+    """The least candidate w == weight mod (ell - 1) with Delta*f in
+    S_(w+12) mod ell, trying every candidate from the lowest up."""
+    horizon = weight // 12 + 2
+    target = np.array(convolve_exact(delta(horizon + 1), f[:horizon + 1],
+                                     horizon + 2)) % ell
+    for w in range(weight % (ell - 1), weight + 1, ell - 1):
+        basis = _vm_cusp_basis_mod(w + 12, horizon + 1, ell)
+        if np.array_equal(target[1:basis.shape[0] + 1] @ basis % ell, target):
+            return w
+    return None
+
+
+def test_filtration_bisects_the_candidate_weights(monkeypatch):
+    # theta^51 Delta at ell 53 has nominal weight 2766: K = 54 candidates
+    ell = 53
+    f, weight = _theta_iterates_of_delta(ell)[51]
+    calls = []
+
+    def counted(weight, trunc, ell):
+        calls.append(weight)
+        return _vm_cusp_basis_mod(weight, trunc, ell)
+
+    monkeypatch.setattr(modforms, "_vm_cusp_basis_mod", counted)
+    got = filtration(f, weight, ell)
+    candidates = len(range(weight % (ell - 1), weight + 1, ell - 1))
+    assert candidates == 54
+    assert 0 < len(calls) <= math.ceil(math.log2(candidates)) + 1
+    assert got == 582
+
+
+def test_filtration_matches_a_linear_scan_on_every_theta_iterate():
+    ell = 53
+    weights = []
+    for f, weight in _theta_iterates_of_delta(ell):
+        weights.append(filtration(f, weight, ell))
+        assert weights[-1] == _filtration_by_scan(f, weight, ell), weight
+    # the cycle drops once, at theta^42 (2280 to 96), and never below 12
+    drops = [i for i in range(1, ell) if weights[i] - weights[i - 1] != ell + 1]
+    assert drops == [42] and weights[42] == 96
+    assert min(weights) == weights[0] == 12
 
 
 def test_filtration_of_one_theta_step_at_a_large_prime():
