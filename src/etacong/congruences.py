@@ -36,13 +36,18 @@ from .numerics import (
     as_fraction,
     ell_integral,
     ell_valuation,
-    legendre_symbol,
+    is_prime,
     mod_inverse,
     primes_up_to,
     psi,
 )
 from .qseries import eta_power_residues, physical_memory_bytes
-from ._convolve import convolve_mod, eta_integer_power_mod
+from ._convolve import (
+    binary_power,
+    convolve_mod,
+    eta_integer_power_mod,
+    mul_mod,
+)
 
 BALANCED = "balanced"
 SQUARE_CLASS = "squareClass"
@@ -70,6 +75,8 @@ class CongruenceClaim:
     provenance: tuple = ()
 
     def __post_init__(self):
+        if not is_prime(self.ell):
+            raise ValueError(f"{self.ell} is not prime")
         if self.v < 1:
             raise ValueError("v must be >= 1")
         if self.variant == BALANCED:
@@ -349,63 +356,47 @@ def square_class_families(alpha: Rational, ell: int,
 def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationReport:
     """Exhaustively test a claim for n in [0, n_max].
 
-    Evaluates p_alpha mod ell^v along the progression (balanced) or at every
-    index whose side condition is a non-residue (square-class), reporting
-    the first counterexample if any.
+    Evaluates p_alpha mod ell^v at one array of arguments: the progression
+    ell^v n + offset (balanced), or the n whose stride*n + shift is a
+    non-residue mod ell (square-class), reporting the first counterexample
+    if any.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     f = as_fraction(claim.alpha)
-    modulus = claim.modulus
+    ell, modulus = claim.ell, claim.modulus
+    balanced = claim.variant == BALANCED
     started = time.perf_counter()
-    if claim.variant == BALANCED:
-        # canonical offsets keep every argument nonnegative
-        top_arg = modulus * n_max + claim.offset
-        vals = eta_power_residues(f, claim.ell, claim.v, top_arg)
-        args = np.arange(n_max + 1, dtype=np.int64) * modulus + claim.offset
-        residues = np.asarray(vals)[args]
-        tested = int(args.size)
-        hits = np.nonzero(residues)[0]
-        if hits.size:
-            n = int(hits[0])
-            return VerificationReport(
-                claim, n_max, "counterexample",
-                (n, modulus * n + claim.offset, int(residues[n])),
-                tested, claim.v, time.perf_counter() - started)
-        return VerificationReport(claim, n_max, "verified", None, tested,
-                                  claim.v, time.perf_counter() - started)
-    vals = eta_power_residues(f, claim.ell, claim.v, n_max)
-    picked = _nonresidue_indices(claim.stride, claim.shift, claim.ell,
-                                 n_max + 1)
-    residues = vals[picked]
-    hits = np.nonzero(residues)[0]
+    # the descent comes first: it refuses ell^v >= 2^33, so mul_mod below
+    # always gets a modulus in range; canonical offsets keep every
+    # balanced argument nonnegative
+    vals = eta_power_residues(f, ell, claim.v,
+                              modulus * n_max + claim.offset if balanced
+                              else n_max)
+    if balanced:
+        ns = np.arange(n_max + 1, dtype=np.int64)
+        args = ns * modulus + claim.offset
+    else:
+        # stride*n + shift mod ell repeats with period ell in n: Euler's
+        # criterion s^((ell-1)/2) == -1 on one period, tiled over n <= n_max
+        s = (claim.stride * np.arange(min(n_max + 1, ell), dtype=np.int64)
+             + claim.shift) % ell
+        euler = binary_power(s, (ell - 1) // 2, np.ones_like(s),
+                             lambda a, b: mul_mod(a, b, ell))
+        ns = args = np.flatnonzero(
+            np.tile(euler == ell - 1, -(-(n_max + 1) // s.size))[:n_max + 1])
+    residues = vals[args]
+    hits = np.flatnonzero(residues)
+    counterexample, tested = None, int(args.size)
     if hits.size:
         i = int(hits[0])
-        n = int(picked[i])
-        # n_tested counts the non-residue arguments up to the counterexample
-        return VerificationReport(
-            claim, n_max, "counterexample", (n, n, int(residues[i])),
-            i + 1, claim.v, time.perf_counter() - started)
-    return VerificationReport(claim, n_max, "verified", None,
-                              int(picked.size), claim.v,
-                              time.perf_counter() - started)
-
-
-def _nonresidue_indices(stride, shift, ell, count):
-    """The n < count, ascending, with stride*n + shift a quadratic
-    non-residue mod the odd prime ell."""
-    classes = (stride * np.arange(count, dtype=np.int64) + shift) % ell
-    if ell > count:
-        # fewer arguments than residues: one symbol per argument is cheaper
-        symbols = np.array([legendre_symbol(int(c), ell) for c in classes])
-    else:
-        # the ell symbols from the squares of 1..(ell-1)/2, the residues
-        table = np.full(ell, -1, dtype=np.int8)
-        roots = np.arange(1, (ell + 1) // 2, dtype=np.int64)
-        table[roots * roots % ell] = 1
-        table[0] = 0
-        symbols = table[classes]
-    return np.nonzero(symbols == -1)[0]
+        counterexample = (int(ns[i]), int(args[i]), int(residues[i]))
+        if not balanced:
+            # a square-class report counts the arguments up to it
+            tested = i + 1
+    return VerificationReport(
+        claim, n_max, "counterexample" if hits.size else "verified",
+        counterexample, tested, claim.v, time.perf_counter() - started)
 
 
 def scan_balanced(alpha: Rational, ell: int, v: int, n_max: int

@@ -57,14 +57,13 @@ from ._convolve import (
 )
 from .numerics import (
     Rational,
-    as_fraction,
     ell_integral,
     ell_valuation,
     is_prime,
     mod_inverse,
     psi,
 )
-from .qseries import HorizonError, divisor_sum_table
+from .qseries import HorizonError, divisor_sum_table, eta_power_rational
 
 #: m values in the non-ordinarity weight test (k - m divisible by ell - 1)
 NONORDINARY_M_SET = (4, 6, 8, 10, 14)
@@ -94,18 +93,8 @@ def eisenstein(weight: int, trunc: int) -> list[int]:
 
 
 def delta(trunc: int) -> list[int]:
-    """Ramanujan's Delta = (E4^3 - E6^2)/1728, exact integers."""
-    e4 = eisenstein(4, trunc)
-    e6 = eisenstein(6, trunc)
-    e4_cubed = convolve_exact(convolve_exact(e4, e4, trunc + 1), e4, trunc + 1)
-    e6_squared = convolve_exact(e6, e6, trunc + 1)
-    out = []
-    for x, y in zip(e4_cubed, e6_squared):
-        q, r = divmod(x - y, 1728)
-        if r:
-            raise ArithmeticError("Delta construction lost integrality")
-        out.append(q)
-    return out
+    """Ramanujan's Delta = q (q;q)^24, exact integers."""
+    return [0] + (eta_power_rational(24, trunc - 1) if trunc else [])
 
 
 def delta_power(k: int, trunc: int) -> list[int]:
@@ -555,11 +544,8 @@ def is_good_prime(alpha: Rational, ell: int, k: int, *,
     rejection naming the first failing condition.  Raises WeightCapExceeded
     when cond3 would need a space beyond the weight cap.
     """
-    f = as_fraction(alpha)
+    f = ell_integral(alpha, ell)
     alpha_str = str(f)
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    ell_integral(f, ell)
     if k < 1:
         raise ValueError("k must be >= 1")
     if ell in (2, 3) and not allow_small_primes:
@@ -617,9 +603,12 @@ def check_kernel_prime(ell: int, task: str) -> None:
 
 
 def check_filtration_prime(ell: int) -> None:
-    """Refuse ell < 5, and ell >= 2^33, beyond the mod-ell kernel's moduli."""
+    """Refuse ell < 5, a composite ell, and ell >= 2^33, beyond the mod-ell
+    kernel's moduli."""
     if ell < 5:
         raise ValueError("filtration requires ell >= 5")
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
     check_kernel_prime(ell, "filtration")
 
 

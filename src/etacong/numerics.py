@@ -51,8 +51,10 @@ def as_fraction(x: Rational) -> Fraction:
 
 
 def ell_integral(alpha: Rational, ell: int) -> Fraction:
-    """alpha as a Fraction; NotEllIntegralError when ell divides its
-    denominator."""
+    """alpha as a Fraction; ValueError when ell is not prime,
+    NotEllIntegralError when ell divides its denominator."""
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
     f = as_fraction(alpha)
     if f.denominator % ell == 0:
         raise NotEllIntegralError(f"alpha not {ell}-integral")

@@ -42,7 +42,7 @@ def run(capsys, *argv):
 @functools.cache
 def run_once(*argv):
     """(exit code, stdout) of one in-process run, shared by the tests that
-    ask for the same argv (the 57/61 search takes seconds)."""
+    ask for the same argv."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
@@ -175,7 +175,19 @@ def test_scan_plain(capsys):
     assert "offset 4" in out
 
 
-def test_search_json_headline(capsys):
+@pytest.fixture
+def one_search(monkeypatch, search_57_61):
+    """cli.main renders the session's one 57/61 search (conftest.py) in
+    place of searching again; a search with other arguments fails."""
+    def search(alpha, **options):
+        assert alpha == Fraction(57, 61) and options == dict(
+            ell_max=None, max_weight=modforms.DEFAULT_MAX_WEIGHT,
+            allow_small_primes=False)
+        return search_57_61
+    monkeypatch.setattr(cli, "search_good_congruences", search)
+
+
+def test_search_json_headline(one_search):
     code, out = run_once("search", "--alpha", "57/61", "--format", "json")
     assert code == EXIT_OK
     data = json.loads(out)
@@ -597,6 +609,6 @@ def test_readme_library_example_runs():
 @pytest.mark.parametrize("argv, exit_code", readme_cli_lines(),
                          ids=lambda v: " ".join(v) if isinstance(v, list)
                          else None)
-def test_readme_cli_block_runs(argv, exit_code):
+def test_readme_cli_block_runs(argv, exit_code, one_search):
     # each line of the README's CLI block exits as its comment says
     assert run_once(*argv)[0] == exit_code

@@ -2,9 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from etacong import congruences
-from etacong.numerics import NotEllIntegralError, legendre_symbol, psi
-from etacong.qseries import eta_power_residues
+from etacong import congruences, modforms, qseries
+from etacong.numerics import (
+    NotEllIntegralError,
+    ell_integral,
+    legendre_symbol,
+    psi,
+)
+from etacong.qseries import eta_power_mod, eta_power_residues
 from etacong.congruences import (
     BALANCED,
     SQUARE_CLASS,
@@ -18,7 +23,12 @@ from etacong.congruences import (
     square_class_families,
     verify_claim,
 )
-from etacong.modforms import GoodPrimeRejection, gram_determinant
+from etacong.modforms import (
+    GoodPrimeRejection,
+    filtration,
+    gram_determinant,
+    is_good_prime,
+)
 from oracles import (
     gram_residue_by_stack,
     integral_prime_bound,
@@ -199,16 +209,46 @@ def square_class_by_loop(claim, n_max):
     ("-1", 3, 1, 8, False),
     ("57/61", 3, 1, 24, True),       # 24n + 1 == 1 (mod 3): nothing tested
     ("-1", 10007, 1, 8, False),
+    # 2^33 - 9: Euler's squarings take mul_mod's split path
+    ("-1", 8589934583, 1, 24, False),
+    ("57/61", 8589934583, 1, 8, False),
+    ("8589934584", 8589934583, 1, 24, True),   # alpha - 1 = ell
+    ("3", 8589934583, 1, 8, True),             # Jacobi's cube itself
 ])
 def test_square_class_verify_matches_the_loop(alpha, ell, v, stride, holds):
     claim = CongruenceClaim(variant=SQUARE_CLASS, alpha=alpha, ell=ell, v=v,
                             stride=stride, shift=1)
-    for n_max in (0, 1, 2 * ell, 700):
+    for n_max in (0, 1, 2 * ell, 700) if ell < 10 ** 5 else (0, 1, 300):
         report = verify_claim(claim, n_max)
         want = square_class_by_loop(claim, n_max)
         assert (report.outcome, report.counterexample,
                 report.n_tested) == want, n_max
     assert report.verified == holds
+
+
+@pytest.mark.parametrize("ell", [9, 35])
+@pytest.mark.parametrize("entry", [
+    lambda ell: ell_integral(-1, ell),
+    lambda ell: eta_power_residues(-1, ell, 1, 40),
+    lambda ell: eta_power_mod(-1, ell, 1, 40),
+    lambda ell: eta_power_mod(-1, ell, 12, 40),  # past 2^33: the ledger
+    lambda ell: CongruenceClaim(variant=BALANCED, alpha="-1", ell=ell, v=1,
+                                offset=3),
+    lambda ell: scan_balanced(-1, ell, 1, 30),
+    lambda ell: square_class_families(10, ell),
+    lambda ell: is_good_prime(1, ell, 1),
+    lambda ell: filtration([0, 1, -24, 252], 12, ell),  # Delta
+])
+def test_composite_ell_is_refused_before_any_work(entry, ell, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started for a composite ell")
+    for module, name in ((qseries, "eta_integer_power_mod"),
+                         (qseries, "divisor_sum_table"),
+                         (modforms, "convolve_mod"),
+                         (modforms, "gram_determinant_residue")):
+        monkeypatch.setattr(module, name, no_work)
+    with pytest.raises(ValueError, match=f"^{ell} is not prime$"):
+        entry(ell)
 
 
 def test_square_class_claims_refuse_ell_2():

@@ -8,8 +8,8 @@ import pytest
 
 from etacong import _convolve, modforms
 from etacong.numerics import NotEllIntegralError, PrecisionError
-from etacong._convolve import binary_power, convolve_exact, mul_mod
-from etacong.qseries import HorizonError, eta_power_rational
+from etacong._convolve import convolve_exact, mul_mod
+from etacong.qseries import HorizonError
 from etacong.modforms import (
     GoodPrimeCertificate,
     GoodPrimeRejection,
@@ -87,11 +87,14 @@ def test_delta_expansion_and_tau():
 
 
 def test_two_delta_constructions_agree():
-    # Eisenstein route vs the shifted 24th power of the Euler product
-    t = 200
-    eta24 = binary_power(eta_power_rational(1, t - 1), 24, [1] + [0] * (t - 1),
-                         lambda f, g: convolve_exact(f, g, t))
-    assert delta(t) == [0] + eta24
+    # the product q (q;q)^24 against (E4^3 - E6^2) / 1728 from divisor sums
+    t = 300
+    e4, e6 = eisenstein(4, t), eisenstein(6, t)
+    e4_cubed = convolve_exact(convolve_exact(e4, e4, t + 1), e4, t + 1)
+    gap = [x - y for x, y in zip(e4_cubed, convolve_exact(e6, e6, t + 1))]
+    assert all(x % 1728 == 0 for x in gap)
+    assert delta(t) == [x // 1728 for x in gap]
+    assert delta(0) == [0]
 
 
 def test_delta_power_tau_k():
