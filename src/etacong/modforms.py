@@ -22,15 +22,18 @@ e | (m, n) of e^(k-1) T_(mn/e^2), so G[m][n] = sum e^(k-1) t(mn/e^2).  The
 trace form sum t(N) q^N lies in S_k, so t up to d^2 is one combination of
 the d basis rows, with weights t(1..d) read off the same rows; no Hecke
 matrix is formed.  Before that d x (d^2 + 1) basis, a larger space (d >=
-23) first tries a one-sided proof that ell | det G on a basis to horizon
-2d: det G is the discriminant of the Hecke algebra T, and a T_2 mod ell
-that is not semisimple (its Krylov sequence's minimal polynomial has a
-repeated factor) shows a nilpotent in T (x) F_ell, which the trace form
-kills.  The mod-ell basis takes E4 and E6 from a divisor sieve
-mod ell and computes the limb spectra of its fixed factor X = Delta / E4^3
-once.  Its residue products, exact for every ell < 2^33, are
-``_convolve.mul_mod`` (elementwise) and ``_matmul_mod``.  On both paths the
-caller builds the echelon basis once, at the horizon it needs; nothing is
+23) climbs a ladder of single Hecke operators T_p, p = 2, 3, 5, 7, each on
+a basis to horizon p d: with K the Krylov rows e_1^T T_p^i (i < d),
+det G = disc(charpoly T_p) / det(K)^2 whenever ell does not divide det K.
+Where T_2's K is singular mod ell, a T_2 that is not semisimple (its
+Krylov sequence's minimal polynomial has a repeated factor) still proves
+ell | det G: det G is the discriminant of the Hecke algebra T, and such a
+T_2 shows a nilpotent in T (x) F_ell, which the trace form kills.  The
+mod-ell basis takes E4 and E6 from a divisor sieve mod ell and computes
+the limb spectra of its fixed factor X = Delta / E4^3 once.  Its residue
+products, and every elimination's, exact for every ell < 2^33, are
+``_convolve.mul_mod`` (elementwise) and ``_matmul_mod``.  On both paths
+the caller builds each echelon basis at the horizon it needs; nothing is
 cached between calls.
 """
 
@@ -262,6 +265,10 @@ def gram_determinant(weight: int) -> int:
 #: copies the solve makes to about d * 4096 * 8 bytes each)
 _SOLVE_BLOCK = 4096
 
+#: pivots per panel of ``_solve_mod``: the panel's rank-1 updates cost one
+#: numpy pass each, the update of the rows below it one BLAS product
+_ELIMINATION_BLOCK = 16
+
 
 def _delta_mod(ell: int, n_out: int) -> np.ndarray:
     """Delta mod ell to n_out coefficients, from the pentagonal product
@@ -356,25 +363,50 @@ def _hecke_matrix_mod(weight: int, m: int, ell: int, basis) -> np.ndarray:
     return out
 
 
-def _det_mod(matrix, ell: int) -> int:
-    """det of an integer matrix mod a prime ell, by Gaussian elimination."""
+def _solve_mod(matrix, ell: int):
+    """(det A, A^-1 B) mod a prime ell for a d x n integer matrix [A | B],
+    n >= d, or (0, None) when A is singular mod ell.
+
+    Blocked elimination with row pivoting to a unit upper triangular U:
+    within a panel of _ELIMINATION_BLOCK columns each pivot updates the
+    panel's columns below it and its own row's tail; the rows below the
+    panel take all of the panel's pivots in one ``_matmul_mod``.  The
+    multipliers stay in place below each pivot.  B's columns are then
+    carried back through U.
+    """
     a = np.asarray(matrix, dtype=np.int64) % ell
     d = a.shape[0]
     det = 1 % ell
-    for i in range(d):
-        nonzero = np.flatnonzero(a[i:, i])
-        if nonzero.size == 0:
-            return 0
-        pivot = i + int(nonzero[0])
-        if pivot != i:
-            a[[i, pivot]] = a[[pivot, i]]
-            det = -det % ell
-        det = det * int(a[i, i]) % ell
-        a[i, i:] = mul_mod(a[i, i:], mod_inverse(int(a[i, i]), ell), ell)
-        # one rank-1 update clears column i below the pivot
-        a[i + 1:, i:] = (a[i + 1:, i:]
-                         - mul_mod(a[i + 1:, i:i + 1], a[i, i:], ell)) % ell
-    return det
+    for start in range(0, d, _ELIMINATION_BLOCK):
+        stop = min(start + _ELIMINATION_BLOCK, d)
+        for i in range(start, stop):
+            nonzero = np.flatnonzero(a[i:, i])
+            if nonzero.size == 0:
+                return 0, None
+            pivot = i + int(nonzero[0])
+            if pivot != i:
+                a[[i, pivot]] = a[[pivot, i]]
+                det = -det % ell
+            det = det * int(a[i, i]) % ell
+            tail = _matmul_mod(a[i:i + 1, start:i], a[start:i, stop:], ell)
+            a[i, stop:] = (a[i, stop:] - tail[0]) % ell
+            a[i, i + 1:] = mul_mod(a[i, i + 1:],
+                                   mod_inverse(int(a[i, i]), ell), ell)
+            a[i + 1:, i + 1:stop] = (
+                a[i + 1:, i + 1:stop]
+                - mul_mod(a[i + 1:, i:i + 1], a[i, i + 1:stop], ell)) % ell
+        a[stop:, stop:] = (a[stop:, stop:] - _matmul_mod(
+            a[stop:, start:stop], a[start:stop, stop:], ell)) % ell
+    solution = a[:, d:]
+    for i in range(d - 2, -1, -1) if solution.size else ():
+        solution[i] = (solution[i] - _matmul_mod(
+            a[i:i + 1, i + 1:d], solution[i + 1:], ell)[0]) % ell
+    return det, solution
+
+
+def _det_mod(matrix, ell: int) -> int:
+    """det of a square integer matrix mod a prime ell."""
+    return _solve_mod(matrix, ell)[0]
 
 
 def _divisor_scaled_sum(weight: int, ell: int, d: int, term, dims: int):
@@ -408,24 +440,62 @@ def _poly_rem(a: list, b: list, ell: int) -> list:
     return a
 
 
-def _nilpotent_witness(matrix, ell: int) -> bool:
-    """True when the d x d matrix M mod ell is provably not semisimple.
+def _krylov_rows(matrix, ell: int, count: int) -> np.ndarray:
+    """The first ``count`` rows e_1^T M^i of the d x d matrix M mod ell, as
+    a count x d int64 array, doubling their number per step: the rows so
+    far times M^r, then M^r squared."""
+    rows, power = np.eye(1, matrix.shape[0], dtype=np.int64), matrix
+    while rows.shape[0] < count:
+        rows = np.vstack([rows, _matmul_mod(rows, power, ell)])
+        if rows.shape[0] < count:
+            power = _matmul_mod(power, power, ell)
+    return rows[:count]
+
+
+def _krylov_residue(krylov, ell: int):
+    """det G mod ell from the Krylov rows e_1^T M^i (i <= d) of a Hecke
+    operator M on the echelon basis, or None when ell | det K, K the first
+    d rows.
+
+    Duality a_1(T_n f) = a_n(f) makes T_1..T_d the basis of T dual to the
+    echelon rows, so row i of K holds the coordinates of M^i in it, and
+    W[i][j] = Tr M^(i+j) = (K G K^t)[i][j].  When K is invertible, e_1
+    is a cyclic vector: e_1^T M^d = c K gives the characteristic
+    polynomial x^d - sum c_i x^i, Newton's identities (no division, so
+    ell = 2, 3 stay valid) its power sums, and det G = det W / (det K)^2.
+    """
+    d = krylov.shape[1]
+    det_k, solved = _solve_mod(np.hstack([krylov[:d].T, krylov[d:d + 1].T]),
+                               ell)
+    if det_k == 0:
+        return None
+    # R(t) = t^d chi(1/t) = 1 - sum c_i t^(d-i), and the power sums are
+    # s_n = [t^n] -t R'(t) / R(t) for n >= 1: Newton's identities as series
+    rev = np.empty(d + 1, dtype=np.int64)
+    rev[0] = 1 % ell
+    rev[1:] = -solved[::-1, 0] % ell
+    n_out = 2 * d - 1
+    slope = mul_mod(np.arange(d + 1) % ell, rev, ell)
+    sums = -convolve_mod(slope, inverse_mod(rev, ell, n_out), ell, n_out) % ell
+    sums[0] = d % ell
+    hankel = sums[np.add.outer(np.arange(d), np.arange(d))]
+    return _det_mod(hankel, ell) * mod_inverse(det_k * det_k, ell) % ell
+
+
+def _nilpotent_witness(krylov, ell: int) -> bool:
+    """True when the d x d matrix M mod ell is provably not semisimple,
+    given its Krylov rows e_1^T M^i for i < 2d.
 
     Berlekamp-Massey finds the minimal polynomial mu of the 2d scalars
-    u . M^i v for the fixed vectors u = e_1 and v = (1, ..., 1).  mu divides
-    the minimal polynomial of M, which is squarefree when M is semisimple,
-    so a repeated factor of mu, gcd(mu, mu') not constant, is a proof.
+    e_1^T M^i v for v = (1, ..., 1), the rows' sums.  mu divides the
+    minimal polynomial of M, which is squarefree when M is semisimple, so
+    a repeated factor of mu, gcd(mu, mu') not constant, is a proof.
     F_ell is perfect, so the test holds in every degree; mu' = 0 with
     deg mu >= 1 (mu a polynomial in x^ell) counts too.  False proves
     nothing.
     """
-    d = matrix.shape[0]
-    # the Krylov vectors M^i v for i < 2d, doubling their number per step
-    krylov, power = np.ones((d, 1), dtype=np.int64), matrix
-    while krylov.shape[1] < 2 * d:
-        krylov = np.hstack([krylov, _matmul_mod(power, krylov, ell)])
-        power = _matmul_mod(power, power, ell)
-    seq = krylov[0, :2 * d].tolist()
+    d = krylov.shape[1]
+    seq = (krylov[:2 * d].sum(axis=1) % ell).tolist()
     # Berlekamp-Massey: before step n, conn = 1 + c_1 x + ... + c_L x^L
     # (L = length) generates seq[:n], and len(conn) <= L + 1 <= n + 1, so
     # seq[n - i] never wraps; prev is conn before the last change of L,
@@ -453,28 +523,37 @@ def _nilpotent_witness(matrix, ell: int) -> bool:
 
 
 def gram_determinant_residue(weight: int, ell: int) -> int:
-    """det of the Gram matrix mod ell, from the trace form on the mod-ell
-    basis (scales to the weights the good-prime search visits).
+    """det of the Gram matrix mod ell (scales to the weights the good-prime
+    search visits).
 
-    With t(N) = Tr T_N, T_m T_n = sum over e | (m, n) of e^(k-1) T_(mn/e^2)
+    Once the basis rows d^2 + 1 pass the direct-product length (d >= 23),
+    a ladder runs first on bases to horizon p d: for p = 2, 3, 5, 7, T_p's
+    Krylov rows give det G whenever ell does not divide their determinant
+    (``_krylov_residue``).  Where T_2's determinant is 0 mod ell,
+    ``_nilpotent_witness`` on the same rows may still prove det G == 0
+    before T_3 is built: det G is the discriminant of the trace form on
+    T = Z[T_1..T_d], and a T_2 that is not semisimple mod ell shows a
+    nilpotent in T (x) F_ell, which the trace form kills.
+
+    Otherwise the trace form decides, on a basis to d^2.  With
+    t(N) = Tr T_N, T_m T_n = sum over e | (m, n) of e^(k-1) T_(mn/e^2)
     gives G[m][n] = sum e^(k-1) t(mn/e^2), which reads t to d^2.  The trace
     form sum t(N) q^N lies in S_k, so it is c @ basis with c_i = t(i) =
     sum over j of (T_i)_jj = sum over e | (i, j) of e^(k-1) a_(ij/e^2)(f_j).
-
-    Once the basis rows d^2 + 1 pass the direct-product length (d >= 23),
-    a cheap proof of 0 is tried first, on a basis to horizon 2d: det G is
-    the discriminant of the trace form on T = Z[T_1..T_d], and
-    ``_nilpotent_witness`` on T_2 mod ell shows that T (x) F_ell is not a
-    product of fields, so it has a nilpotent, which the trace form kills.
-    Without that proof the trace-form route runs as above.
     """
     d = dim_cusp_forms(weight)
     if d == 0:
         return 1 % ell
     if d * d + 1 > _DIRECT_SIZE_LIMIT:
-        short = _vm_cusp_basis_mod(weight, 2 * d, ell)
-        if _nilpotent_witness(_hecke_matrix_mod(weight, 2, ell, short), ell):
-            return 0
+        for p in (2, 3, 5, 7):
+            short = _vm_cusp_basis_mod(weight, p * d, ell)
+            krylov = _krylov_rows(_hecke_matrix_mod(weight, p, ell, short),
+                                  ell, 2 * d if p == 2 else d + 1)
+            residue = _krylov_residue(krylov, ell)
+            if residue is not None:
+                return residue
+            if p == 2 and _nilpotent_witness(krylov, ell):
+                return 0
     basis = _vm_cusp_basis_mod(weight, d * d, ell)
 
     def diagonal(e, j):  # [i', j'] -> a_(i' j')(f_(e j')), summed over j'

@@ -73,6 +73,13 @@ def primes_up_to(bound: int) -> list[int]:
     return [n for n in range(bound + 1) if sieve[n]]
 
 
+#: deterministic Miller-Rabin bases below 3.3e24; the first four decide
+#: every n below 3,215,031,751, the least strong pseudoprime to all of
+#: them (Jaeschke 1993)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_SMALL_BOUND = 3_215_031_751
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -83,10 +90,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # deterministic Miller-Rabin witnesses for n < 3.3e24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if a % n == 0:
-            continue
+    # n >= 37 here, so no base is a multiple of n
+    for a in _MR_BASES[:4] if n < _MR_SMALL_BOUND else _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

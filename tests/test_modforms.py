@@ -272,6 +272,12 @@ def _companion(coeffs):
             for i in range(n)]
 
 
+def _witness(matrix, ell):
+    """The witness on the 2d Krylov rows e_1^T M^i that it reads."""
+    return modforms._nilpotent_witness(
+        modforms._krylov_rows(matrix, ell, 2 * len(matrix)), ell)
+
+
 @pytest.mark.parametrize("blocks, ell, witness", [
     ([[[3, 1], [0, 3]]], 7, True),                      # Jordan block
     ([[[1]], [[2]], [[5]]], 7, False),                  # distinct eigenvalues
@@ -284,8 +290,7 @@ def _companion(coeffs):
 ], ids=["jordan", "diagonal", "x^5-2", "x^7-2", "d-1", "zero-1x1",
         "field-and-nilpotent", "field-and-scalar"])
 def test_nilpotent_witness_on_hand_built_matrices(blocks, ell, witness):
-    assert modforms._nilpotent_witness(
-        _similar_mod(blocks, ell, 0), ell) is witness
+    assert _witness(_similar_mod(blocks, ell, 0), ell) is witness
 
 
 @pytest.mark.parametrize("repeated", [False, True])
@@ -295,8 +300,7 @@ def test_nilpotent_witness_is_exact_below_2_33(repeated):
     ell = 2 ** 33 - 9
     last = [[7, 1], [0, 7]] if repeated else [[7, 0], [0, 8]]
     blocks = [[[ell - 3 * i - 100]] for i in range(28)] + [last]
-    assert modforms._nilpotent_witness(
-        _similar_mod(blocks, ell, 1), ell) is repeated
+    assert _witness(_similar_mod(blocks, ell, 1), ell) is repeated
 
 
 # primes dividing det G at weight 288, 420 or 600 among them: 2, 5, 13, 29,
@@ -307,24 +311,99 @@ WITNESS_PRIMES = (2, 5, 13, 29, 37, 47, 89, 101, 131, 173, 239, 4099, 65537,
 
 @pytest.mark.parametrize("weight", [288, 420, 600])
 def test_gram_residue_with_the_witness_matches_the_stack(weight, monkeypatch):
-    # above the gate (d >= 23) every rejection the witness decides skips the
-    # d x d^2 basis; the answer must still be the stack oracle's
+    # above the gate (d >= 23) the witness runs where T_2's Krylov rows
+    # leave ell | det K; its proofs are rejections, and every answer must
+    # still be the stack oracle's
     witness = modforms._nilpotent_witness
-    proofs = []
+    proofs = {}
 
-    def recorded(matrix, ell):
-        proofs.append(witness(matrix, ell))
-        return proofs[-1]
+    def recorded(krylov, ell):
+        proofs[ell] = witness(krylov, ell)
+        return proofs[ell]
 
     monkeypatch.setattr(modforms, "_nilpotent_witness", recorded)
     residues = {ell: gram_determinant_residue(weight, ell)
                 for ell in WITNESS_PRIMES}
     monkeypatch.undo()
-    assert len(proofs) == len(WITNESS_PRIMES)
-    for (ell, residue), proof in zip(residues.items(), proofs):
+    for ell, residue in residues.items():
         assert residue == gram_residue_by_stack(weight, ell), ell
-        assert residue == 0 or not proof, ell
-    assert any(proofs)
+        assert residue == 0 or not proofs.get(ell), ell
+    assert any(proofs.values())
+
+
+@pytest.mark.parametrize("weight", range(276, 709, 72))
+def test_ladder_matches_the_stack_above_the_gate(weight):
+    # small ell, where eigenvalues of T_p collide mod ell, and one near 2^33
+    for ell in (5, 7, 11, 13, 17, 19, 23, 29, 2 ** 33 - 9):
+        assert gram_determinant_residue(weight, ell) == \
+            gram_residue_by_stack(weight, ell), ell
+
+
+@pytest.mark.parametrize("weight, ell, residue, horizons", [
+    (276, 43, 21, (2, 3)),              # decided by T_3
+    (276, 59, 43, (2, 3, 5)),           # by T_5
+    (300, 59, 48, (2, 3, 5, 7)),        # by T_7
+    (288, 37, 0, (2,)),                 # T_2's witness
+    (300, 29, 19, (2, 3, 5, 7, 25)),    # no step: the trace form, d = 25
+    (420, 29, 12, (2, 3, 5, 7, 35)),
+    (420, 37, 0, (2, 3, 5, 7, 35)),     # 0 with T_2 semisimple mod 37
+])
+def test_ladder_step_that_decides(weight, ell, residue, horizons, monkeypatch):
+    # horizons of the bases built, in units of d: p for the step T_p, d for
+    # the trace form's basis to d^2.  (1728, 431), 57/61's certificate, is
+    # pinned at T_5 in test_trace_shape
+    build, built = modforms._vm_cusp_basis_mod, []
+
+    def recorded(weight, trunc, ell):
+        built.append(trunc // dim_cusp_forms(weight))
+        return build(weight, trunc, ell)
+
+    monkeypatch.setattr(modforms, "_vm_cusp_basis_mod", recorded)
+    assert gram_determinant_residue(weight, ell) == residue
+    assert tuple(built) == horizons
+    monkeypatch.undo()
+    assert gram_residue_by_stack(weight, ell) == residue
+
+
+@pytest.mark.parametrize("weight", range(36, 229, 12))
+def test_gram_determinant_is_disc_of_t2_over_index_squared(weight):
+    # over Z, from an exact basis to horizon 2d: with K[i] = e_1^T M^i for
+    # M = T_2 and W the Hankel matrix of the power sums Tr M^n, det W =
+    # disc(charpoly M) = det(K)^2 det G
+    d = dim_cusp_forms(weight)
+    m = hecke_matrix(weight, 2, victor_miller_basis(weight, 2 * d))
+
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                for row in a]
+
+    powers = [[[int(i == j) for j in range(d)] for i in range(d)]]
+    for _ in range(d - 1):
+        powers.append(mul(powers[-1], m))
+    # Tr M^n = sum over i, j of (M^a)_ij (M^(n-a))_ji, a = min(n, d - 1)
+    sums = [sum(x * y for row, col in zip(powers[min(n, d - 1)],
+                                          zip(*powers[n - min(n, d - 1)]))
+                for x, y in zip(row, col)) for n in range(2 * d - 1)]
+    disc = _bareiss_determinant([sums[i:i + d] for i in range(d)])
+    det_k = _bareiss_determinant([p[0] for p in powers])
+    assert det_k != 0
+    assert disc == det_k ** 2 * gram_determinant(weight)
+
+
+def test_search_builds_no_long_basis_above_the_gate(search_57_61_bases):
+    # above the gate (d >= 23) every cond3 candidate of 57/61 is decided by
+    # T_2, T_3 or T_5, so no basis passes horizon 5d; below it the trace
+    # form's basis to d^2 stays on the direct product path
+    limit = _convolve._DIRECT_SIZE_LIMIT
+    above = 0
+    for weight, trunc in search_57_61_bases:
+        d = dim_cusp_forms(weight)
+        if d * d + 1 > limit:
+            above += 1
+            assert trunc <= 5 * d, (weight, trunc)
+        else:
+            assert trunc + 1 <= limit, (weight, trunc)
+    assert above
 
 
 def test_hecke_ell_vanishes_weight_12():
@@ -612,7 +691,8 @@ def test_matmul_mod_every_branch_is_exact(monkeypatch, ell, inner, error):
                                  2 ** 33 - 9])
 def test_det_mod_matches_bareiss(ell):
     rng = random.Random(ell)
-    for size in range(1, 9):
+    # 17 and 40 cross the elimination's panels of 16 pivots
+    for size in (*range(1, 9), 17, 40):
         for _ in range(4):
             mat = [[rng.randrange(-50, 50) for _ in range(size)]
                    for _ in range(size)]
@@ -626,6 +706,25 @@ def test_det_mod_matches_bareiss(ell):
     # a zero pivot forces a row swap, which flips the sign
     assert _det_mod(np.array([[0, 1], [1, 0]]), ell) == (-1) % ell
     assert _det_mod(np.array([[ell, 1], [2 * ell, 5]]), ell) == 0
+
+
+@pytest.mark.parametrize("ell", [2, 3, 431, 2 ** 33 - 9])
+def test_solve_mod_solves_across_panels(ell):
+    # A X == B mod ell from the returned X, at sizes on both sides of the
+    # panel width; a row that depends on rows of two panels makes A singular
+    rng = random.Random(ell)
+    for size in (1, 5, 16, 17, 40):
+        a = [[rng.randrange(ell) for _ in range(size)] for _ in range(size)]
+        b = [[rng.randrange(ell) for _ in range(2)] for _ in range(size)]
+        det, x = modforms._solve_mod(np.hstack([a, b]), ell)
+        assert det == _bareiss_determinant(a) % ell
+        if det:
+            assert [[sum(r * int(c) for r, c in zip(row, col)) % ell
+                     for col in x.T] for row in a] == b
+        else:
+            assert x is None
+    a[-1] = [(u + 5 * v) % ell for u, v in zip(a[0], a[20])]
+    assert modforms._solve_mod(np.array(a), ell) == (0, None)
 
 
 @pytest.mark.parametrize("weight", [120, 180])

@@ -75,8 +75,14 @@ def test_primes_and_factorials():
 def test_is_prime_agrees_with_sieve():
     from etacong.numerics import is_prime
 
-    sieve = set(primes_up_to(3000))
-    assert all(is_prime(n) == (n in sieve) for n in range(3000))
+    # below 3,215,031,751 the bases 2, 3, 5 and 7 decide alone; that
+    # bound and 3825123056546413051 are strong pseudoprimes to them, the
+    # latter to every prime base up to 23 too
+    sieve = set(primes_up_to(10 ** 6))
+    assert all(is_prime(n) == (n in sieve) for n in range(10 ** 6))
+    assert not is_prime(3215031751)  # 151 * 751 * 28351
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2 ** 61 - 1)
 
 
 def test_legendre_symbol():

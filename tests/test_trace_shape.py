@@ -58,20 +58,31 @@ def test_traced_descent_spans_every_level(monkeypatch, workload, calls, depth):
     assert metrics["qseries.eta_power_residues.depth"] == depth
 
 
-@pytest.mark.parametrize("weight, ell, residue, bases, dets", [
-    (1968, 179, 0, 1, 0),    # 57/61's rejection: T_2's witness decides it
-    (1728, 431, 391, 2, 1),  # 57/61's certificate: no witness, Gram route
-])
+@pytest.mark.parametrize("weight, ell, residue, steps", [
+    (1968, 179, 0, (2,)),        # 57/61's rejection: T_2's Krylov rows
+    (1728, 431, 391, (2, 3, 5)),  # 57/61's certificate: T_5's Krylov rows
+], ids=["1968-179-T2", "1728-431-T5"])
 def test_traced_cond3_skips_the_long_basis_on_a_witness(
-        monkeypatch, weight, ell, residue, bases, dets):
+        monkeypatch, weight, ell, residue, steps):
+    # each ladder step p builds one basis to horizon p d and forms T_p; the
+    # deciding step takes one Hankel determinant; no basis reaches d^2
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import spans
     from etacong import modforms
 
+    build, horizons = modforms._vm_cusp_basis_mod, []
+
+    def recorded(weight, trunc, ell):
+        horizons.append(trunc)
+        return build(weight, trunc, ell)
+
+    monkeypatch.setattr(modforms, "_vm_cusp_basis_mod", recorded)
     with spans.Tracer() as tracer:
         got = modforms.gram_determinant_residue(weight, ell)
     metrics = tracer.metrics()
+    d = weight // 12
     assert got == residue
-    assert metrics["modforms._hecke_matrix_mod.calls"] == 1
-    assert metrics["modforms._vm_cusp_basis_mod.calls"] == bases
-    assert metrics["modforms._det_mod.calls"] == dets
+    assert horizons == [p * d for p in steps]
+    assert metrics["modforms._vm_cusp_basis_mod.calls"] == len(steps)
+    assert metrics["modforms._hecke_matrix_mod.calls"] == len(steps)
+    assert metrics["modforms._det_mod.calls"] == 1
