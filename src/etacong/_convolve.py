@@ -26,7 +26,8 @@ package goes through it, and ``inverse_mod`` inverts a series by Newton
 iteration on top of ``convolve_mod``.  ``eta_integer_power_mod`` raises
 Euler's pentagonal series to e, or Jacobi's cube (q;q)^3, as sparse, to
 e / 3 when that chain costs fewer transforms (two per square, three per
-product).
+product); either seed has about sqrt(n_out) nonzero coefficients, so its
+square is summed over their pairs instead of transformed.
 Every other product of residues mod m < 2^33 goes through ``mul_mod``,
 elementwise, or ``_matmul_mod``, float64 BLAS on limbs recombined by
 ``mul_mod``.
@@ -51,6 +52,8 @@ _DIRECT_SIZE_LIMIT = 1 << 9
 ROUNDING_LIMIT = 1 << 47
 # every float64 product-sum a _matmul_mod limb product forms stays below this
 _MATMUL_LIMIT = 1 << 52
+# every int64 sum _sparse_square accumulates stays below this
+_SQUARE_SUM_LIMIT = 1 << 63
 
 
 def convolve_exact(a, b, n_out):
@@ -354,17 +357,23 @@ def _series_mod(f, m, n_out):
     return series
 
 
-def power_mod(base, exponent, m, n_out):
-    """base(q)^exponent truncated to n_out coefficients, mod m, by squaring."""
+def _series_mul(m, n_out):
+    """binary_power's product of series mod m, truncated to n_out
+    coefficients; None stands for the series 1, so the first product is no
+    product."""
     def mul(f, g):
-        # None stands for the series 1, so the first product is no product
         return g if f is None else convolve_mod(f, g, m, n_out)
 
+    return mul
+
+
+def power_mod(base, exponent, m, n_out):
+    """base(q)^exponent truncated to n_out coefficients, mod m, by squaring."""
     # binary_power gets the only reference to the reduced base, so that
     # neither it nor the caller's series outlives the first squaring
     reduced = [_series_mod(base, m, n_out)]
     del base
-    power = binary_power(reduced.pop(), exponent, None, mul)
+    power = binary_power(reduced.pop(), exponent, None, _series_mul(m, n_out))
     if power is None:
         power = np.zeros(n_out, dtype=np.int64)
         power[0] = 1 % m
@@ -419,10 +428,43 @@ def jacobi_cube_mod(m, n_out):
     return out
 
 
+def _sparse_square(seed, m):
+    """seed(q)^2 mod m to len(seed) coefficients, summed over the pairs of
+    seed's nonzero coefficients instead of transformed.  Euler's and
+    Jacobi's series have about sqrt(len(seed)) of them (2,818 for Jacobi's
+    mod 289 at 4*10^6), so the pairs cost far less than an FFT square.
+
+    Row k adds x_k * x_j mod m, doubled for j > k, at i_k + i_j for every
+    nonzero x_j at i_j >= i_k with i_k + i_j < len(seed).  A row adds at
+    most one term below 2m to each coefficient, so R rows after a
+    reduction leave every sum below (2R + 1) m.  The sums are reduced every
+    R = (2^63 // m - 1) // 2 rows and stay below ``_SQUARE_SUM_LIMIT`` =
+    2^63 at any m and length.
+    """
+    n = len(seed)
+    idx = np.flatnonzero(seed)
+    val = seed[idx]
+    tops = np.searchsorted(idx, n - idx)
+    rows = (_SQUARE_SUM_LIMIT // m - 1) // 2
+    out = np.zeros(n, dtype=np.int64)
+    # i_k + i_k < n holds for a prefix of the rows
+    for k in range(int(np.searchsorted(idx, (n + 1) // 2))):
+        row = mul_mod(val[k:tops[k]], val[k], m)
+        row[1:] <<= 1
+        out[idx[k] + idx[k:tops[k]]] += row
+        if (k + 1) % rows == 0:
+            out %= m
+    out %= m
+    return out
+
+
 def _chain_cost(exponent):
-    """Transforms binary_power spends on a one-limb power: two per square,
-    three per product, for bits(e) - 1 squares and popcount(e) - 1 products."""
-    return 2 * (exponent.bit_length() - 1) + 3 * (bin(exponent).count("1") - 1)
+    """Transforms eta_integer_power_mod spends on a one-limb power: two per
+    square, three per product, for bits(e) - 1 squares and popcount(e) - 1
+    products, less the first square when e >= 2, which ``_sparse_square``
+    takes without a transform."""
+    squares = max(exponent.bit_length() - 2, 0)
+    return 2 * squares + 3 * (bin(exponent).count("1") - 1)
 
 
 def eta_integer_power_mod(exponent, m, n_out):
@@ -430,9 +472,20 @@ def eta_integer_power_mod(exponent, m, n_out):
 
     A multiple of 3 starts from Jacobi's cube, as sparse as Euler's
     pentagonal series, when e / 3 takes a cheaper chain than e: 72 becomes
-    J^24, four squares and a product instead of six and a product.
+    J^24, three squares and a product instead of five and a product.  The
+    seed's square is taken pair by pair (``_sparse_square``); binary_power
+    raises it to e // 2 and multiplies by the seed once when e is odd.
     """
     e = operator.index(exponent)
     if e > 0 and e % 3 == 0 and _chain_cost(e // 3) < _chain_cost(e):
-        return power_mod(jacobi_cube_mod(m, n_out), e // 3, m, n_out)
-    return power_mod(pentagonal_mod(m, n_out), e, m, n_out)
+        seed, e = jacobi_cube_mod(m, n_out), e // 3
+    else:
+        seed = pentagonal_mod(m, n_out)
+    if e < 2:
+        return power_mod(seed, e, m, n_out)
+    # binary_power gets the only references to the seed and its square,
+    # so that each is freed at its last use, as in power_mod
+    series = [seed if e & 1 else None, _sparse_square(seed, m)]
+    del seed
+    return binary_power(series.pop(), e >> 1, series.pop(),
+                        _series_mul(m, n_out))

@@ -370,13 +370,18 @@ def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationReport:
     # the descent comes first: it refuses ell^v >= 2^33, so mul_mod below
     # always gets a modulus in range; canonical offsets keep every
     # balanced argument nonnegative
-    vals = eta_power_residues(f, ell, claim.v,
-                              modulus * n_max + claim.offset if balanced
-                              else n_max)
     if balanced:
+        # every argument ell^v n + offset lies in the class r = offset mod
+        # ell, so the descent forms that class alone: vals[j] is the
+        # coefficient at ell j + r
+        r = claim.offset % ell
+        vals = eta_power_residues(f, ell, claim.v,
+                                  modulus * n_max + claim.offset, residue=r)
         ns = np.arange(n_max + 1, dtype=np.int64)
         args = ns * modulus + claim.offset
+        residues = vals[(args - r) // ell]
     else:
+        vals = eta_power_residues(f, ell, claim.v, n_max)
         # stride*n + shift mod ell repeats with period ell in n: Euler's
         # criterion s^((ell-1)/2) == -1 on one period, tiled over n <= n_max
         s = (claim.stride * np.arange(min(n_max + 1, ell), dtype=np.int64)
@@ -385,7 +390,7 @@ def verify_claim(claim: CongruenceClaim, n_max: int) -> VerificationReport:
                              lambda a, b: mul_mod(a, b, ell))
         ns = args = np.flatnonzero(
             np.tile(euler == ell - 1, -(-(n_max + 1) // s.size))[:n_max + 1])
-    residues = vals[args]
+        residues = vals[args]
     hits = np.flatnonzero(residues)
     counterexample, tested = None, int(args.size)
     if hits.size:

@@ -61,7 +61,6 @@ from ._convolve import (
 from .numerics import (
     Rational,
     ell_integral,
-    ell_valuation,
     is_prime,
     mod_inverse,
     psi,
@@ -633,10 +632,14 @@ def is_good_prime(alpha: Rational, ell: int, k: int, *,
             "ell in {2, 3} excluded by default (allow_small_primes)")
     if k >= ell:
         return GoodPrimeRejection(alpha_str, ell, k, "k >= ell")
-    gap = 24 * k - f
+    # ell does not divide b, so ord_ell(24k - a/b) = ord_ell(24kb - a)
+    gap = 24 * k * f.denominator - f.numerator
     if gap == 0:
         return GoodPrimeRejection(alpha_str, ell, k, "r undefined (24k = alpha)")
-    r = ell_valuation(gap, ell)
+    r = 0
+    while gap % ell == 0:
+        gap //= ell
+        r += 1
     if r < 1:
         return GoodPrimeRejection(
             alpha_str, ell, k, "cond1 failed: ell does not divide 24k - alpha")
@@ -658,7 +661,7 @@ def is_good_prime(alpha: Rational, ell: int, k: int, *,
     exact = gram_determinant(weight) if weight <= EXACT_GRAM_WEIGHT_CAP else None
     if exact is not None and exact % ell != residue:
         raise ArithmeticError("gram determinant routes disagree")
-    return GoodPrimeCertificate(alpha_str, ell, k, int(r), m_hit, weight,
+    return GoodPrimeCertificate(alpha_str, ell, k, r, m_hit, weight,
                                 exact, residue)
 
 

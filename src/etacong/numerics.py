@@ -40,6 +40,8 @@ def as_fraction(x: Rational) -> Fraction:
     str() of the result is the canonical spelling of an exponent alpha:
     lowest terms, the sign on the numerator, no "/1".
     """
+    if type(x) is Fraction:
+        return x  # immutable: no copy needed
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):

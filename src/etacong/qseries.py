@@ -22,7 +22,8 @@ The first two are O(T^2) exact arithmetic; the descent route is the
 scalable one (FFT-backed) used for searches and brute-force verification.
 Each descent level is one power of (q;q) and one product by the next
 level's series in q^ell, taken one residue class mod ell at a time once
-the classes outgrow the direct product (``_times_dilated``).
+the classes outgrow the direct product (``_times_dilated``); a caller that
+reads one class mod ell asks for that class alone (``residue=``).
 ``eta_power_mod`` returns the residues mod ell^v from the descent while
 ell^v fits its FFT backend and from the ledger above that.
 """
@@ -127,19 +128,27 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int):
+def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
+                       *, residue: int | None = None):
     """Raw coefficients of (q;q)^alpha mod ell^precision as an int64 array.
 
     The Frobenius-descent route: write alpha = e + ell^v * gamma with an
     integer e in [0, ell^v), compute (q;q)^e exactly mod ell^v, and recurse on
     (q^ell;q^ell)^{ell^(v-1) gamma} at truncation T // ell.  No division by
     the series index ever happens, so the result is exact mod ell^precision.
+
+    With ``residue`` = r in [0, ell), only coefficients r, r + ell, ... up
+    to T are returned: inner(q^ell) keeps each class mod ell to itself, so
+    that class is the one product out[r::ell] * inner, and the other
+    ell - 1 are never formed.  The inner level is the full series.
     """
     f = ell_integral(alpha, ell)
     if precision < 1:
         raise ValueError("precision must be >= 1")
     if trunc < 0:
         raise ValueError("truncation must be >= 0")
+    if residue is not None and not 0 <= residue < ell:
+        raise ValueError(f"residue must lie in [0, {ell})")
     m = ell ** precision
     if m >= FFT_MODULUS_LIMIT:
         raise PrecisionError(
@@ -155,12 +164,16 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int):
             f"physical memory")
     e = psi(m, f)
     out = eta_integer_power_mod(e, m, trunc + 1)
+    if residue is not None:
+        out = out[residue::ell].copy()
     gamma = (f - e) / m
-    if gamma != 0 and trunc >= ell:
-        out = _times_dilated(out, eta_power_residues(
-            ell ** (precision - 1) * gamma, ell, precision, trunc // ell),
-            ell, m)
-    return out
+    if gamma == 0 or trunc < ell:
+        return out
+    inner = eta_power_residues(ell ** (precision - 1) * gamma, ell, precision,
+                               trunc // ell)
+    if residue is not None:
+        return convolve_mod(out, inner[:len(out)], m, len(out))
+    return _times_dilated(out, inner, ell, m)
 
 
 def _times_dilated(series, inner, ell, m):

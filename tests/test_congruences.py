@@ -187,6 +187,44 @@ def test_verify_claim_counterexample():
     assert report.counterexample == (0, 1, 1)  # p(1) = 1
 
 
+def balanced_by_full_series(claim, n_max):
+    """(outcome, counterexample, n_tested) of a balanced claim, read off
+    the whole series at every argument."""
+    vals = eta_power_residues(claim.alpha, claim.ell, claim.v,
+                              claim.modulus * n_max + claim.offset)
+    for n in range(n_max + 1):
+        arg = claim.modulus * n + claim.offset
+        if vals[arg]:
+            return "counterexample", (n, arg, int(vals[arg])), n_max + 1
+    return "verified", None, n_max + 1
+
+
+@pytest.mark.parametrize("alpha, ell, v, offset, holds", [
+    ("57/61", 17, 2, 286, True),     # the headline, k = 3
+    ("57/61", 17, 1, 14, True),
+    ("57/61", 17, 2, 285, False),
+    ("57/61", 17, 2, 14, False),     # the class of 286, another offset
+    ("-1", 5, 2, 24, True),          # Ramanujan
+    ("-1", 7, 1, 5, True),
+    ("-1", 5, 1, 3, False),
+    ("-1", 2, 3, 5, False),
+    ("57/61", 101, 2, 10200, False),
+    ("-1", 5, 13, 1000, False),      # two limbs mod 5^13
+    ("7", 5, 2, 3, False),           # gamma == 0: no inner level
+])
+def test_balanced_verify_matches_the_full_series(alpha, ell, v, offset, holds):
+    claim = CongruenceClaim(variant=BALANCED, alpha=alpha, ell=ell, v=v,
+                            offset=offset)
+    for n_max in (0, 1, 5, 60):
+        if claim.modulus * n_max > 10 ** 5:
+            break
+        report = verify_claim(claim, n_max)
+        want = balanced_by_full_series(claim, n_max)
+        assert (report.outcome, report.counterexample, report.n_tested,
+                report.precision_used) == (*want, v), n_max
+    assert report.verified == holds
+
+
 def square_class_by_loop(claim, n_max):
     """(outcome, counterexample, n_tested) of a square-class claim, one
     Legendre symbol per argument."""

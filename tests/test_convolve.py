@@ -13,6 +13,7 @@ from etacong._convolve import (
     ROUNDING_LIMIT,
     _balanced_limbs,
     _limb_layout,
+    _sparse_square,
     binary_power,
     convolve_exact,
     convolve_mod,
@@ -141,6 +142,53 @@ def test_eta_integer_power_equals_the_pentagonal_chain(m, n_out):
     for e in exponents:
         chain = power_mod(pentagonal_mod(m, n_out), e, m, n_out)
         assert np.array_equal(eta_integer_power_mod(e, m, n_out), chain), e
+
+
+SQUARE_MODULI = [289, 5 ** 6, 5 ** 13, 5 ** 14, 2 ** 33 - 9]
+
+
+@pytest.mark.parametrize("m", SQUARE_MODULI)
+@pytest.mark.parametrize("n_out", [1, 2, 512, 513, 10 ** 5])
+def test_sparse_square_equals_the_fft_square(m, n_out):
+    # 2^33 - 9 multiplies its rows on mul_mod's split path
+    for seed in (pentagonal_mod(m, n_out), jacobi_cube_mod(m, n_out)):
+        assert np.array_equal(_sparse_square(seed, m),
+                              convolve_mod(seed, seed, m, n_out))
+
+
+@pytest.mark.parametrize("m", SQUARE_MODULI)
+@pytest.mark.parametrize("n_out", [1, 2, 512, 513, 10 ** 5])
+def test_odd_and_even_chains_after_the_sparse_square(m, n_out):
+    # the chain's exponent after the seed choice: 2, 5, 7 of the
+    # pentagonal series, 3 (e = 9) and 4 (e = 12) of Jacobi's cube
+    exponents = [2, 5, 7, 9, 12] if n_out < 10 ** 5 or m == 289 else [5, 12]
+    for e in exponents:
+        chain = power_mod(pentagonal_mod(m, n_out), e, m, n_out)
+        assert np.array_equal(eta_integer_power_mod(e, m, n_out), chain), e
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_sparse_square_reduced_every_few_rows(monkeypatch, rows):
+    # a limit of (2 rows + 1) m reduces the sums after every `rows` rows;
+    # the result must not change
+    m = 2 ** 33 - 9
+    monkeypatch.setattr(_convolve, "_SQUARE_SUM_LIMIT", (2 * rows + 1) * m)
+    for seed in (pentagonal_mod(m, 5000), jacobi_cube_mod(m, 5000)):
+        assert np.array_equal(_sparse_square(seed, m),
+                              convolve_mod(seed, seed, m, 5000))
+
+
+def test_the_first_square_takes_no_transform(monkeypatch):
+    counts = count_transforms(monkeypatch)
+    # J^24: three fft squares and one product; 72 from the pentagonal
+    # series would take five squares and one product
+    eta_integer_power_mod(72, 289, FFT_N)
+    assert counts == {"rfft": 3 + 2, "irfft": 3 + 1}
+    counts.clear()
+    # J^2 and the pentagonal series squared: no transform at all
+    eta_integer_power_mod(6, 289, FFT_N)
+    eta_integer_power_mod(2, 289, FFT_N)
+    assert counts == {}
 
 
 def test_jacobi_seed_only_where_its_chain_is_cheaper(monkeypatch):

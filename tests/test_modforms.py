@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from etacong import _convolve, modforms
-from etacong.numerics import NotEllIntegralError, PrecisionError
+from etacong.numerics import NotEllIntegralError, PrecisionError, ell_valuation
 from etacong._convolve import convolve_exact, mul_mod
 from etacong.qseries import HorizonError
 from etacong.modforms import (
@@ -451,6 +451,26 @@ def test_is_good_prime_rejections():
     # (179, 164) passes cond1 and cond2, so a lower cap must error, not reject
     with pytest.raises(WeightCapExceeded):
         is_good_prime(Fraction(57, 61), 179, 164, max_weight=1900)
+
+
+@pytest.mark.parametrize("alpha", [
+    Fraction(57, 61),                   # r = 2 at (17, 3)
+    72 - Fraction(17 ** 3 * 2, 61),     # r = 3 at (17, 3)
+    Fraction(-1),
+    Fraction(3, 997),
+])
+def test_cond1_takes_the_valuation_of_24k_minus_alpha(alpha):
+    # r = ord_ell(24k - alpha) on the Fraction, against is_good_prime's
+    # integer valuation of 24kb - a: cond1 rejects exactly r = 0, and a
+    # candidate past cond1 keeps r in its certificate
+    for ell in (5, 7, 17):
+        for k in range(1, ell):
+            r = ell_valuation(24 * k - alpha, ell)
+            outcome = is_good_prime(alpha, ell, k)
+            cond1 = getattr(outcome, "reason", "").startswith("cond1")
+            assert cond1 == (r == 0), (ell, k)
+            if outcome:
+                assert outcome.r == r, (ell, k)
 
 
 def test_good_prime_implies_hecke_vanishing(search_57_61):

@@ -283,6 +283,51 @@ def test_verify_workload_stays_far_below_physical_memory():
     assert have is None or have > 0
 
 
+# (ell, v): one limb, and the largest power of ell below 2^33, which takes
+# two or three limbs at these lengths
+RESIDUE_MODULI = [(2, 4), (2, 32), (5, 2), (5, 14), (17, 2), (17, 8),
+                  (101, 1), (101, 4)]
+
+
+@pytest.mark.parametrize("ell,v", RESIDUE_MODULI)
+def test_residue_route_is_one_class_of_the_full_series(ell, v):
+    alpha = Fraction(57, 61)
+    # inner has T // ell + 1 coefficients, T's class and those below it as
+    # many, the classes above it one fewer.  Every class at T < ell and at
+    # one longer T; every T mod ell at inner width 3, and the T next to a
+    # class edge at 40 and (but for 101, for time) past the direct path's
+    # size limit, each with the classes on both sides of T's own
+    widths = [40] + ([_DIRECT_SIZE_LIMIT + 1] if ell < 101 else [])
+    full = eta_power_residues(alpha, ell, v, ell * widths[-1] + ell - 1)
+    cases = [(trunc, range(ell)) for trunc in (0, 1, ell - 1, 5 * ell + 1)]
+    truncs = list(range(3 * ell - 1, 4 * ell - 1))
+    for w in widths:
+        truncs += [ell * w - 1, ell * w, ell * w + 1, ell * w + ell - 2]
+    cases += [(trunc, {0, trunc % ell, (trunc + 1) % ell, ell - 1})
+              for trunc in truncs]
+    for trunc, classes in cases:
+        for r in classes:
+            got = eta_power_residues(alpha, ell, v, trunc, residue=r)
+            assert np.array_equal(got, full[:trunc + 1][r::ell]), (trunc, r)
+
+
+@pytest.mark.parametrize("ell,v", RESIDUE_MODULI)
+def test_residue_route_without_an_inner_level(ell, v):
+    # an integer alpha in [0, ell^v) is its own exponent: gamma == 0
+    m = ell ** v
+    for alpha in {0, 1, 72 % m, m - 1}:
+        full = eta_power_residues(alpha, ell, v, 3 * ell + 1)
+        for r in range(ell):
+            got = eta_power_residues(alpha, ell, v, 3 * ell + 1, residue=r)
+            assert np.array_equal(got, full[r::ell]), (alpha, r)
+
+
+@pytest.mark.parametrize("residue", [-1, 17, 18, 10 ** 6])
+def test_residue_outside_the_classes_is_refused(residue):
+    with pytest.raises(ValueError, match=r"residue must lie in \[0, 17\)"):
+        eta_power_residues(Fraction(57, 61), 17, 2, 1000, residue=residue)
+
+
 # one limb (the first three), two limbs (5^13) and three (5^14)
 PEAK_CASES = [
     (Fraction(57, 61), 17, 2, 25_000),
@@ -351,3 +396,16 @@ def test_class_route_peak_stays_within_product_bytes(alpha, ell, v, trunc):
     finally:
         tracemalloc.stop()
     assert peak <= product_bytes(trunc + 1, ell ** v)
+
+
+@pytest.mark.parametrize("trunc", [25_000, 100_000])
+def test_residue_route_peak_stays_within_product_bytes(trunc):
+    # verify's shape: the class of 286 mod 17 of p_alpha mod 17^2
+    eta_power_residues(Fraction(57, 61), 17, 2, 1000, residue=14)
+    tracemalloc.start()
+    try:
+        eta_power_residues(Fraction(57, 61), 17, 2, trunc, residue=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= product_bytes(trunc + 1, 17 ** 2)
