@@ -19,6 +19,16 @@ A call where even one pair at the most limbs would pass the limit (for
 any modulus below ``FFT_MODULUS_LIMIT``, not before 2^27 coefficients) is
 refused before transforming, and every rounded value is still checked to
 lie within 0.25 of an integer; both checks raise ``PrecisionError``.
+A product of more than ``_BLOCKED_OUTPUT`` = 2^20 coefficients, whose
+one transform would pass 2^21 points, where pocketfft's cost per point
+rises by half, is cut into blocks of ``_BLOCK`` = 2^18 coefficients.
+Each operand block's limbs are transformed at 2^19 points, and output
+block t is the inverse transform of the summed spectra of the block
+pairs u + v = t (a square sums the pairs u < v once and doubles them).
+Its coefficients sum subsets of the flat product's terms, so the flat
+layout's limbs, groups and checks keep it exact.  numpy's transforms
+release the GIL, so the output blocks run two at a time on a thread pool
+that lives for that one product.
 ``fixed_operand_mod`` serves many products by one fixed operand through
 the same kernel: that operand's limb spectra are computed once.
 ``binary_power`` is the one square-and-multiply loop; every power in the
@@ -36,6 +46,8 @@ elementwise, or ``_matmul_mod``, float64 BLAS on limbs recombined by
 from __future__ import annotations
 
 import operator
+import os
+from collections import deque
 
 import numpy as np
 
@@ -48,6 +60,14 @@ _LIMB_CAP_BITS = 11
 FFT_MODULUS_LIMIT = 1 << 33
 # below this size the direct int64 path beats FFT setup cost
 _DIRECT_SIZE_LIMIT = 1 << 9
+# a product of more than this many coefficients is cut into blocks: its
+# flat transform would pass 2^21 points, past which pocketfft's cost per
+# point rises by about half
+_BLOCKED_OUTPUT = 1 << 20
+# coefficients per block; block pairs are transformed at twice this length
+_BLOCK = 1 << 18
+# output blocks transformed at once, each on its own thread
+_PARALLEL_BLOCKS = 2
 # every exact coefficient an inverse transform recovers stays below this
 ROUNDING_LIMIT = 1 << 47
 # every float64 product-sum a _matmul_mod limb product forms stays below this
@@ -127,24 +147,35 @@ def _balanced_limbs(a, m, limbs, bits):
     yield np.right_shift(t, bits * (limbs - 1), out=t)
 
 
-def _pairs_spectrum(fa, fb, s, first, stop):
-    """Sum of the limb-pair spectra fa[i] * fb[s - i] for first <= i < stop.
+def _pairs_spectrum(pairs, doubled, s, first, stop, consume=False):
+    """Sum of the limb-pair spectra fa[i] * fb[s - i] for first <= i < stop
+    over the block pairs (fa, fb); the first ``doubled`` pairs count twice.
 
-    Limb s - L + 1 of either operand pairs with no later shift, so it is
-    dropped from fa and fb once the sum reaches shift s's last pair.  The
-    top shift's one pair is the last use of both spectra and is multiplied
-    in place.
+    No spectrum is changed unless ``consume`` marks a lone pair at its
+    last use (a one-block product).  Then limb s - L + 1 of either operand
+    pairs with no later shift, so it is dropped from fa and fb once the
+    sum reaches shift s's last pair, and the top shift's one pair is the
+    last use of both spectra and is multiplied in place.
     """
-    limbs = len(fa)
-    if s == 2 * limbs - 2:
-        spectrum = fa[first]
-        spectrum *= fb[s - first]
-    else:
-        spectrum = fa[first] * fb[s - first]
-        for i in range(first + 1, stop):
-            spectrum += fa[i] * fb[s - i]
-    if stop == limbs:
-        fa[s - limbs + 1] = fb[s - limbs + 1] = None
+    limbs = len(pairs[0][0])
+    terms = [(fa[i], fb[s - i])
+             for fa, fb in pairs for i in range(first, stop)]
+    if consume:
+        (fa, fb), = pairs
+        if stop == limbs:
+            fa[s - limbs + 1] = fb[s - limbs + 1] = None
+    if consume and s == 2 * limbs - 2:
+        spectrum, y = terms.pop()
+        spectrum *= y
+        return spectrum
+    spectrum = None
+    for k, (x, y) in enumerate(terms, 1):
+        if spectrum is None:
+            spectrum = x * y
+        else:
+            spectrum += x * y
+        if k == doubled * (stop - first):
+            spectrum *= 2
     return spectrum
 
 
@@ -218,6 +249,15 @@ def product_bytes(n_out, m):
     transform); L > 1 limbs hold all 2L beside the summed pair spectrum
     and the inverse transform's output (or the next pair's term).  Series:
     both operands, the result or the limb being split, and one transient.
+
+    A blocked product (past ``_BLOCKED_OUTPUT`` = 4B coefficients, B =
+    ``_BLOCK``) fits the same bound.  Its T blocks hold T B <= length / 2
+    points per limb and operand, at most a flat spectrum.  Its top output
+    block, which reads every block, runs alone and holds two arrays of 2B
+    float64 at once, less than the transient series of n_out > 4B int64.
+    The blocks after it run two at a time, with two block spectra freed,
+    and hold four such arrays at one limb (eight at L > 1, within the two
+    spare flat spectra).
     """
     limbs = _limb_layout(m, n_out)[0]
     spectrum = 16 * (_fft_length(2 * n_out - 1) // 2 + 1)  # complex128
@@ -225,48 +265,44 @@ def product_bytes(n_out, m):
     return spectra * spectrum + 4 * 8 * n_out
 
 
-def _fft_layout(m, len_a, len_b):
-    """(length, short, limbs, bits) of a product of len_a by len_b
-    coefficients mod m: the FFT length, the shorter operand's length and
-    ``_limb_layout``'s limbs for it."""
+def _fft_layout(m, len_a, len_b, n_out=0):
+    """(length, size, short, limbs, bits) of a product of len_a by len_b
+    coefficients mod m, truncated to n_out: the FFT length, the block size
+    in coefficients, the shorter operand's length and ``_limb_layout``'s
+    limbs for it.  Past ``_BLOCKED_OUTPUT`` output coefficients the
+    operands are cut into ``_BLOCK``-coefficient blocks, each transformed
+    at twice that length; otherwise (and without n_out) each operand is
+    one block, transformed at the product's length."""
     short = min(len_a, len_b)
-    return (_fft_length(len_a + len_b - 1), short) + _limb_layout(m, short)
+    if n_out > _BLOCKED_OUTPUT:
+        length, size = 2 * _BLOCK, _BLOCK
+    else:
+        length = size = _fft_length(len_a + len_b - 1)
+    return (length, size, short) + _limb_layout(m, short)
 
 
 def _limb_spectra(x, m, layout):
-    length, _, limbs, bits = layout
+    length, _, _, limbs, bits = layout
     return [np.fft.rfft(limb, length)
             for limb in _balanced_limbs(x, m, limbs, bits)]
 
 
-def _convolve_fft_mod(a, b, m, n_out, fixed=None):
-    """a * b mod m to n_out coefficients by limb-split real FFTs.
-
-    ``fixed`` is ``(layout, spectra)``, b's limb spectra at a layout that
-    covers a, from ``fixed_operand_mod``; they are read, never changed.
-    """
-    if fixed is None:
-        layout = _fft_layout(m, len(a), len(b))
-        fb = None
-    else:
-        layout, fb = fixed
-        # _pairs_spectrum clears the slots of the list it is given
-        fb = list(fb)
-    length, short, limbs, bits = layout
+def _block_residues(pairs, doubled, layout, m, n_out, consume=False):
+    """The first n_out coefficients, mod m, of the sum of the block pairs'
+    products (``_pairs_spectrum``'s arguments): one inverse transform per
+    limb shift s = i + j and group of limb pairs, recombined at 2^(bs)."""
+    length, _, short, limbs, bits = layout
     # limb pairs one inverse transform may sum: group * pair bound < limit
     group = (ROUNDING_LIMIT - 1) // (4 ** (bits - 1) * short)
     lift = -(-ROUNDING_LIMIT // m) * m
-    fa = _limb_spectra(a, m, layout)
-    if fb is None:
-        fb = fa if b is a else _limb_spectra(b, m, layout)
     out = None
     for s in range(2 * limbs - 1):
         low, high = max(0, s - limbs + 1), min(s, limbs - 1) + 1
         shift = pow(2, bits * s, m)
         for first in range(low, high, group):
-            # in place only on fa, a's own spectra, never on a fixed fb
             residues = _exact_residues(
-                _pairs_spectrum(fa, fb, s, first, min(first + group, high)),
+                _pairs_spectrum(pairs, doubled, s, first,
+                                min(first + group, high), consume),
                 length, n_out, m, lift)
             if out is None:
                 out = residues  # shift 0 holds one pair, at weight 2^0
@@ -275,6 +311,99 @@ def _convolve_fft_mod(a, b, m, n_out, fixed=None):
                 out %= m
             # the next transforms run without this shift's residues
             del residues
+    return out
+
+
+def _convolve_fft_mod(a, b, m, n_out, fixed=None):
+    """a * b mod m to n_out coefficients by limb-split real FFTs.
+
+    ``fixed`` is ``(layout, spectra)``, b's limb spectra at a one-block
+    layout that covers a, from ``fixed_operand_mod``; they are read, never
+    changed.
+    """
+    if fixed is None:
+        layout = _fft_layout(m, len(a), len(b), n_out)
+        if n_out > layout[1]:
+            return _blocked_product(a, b, m, n_out, layout)
+        fb = None
+    else:
+        layout, fb = fixed
+        # _pairs_spectrum clears the slots of the list it is given
+        fb = list(fb)
+    fa = _limb_spectra(a, m, layout)
+    if fb is None:
+        fb = fa if b is a else _limb_spectra(b, m, layout)
+    # in place only on fa, a's own spectra, never on a fixed fb
+    return _block_residues([(fa, fb)], 0, layout, m, n_out, consume=True)
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _block_pairs(fa, fb, t, square):
+    """(pairs, doubled) of output block t for ``_block_residues``: the
+    block pairs (fa[u], fb[t - u]).  A square takes u <= t - u only, and
+    counts u < t - u twice."""
+    us = range(max(0, t - len(fb) + 1), min(t, len(fa) - 1) + 1)
+    if not square:
+        return [(fa[u], fb[t - u]) for u in us], 0
+    us = [u for u in us if 2 * u <= t]
+    return [(fa[u], fa[t - u]) for u in us], sum(2 * u < t for u in us)
+
+
+def _blocked_product(a, b, m, n_out, layout):
+    """a * b mod m to n_out coefficients, cut into blocks of `size`.
+
+    Output block t is the inverse transform of the sum of the block-pair
+    spectra with u + v = t: its first `size` coefficients land at t size,
+    the rest at (t + 1) size.  Each of its coefficients sums a subset of
+    the flat product's terms, so the flat layout's limbs and groups keep
+    it exact.  Block transforms run on a thread pool, ``_PARALLEL_BLOCKS``
+    output blocks at a time, from the top block down; results are added in
+    that order and each block's spectra dropped after the last output
+    block that reads them.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    length, size = layout[:2]
+    blocks = -(-n_out // size)
+    square = b is a
+    out = np.zeros(n_out, dtype=np.int64)
+    with ThreadPoolExecutor(min(_PARALLEL_BLOCKS, _usable_cpus())) as pool:
+        def spectra(x):
+            return list(pool.map(
+                lambda u: _limb_spectra(x[u * size:(u + 1) * size], m,
+                                        layout),
+                range(min(blocks, -(-len(x) // size)))))
+
+        fa = spectra(a)
+        fb = fa if square else spectra(b)
+        pending = deque()
+        # top down: no output block below t reads fa[t] or fb[t], so they
+        # are freed once block t's pairs are done
+        for t in reversed(range(blocks)):
+            pairs, doubled = _block_pairs(fa, fb, t, square)
+            for x in (fa, fb):
+                if t < len(x):
+                    x[t] = None
+            if pairs:
+                pending.append((t * size, pool.submit(
+                    _block_residues, pairs, doubled, layout, m,
+                    min(length, n_out - t * size))))
+            del pairs
+            # the top block, which reads every spectrum, runs alone
+            while pending and (len(pending) == _PARALLEL_BLOCKS
+                               or t in (0, blocks - 1)):
+                start, future = pending.popleft()
+                residues = future.result()
+                window = out[start:start + len(residues)]
+                window += residues
+                window %= m
+                del residues
     return out
 
 

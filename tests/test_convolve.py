@@ -1,4 +1,6 @@
 import operator
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -259,7 +261,12 @@ def test_one_limb_bound_of_5_6_is_exact_on_both_sides(monkeypatch, n, limbs):
     b = np.full(n, m // 2 + 1, dtype=np.int64)
     counts = count_transforms(monkeypatch)
     got = convolve_mod(a, b, m, n)
-    assert counts == {"rfft": 2 * limbs, "irfft": 2 * limbs - 1}
+    # past _BLOCKED_OUTPUT coefficients, in blocks: each operand block is
+    # transformed once per limb, each output block inverted once per shift
+    assert n > _convolve._BLOCKED_OUTPUT
+    blocks = -(-n // _convolve._BLOCK)
+    assert counts == {"rfft": 2 * limbs * blocks,
+                      "irfft": (2 * limbs - 1) * blocks}
     k = np.arange(1, n + 1, dtype=np.int64)
     assert np.array_equal(got, k * (m // 2 * (m // 2 + 1) % m) % m)
 
@@ -348,10 +355,12 @@ def test_square_equals_product_equals_exact(monkeypatch, m, limbs, worst):
 
 
 def count_transforms(monkeypatch):
-    counts = Counter()
+    # blocked products transform on worker threads
+    counts, lock = Counter(), threading.Lock()
     for name in ("rfft", "irfft"):
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            counts[_name] += 1
+            with lock:
+                counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return counts
@@ -454,3 +463,126 @@ def test_inverse_mod_times_series_is_one(monkeypatch, m, limbs):
     assert [c % m for c in product] == [1] + [0] * (FFT_N - 1)
     with pytest.raises(ValueError):
         inverse_mod(np.array([5, 1]), 5 ** 6, 2)
+
+
+def small_blocks(monkeypatch, block=128):
+    """Cut products past 4 * block coefficients into blocks of `block`, as
+    products past 2^20 coefficients are cut into blocks of 2^18."""
+    monkeypatch.setattr(_convolve, "_BLOCK", block)
+    monkeypatch.setattr(_convolve, "_BLOCKED_OUTPUT", 4 * block)
+
+
+# (len_a, len_b, n_out) in blocks of 128
+BLOCKED_SHAPES = [
+    (3000, 3000, 5999),  # the full product; its top block is partial
+    (3000, 2000, 4000),  # unequal lengths, cut short of len_a + len_b - 1
+    (3000, 100, 3099),   # b shorter than one block
+    (2000, 3000, 2560),  # n_out on a block edge
+    (1024, 1024, 2047),  # the top output block holds no block pair
+]
+
+
+@pytest.mark.parametrize("m,limbs", LIMB_MODULI)
+@pytest.mark.parametrize("len_a,len_b,n_out", BLOCKED_SHAPES)
+def test_blocked_route_matches_exact(monkeypatch, m, limbs, len_a, len_b,
+                                     n_out):
+    small_blocks(monkeypatch)
+    hold_limbs(monkeypatch, m, limbs, min(len_a, len_b))
+    rng = np.random.default_rng(len_a * len_b + n_out)
+    a = rng.integers(0, m, len_a, dtype=np.int64)
+    b = rng.integers(0, m, len_b, dtype=np.int64)
+    # one forward transform per limb and operand block below n_out
+    blocks = [-(-min(n, n_out) // 128) for n in (len_a, len_b)]
+    counts = count_transforms(monkeypatch)
+    assert convolve_mod(a, b, m, n_out).tolist() == exact_mod(a, b, m, n_out)
+    assert counts["rfft"] == limbs * sum(blocks)
+    counts.clear()
+    # a square transforms its blocks once, and sums its pairs u < v twice
+    assert convolve_mod(a, a, m, n_out).tolist() == exact_mod(a, a, m, n_out)
+    assert counts["rfft"] == limbs * blocks[0]
+
+
+@pytest.mark.parametrize("limbs", [2, 3])
+def test_blocked_route_at_the_centred_extremes(monkeypatch, limbs):
+    # m // 2 and m // 2 + 1 centre to +-(m - 1) / 2 at 5^14, whose limb
+    # products overflow int64; it takes two limbs at 3000 coefficients
+    small_blocks(monkeypatch)
+    m, n = 5 ** 14, 3000
+    if limbs == 3:
+        hold_limbs(monkeypatch, m, limbs, n)
+    assert _limb_layout(m, n)[0] == limbs
+    a = np.full(n, m // 2, dtype=np.int64)
+    b = np.full(n, m // 2 + 1, dtype=np.int64)
+    for x, y in ((a, a), (a, b), (b, b)):
+        c2 = int(x[0]) * int(y[0]) % m
+        assert convolve_mod(x, y, m, n).tolist() == [
+            (k + 1) * c2 % m for k in range(n)]
+
+
+@pytest.mark.parametrize("m,limbs", LIMB_MODULI)
+def test_blocked_route_rounding_bound(monkeypatch, m, limbs):
+    # test_rounding_bound_enforced_at_its_limit in blocks of 128: the same
+    # refusal before any transform, and the same groups per output block
+    small_blocks(monkeypatch)
+    a = np.full(FFT_N, m // 2 + 1, dtype=np.int64)
+    b = np.full(600, m // 2, dtype=np.int64)
+    pair_bound = 4 ** (limb_bits(m, limbs) - 1) * 600
+    want = exact_mod(a, b, m, FFT_N)
+    counts = count_transforms(monkeypatch)
+    monkeypatch.setattr(_convolve, "ROUNDING_LIMIT", pair_bound)
+    with pytest.raises(PrecisionError, match=f"= {pair_bound} >= {pair_bound}"):
+        convolve_mod(a, b, m, FFT_N)
+    assert counts == {}
+    for group in range(1, limbs + 1):
+        monkeypatch.setattr(_convolve, "ROUNDING_LIMIT", (group + 1) * pair_bound)
+        counts.clear()
+        assert convolve_mod(a, b, m, FFT_N).tolist() == want
+        # 6 output blocks, from 6 blocks of a and 5 of b
+        assert counts == {"rfft": limbs * (6 + 5),
+                          "irfft": 6 * GROUPED_IRFFTS[limbs, group]}
+
+
+def test_precision_error_in_a_worker_reaches_the_caller(monkeypatch):
+    # an inverse transform a third off an integer fails the rounding check:
+    # raised on a worker thread, the blocked route's error is the one-block
+    # route's
+    irfft, on_main = np.fft.irfft, []
+
+    def off_by_a_third(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        raw = irfft(*args, **kwargs)
+        raw[0] += 1 / 3
+        return raw
+
+    monkeypatch.setattr(np.fft, "irfft", off_by_a_third)
+    a = np.random.default_rng(5).integers(0, 289, FFT_N, dtype=np.int64)
+    with pytest.raises(PrecisionError) as flat:
+        convolve_mod(a, a, 289, FFT_N)
+    assert on_main == [True]
+    small_blocks(monkeypatch)
+    on_main.clear()
+    with pytest.raises(PrecisionError) as blocked:
+        convolve_mod(a, a, 289, FFT_N)
+    assert on_main and not any(on_main)
+    assert type(blocked.value) is type(flat.value)
+    assert str(blocked.value) == str(flat.value) == (
+        "fft convolution lost integrality")
+
+
+def test_blocked_route_with_more_threads_than_cores(monkeypatch):
+    # eight output blocks at once on eight threads, switching every
+    # microsecond: an update lost between threads would change a residue
+    small_blocks(monkeypatch)
+    monkeypatch.setattr(_convolve, "_PARALLEL_BLOCKS", 8)
+    monkeypatch.setattr(_convolve, "_usable_cpus", lambda: 8)
+    m, limbs = 5 ** 14, 3
+    hold_limbs(monkeypatch, m, limbs, 2000)
+    a, b = np.random.default_rng(8).integers(0, m, (2, 2000), dtype=np.int64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for x, y in ((a, a), (a, b)):
+            assert convolve_mod(x, y, m, 3999).tolist() == exact_mod(
+                x, y, m, 3999)
+    finally:
+        sys.setswitchinterval(interval)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from etacong import qseries
 from etacong._convolve import (
+    _BLOCKED_OUTPUT,
     _DIRECT_SIZE_LIMIT,
     _limb_layout,
     binary_power,
@@ -354,6 +355,21 @@ def test_descent_peak_stays_within_product_bytes(alpha, ell, v, trunc):
     finally:
         tracemalloc.stop()
     assert peak <= product_bytes(trunc + 1, ell ** v)
+
+
+def test_blocked_descent_peak_stays_within_product_bytes():
+    # the top level's squares and product at 1,100,001 coefficients take
+    # the blocked route, two output blocks at a time on two threads
+    trunc = 1_100_000
+    assert trunc + 1 > _BLOCKED_OUTPUT
+    eta_power_residues(Fraction(57, 61), 17, 2, 1000)
+    tracemalloc.start()
+    try:
+        eta_power_residues(Fraction(57, 61), 17, 2, trunc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= product_bytes(trunc + 1, 17 ** 2)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 17, 101])

@@ -86,3 +86,36 @@ def test_traced_cond3_skips_the_long_basis_on_a_witness(
     assert metrics["modforms._vm_cusp_basis_mod.calls"] == len(steps)
     assert metrics["modforms._hecke_matrix_mod.calls"] == len(steps)
     assert metrics["modforms._det_mod.calls"] == 1
+
+
+def test_traced_blocked_product_keeps_one_span_stack(monkeypatch):
+    # block transforms run on worker threads, which call no traced
+    # function: a power's two products stay two convolve_mod spans under
+    # its power_mod span, and the result is the untraced one
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import numpy as np
+    import spans
+    from etacong import _convolve
+
+    monkeypatch.setattr(_convolve, "_BLOCK", 128)
+    monkeypatch.setattr(_convolve, "_BLOCKED_OUTPUT", 512)
+    base = np.random.default_rng(3).integers(0, 289, 3000, dtype=np.int64)
+    want = _convolve.power_mod(base, 3, 289, 3000)
+    with spans.Tracer() as tracer:
+        got = _convolve.power_mod(base, 3, 289, 3000)
+    metrics = tracer.metrics()
+    assert np.array_equal(got, want)
+    names = [s[spans.NAME] for s in tracer.spans]
+    assert names == ["convolve.power_mod"] + ["convolve.convolve_mod"] * 2
+    top, *products = tracer.spans
+    assert top[spans.PARENT] is None
+    for s in products:
+        assert s[spans.PARENT] == top[spans.ID]
+        assert top[spans.START] <= s[spans.START] <= s[spans.END] <= top[
+            spans.END]
+    assert products[0][spans.END] <= products[1][spans.START]
+    assert metrics["convolve.convolve_mod.calls"] == 2
+    assert metrics["convolve.convolve_mod.squares"] == 1
+    assert metrics["convolve.convolve_mod.points"] == 2 * 3000
+    # 24 blocks of 128: the square transforms them once, the product twice
+    assert metrics["numpy.fft.rfft.calls"] == 24 + 2 * 24
