@@ -14,7 +14,6 @@ from .numerics import (
     PrecisionError,
     ell_valuation,
     factorial_valuation,
-    legendre_symbol,
     mod_inverse,
     primes_up_to,
     psi,

@@ -296,6 +296,8 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     if args.n_max < 0:
         raise UsageError("--N must be >= 0")
+    if args.v < 1:
+        raise UsageError("--v must be >= 1")
     if args.form == BALANCED:
         if args.offset is None:
             raise UsageError("balanced verification needs --offset")
@@ -328,6 +330,8 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     if args.n_max < 0:
         raise UsageError("--N must be >= 0")
+    if args.v < 1:
+        raise UsageError("--v must be >= 1")
     alpha = as_fraction(args.alpha)
     candidates = scan_balanced(alpha, args.ell, args.v, args.n_max)
     payload = {
@@ -355,6 +359,8 @@ def cmd_scan(args) -> int:
 def cmd_filtration(args) -> int:
     ell = args.ell
     check_filtration_prime(ell)
+    if args.delta_exp < 1:
+        raise UsageError("--delta must be >= 1")
     if args.iters is not None and args.iters < 0:
         raise UsageError("--iters must be >= 0")
     iters = args.iters if args.iters is not None else ell - 1

@@ -15,20 +15,19 @@ good-prime test needs.
 
 Exact (big-integer) arithmetic is used for small weights; the search-scale
 path reduces everything mod ell up front and works on numpy arrays.  The
-two paths compute G differently.  The exact one builds the matrices
-T_1..T_d on the echelon basis and sums Tr(T_m T_n) over them.  The mod-ell
-one uses the trace t(N) = Tr T_N: at level one T_m T_n is the sum over
-e | (m, n) of e^(k-1) T_(mn/e^2), so G[m][n] = sum e^(k-1) t(mn/e^2).  The
-trace form sum t(N) q^N lies in S_k, so t up to d^2 is one combination of
-the d basis rows, with weights t(1..d) read off the same rows; no Hecke
-matrix is formed.  Before that d x (d^2 + 1) basis, a larger space (d >=
-23) climbs a ladder of single Hecke operators T_p, p = 2, 3, 5, 7, each on
-a basis to horizon p d: with K the Krylov rows e_1^T T_p^i (i < d),
-det G = disc(charpoly T_p) / det(K)^2 whenever ell does not divide det K.
-Where T_2's K is singular mod ell, a T_2 that is not semisimple (its
-Krylov sequence's minimal polynomial has a repeated factor) still proves
-ell | det G: det G is the discriminant of the Hecke algebra T, and such a
-T_2 shows a nilpotent in T (x) F_ell, which the trace form kills.  The
+exact path builds the matrices T_1..T_d on the echelon basis and sums
+Tr(T_m T_n) over them.  The mod-ell path climbs a ladder of single Hecke
+operators T_p, p = 2, 3, 5, 7, each on a basis to horizon p d: with K the
+Krylov rows e_1^T T_p^i (i < d), det G = disc(charpoly T_p) / det(K)^2
+whenever ell does not divide det K.  Where T_2's K is singular mod ell, a
+T_2 that is not semisimple (its Krylov sequence's minimal polynomial has a
+repeated factor) still proves ell | det G: det G is the discriminant of
+the Hecke algebra T, and such a T_2 shows a nilpotent in T (x) F_ell,
+which the trace form kills.  Where no step decides, the trace
+t(N) = Tr T_N does: at level one T_m T_n is the sum over e | (m, n) of
+e^(k-1) T_(mn/e^2), so G[m][n] = sum e^(k-1) t(mn/e^2).  The trace form
+sum t(N) q^N lies in S_k, so t up to d^2 is one combination of the d rows
+of a basis to d^2, with weights t(1..d) read off the same rows.  The
 mod-ell basis takes E4 and E6 from a divisor sieve mod ell and computes
 the limb spectra of its fixed factor X = Delta / E4^3 once.  Its residue
 products, and every elimination's, exact for every ell < 2^33, are
@@ -46,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._convolve import (
-    _DIRECT_SIZE_LIMIT,
     FFT_MODULUS_LIMIT,
     _matmul_mod,
     binary_power,
@@ -525,8 +523,7 @@ def gram_determinant_residue(weight: int, ell: int) -> int:
     """det of the Gram matrix mod ell (scales to the weights the good-prime
     search visits).
 
-    Once the basis rows d^2 + 1 pass the direct-product length (d >= 23),
-    a ladder runs first on bases to horizon p d: for p = 2, 3, 5, 7, T_p's
+    A ladder runs first on bases to horizon p d: for p = 2, 3, 5, 7, T_p's
     Krylov rows give det G whenever ell does not divide their determinant
     (``_krylov_residue``).  Where T_2's determinant is 0 mod ell,
     ``_nilpotent_witness`` on the same rows may still prove det G == 0
@@ -534,7 +531,7 @@ def gram_determinant_residue(weight: int, ell: int) -> int:
     T = Z[T_1..T_d], and a T_2 that is not semisimple mod ell shows a
     nilpotent in T (x) F_ell, which the trace form kills.
 
-    Otherwise the trace form decides, on a basis to d^2.  With
+    Where no step decides, the trace form does, on a basis to d^2.  With
     t(N) = Tr T_N, T_m T_n = sum over e | (m, n) of e^(k-1) T_(mn/e^2)
     gives G[m][n] = sum e^(k-1) t(mn/e^2), which reads t to d^2.  The trace
     form sum t(N) q^N lies in S_k, so it is c @ basis with c_i = t(i) =
@@ -543,16 +540,15 @@ def gram_determinant_residue(weight: int, ell: int) -> int:
     d = dim_cusp_forms(weight)
     if d == 0:
         return 1 % ell
-    if d * d + 1 > _DIRECT_SIZE_LIMIT:
-        for p in (2, 3, 5, 7):
-            short = _vm_cusp_basis_mod(weight, p * d, ell)
-            krylov = _krylov_rows(_hecke_matrix_mod(weight, p, ell, short),
-                                  ell, 2 * d if p == 2 else d + 1)
-            residue = _krylov_residue(krylov, ell)
-            if residue is not None:
-                return residue
-            if p == 2 and _nilpotent_witness(krylov, ell):
-                return 0
+    for p in (2, 3, 5, 7):
+        short = _vm_cusp_basis_mod(weight, p * d, ell)
+        krylov = _krylov_rows(_hecke_matrix_mod(weight, p, ell, short),
+                              ell, 2 * d if p == 2 else d + 1)
+        residue = _krylov_residue(krylov, ell)
+        if residue is not None:
+            return residue
+        if p == 2 and _nilpotent_witness(krylov, ell):
+            return 0
     basis = _vm_cusp_basis_mod(weight, d * d, ell)
 
     def diagonal(e, j):  # [i', j'] -> a_(i' j')(f_(e j')), summed over j'

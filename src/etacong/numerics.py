@@ -130,18 +130,6 @@ def mod_inverse(x: int, modulus: int) -> int:
         raise ValueError(f"{x} is not invertible modulo {modulus}") from None
 
 
-def legendre_symbol(a: int, ell: int) -> int:
-    """(a/ell) in {-1, 0, 1} for an odd prime ell."""
-    if ell < 3 or ell % 2 == 0:
-        # every unit mod 2 is a square: (./2) has no -1 to give
-        raise ValueError(f"the Legendre symbol needs an odd prime, not {ell}")
-    a %= ell
-    if a == 0:
-        return 0
-    s = pow(a, (ell - 1) // 2, ell)
-    return -1 if s == ell - 1 else 1
-
-
 def factorial_valuation(n: int, ell: int) -> int:
     """ord_ell(n!) by Legendre's formula, sum of floor(n / ell^i)."""
     if n < 0:

@@ -23,7 +23,6 @@ from etacong.numerics import (
     Rational,
     as_fraction,
     factorial_valuation,
-    legendre_symbol,
     prime_factors,
     psi,
 )
@@ -94,6 +93,18 @@ def integral_prime_bound(alpha: Rational) -> IntegralPrimeBound:
     a = f.numerator
     applicable = (a < 0 and a % 2 == 0) or (a > 3 and a % 2 == 1)
     return IntegralPrimeBound(abs(a) + 4, applicable)
+
+
+def legendre_symbol(a: int, ell: int) -> int:
+    """(a/ell) in {-1, 0, 1} for an odd prime ell."""
+    if ell < 3 or ell % 2 == 0:
+        # every unit mod 2 is a square: (./2) has no -1 to give
+        raise ValueError(f"the Legendre symbol needs an odd prime, not {ell}")
+    a %= ell
+    if a == 0:
+        return 0
+    s = pow(a, (ell - 1) // 2, ell)
+    return -1 if s == ell - 1 else 1
 
 
 def square_class_nonvacuous(claim: CongruenceClaim, n_max: int = 200) -> bool:

@@ -437,6 +437,12 @@ def test_hecke_beyond_the_kernel_modulus_exits_2_before_any_work(
     (("verify", "--alpha", "-1", "--ell", "5", "--offset", "4", "--N", "-5"),
      "--N must be >= 0"),
     (("scan", "--alpha", "-1", "--ell", "5", "--N", "-1"), "--N must be >= 0"),
+    (("verify", "--alpha", "-1", "--ell", "5", "--offset", "4", "--v", "0",
+      "--N", "10"),
+     "--v must be >= 1"),
+    (("scan", "--alpha", "-1", "--ell", "5", "--v", "0", "--N", "10"),
+     "--v must be >= 1"),
+    (("filtration", "--ell", "5", "--delta", "0"), "--delta must be >= 1"),
     (("hecke", "--weight", "24", "--m-max", "0"), "--m-max must be >= 1"),
     (("hecke", "--weight", "24", "--m-max", "-3"), "--m-max must be >= 1"),
     (("filtration", "--ell", "5", "--iters", "-2"), "--iters must be >= 0"),
@@ -454,7 +460,8 @@ def test_hecke_beyond_the_kernel_modulus_exits_2_before_any_work(
      f"no prime up to 5 {NO_CANDIDATE}"),
     (("search", "--alpha", "5", "--lmax", "5"),
      f"no prime up to 5 {NO_CANDIDATE}"),
-], ids=["verify-N", "scan-N", "hecke-m-max-0", "hecke-m-max-negative",
+], ids=["verify-N", "scan-N", "verify-v", "scan-v", "filtration-delta",
+        "hecke-m-max-0", "hecke-m-max-negative",
         "filtration-iters", "search-max-weight-negative",
         "search-max-weight-11", "search-lmax-1", "search-lmax-negative",
         "search-lmax-4", "search-denominator", "search-no-k"])

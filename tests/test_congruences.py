@@ -6,7 +6,6 @@ from etacong import congruences, modforms, qseries
 from etacong.numerics import (
     NotEllIntegralError,
     ell_integral,
-    legendre_symbol,
     psi,
 )
 from etacong.qseries import eta_power_mod, eta_power_residues
@@ -32,6 +31,7 @@ from etacong.modforms import (
 from oracles import (
     gram_residue_by_stack,
     integral_prime_bound,
+    legendre_symbol,
     square_class_nonvacuous,
 )
 
@@ -223,6 +223,17 @@ def test_balanced_verify_matches_the_full_series(alpha, ell, v, offset, holds):
         assert (report.outcome, report.counterexample, report.n_tested,
                 report.precision_used) == (*want, v), n_max
     assert report.verified == holds
+
+
+def test_legendre_symbol():
+    assert legendre_symbol(4, 5) == 1
+    assert legendre_symbol(2, 5) == -1
+    assert legendre_symbol(10, 5) == 0
+    assert [legendre_symbol(a, 3) for a in range(-1, 3)] == [-1, 0, 1, -1]
+    # every unit mod 2 is a square, so (1/2) has no -1 to give
+    for ell in (2, 4, 1):
+        with pytest.raises(ValueError, match="odd prime"):
+            legendre_symbol(1, ell)
 
 
 def square_class_by_loop(claim, n_max):

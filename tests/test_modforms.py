@@ -207,8 +207,9 @@ GRAM_PRIMES = (2, 3, 5, 7, 13, 47, 79, 179, 431, 4099, 65537, 4294967311,
 
 
 def test_gram_residue_matches_exact():
-    # at weight 120, 2, 3, 5, 7, 11, 13, 17, 37, 47 and 79 divide it
-    cases = [(24, 5), (24, 11), (36, 17), (36, 13)] + [
+    # at weight 120, 2, 3, 5, 7, 11, 13, 17, 37, 47 and 79 divide it; at
+    # (132, 17) no ladder step decides and the trace form does
+    cases = [(24, 5), (24, 11), (36, 17), (36, 13), (132, 17)] + [
         (120, ell) for ell in (2, 3, 5, 7, 13, 47, 79, 19, 4099, 65537,
                                4294967311, 2 ** 33 - 9)] + [
         (weight, ell) for weight in (12, 24, 36, 48, 60, 72, 96, 120)
@@ -311,9 +312,8 @@ WITNESS_PRIMES = (2, 5, 13, 29, 37, 47, 89, 101, 131, 173, 239, 4099, 65537,
 
 @pytest.mark.parametrize("weight", [288, 420, 600])
 def test_gram_residue_with_the_witness_matches_the_stack(weight, monkeypatch):
-    # above the gate (d >= 23) the witness runs where T_2's Krylov rows
-    # leave ell | det K; its proofs are rejections, and every answer must
-    # still be the stack oracle's
+    # the witness runs where T_2's Krylov rows leave ell | det K; its proofs
+    # are rejections, and every answer must still be the stack oracle's
     witness = modforms._nilpotent_witness
     proofs = {}
 
@@ -347,6 +347,8 @@ def test_ladder_matches_the_stack_above_the_gate(weight):
     (300, 29, 19, (2, 3, 5, 7, 25)),    # no step: the trace form, d = 25
     (420, 29, 12, (2, 3, 5, 7, 35)),
     (420, 37, 0, (2, 3, 5, 7, 35)),     # 0 with T_2 semisimple mod 37
+    (132, 17, 0, (2, 3, 5, 7, 11)),     # the trace form at d = 11
+    (84, 79, 65, (2,)),                 # T_2 at d = 7
 ])
 def test_ladder_step_that_decides(weight, ell, residue, horizons, monkeypatch):
     # horizons of the bases built, in units of d: p for the step T_p, d for
@@ -391,19 +393,11 @@ def test_gram_determinant_is_disc_of_t2_over_index_squared(weight):
 
 
 def test_search_builds_no_long_basis_above_the_gate(search_57_61_bases):
-    # above the gate (d >= 23) every cond3 candidate of 57/61 is decided by
-    # T_2, T_3 or T_5, so no basis passes horizon 5d; below it the trace
-    # form's basis to d^2 stays on the direct product path
-    limit = _convolve._DIRECT_SIZE_LIMIT
-    above = 0
+    # every cond3 candidate of 57/61 is decided by T_2, T_3 or T_5, so no
+    # basis passes horizon 5d
+    assert search_57_61_bases
     for weight, trunc in search_57_61_bases:
-        d = dim_cusp_forms(weight)
-        if d * d + 1 > limit:
-            above += 1
-            assert trunc <= 5 * d, (weight, trunc)
-        else:
-            assert trunc + 1 <= limit, (weight, trunc)
-    assert above
+        assert trunc <= 5 * dim_cusp_forms(weight), (weight, trunc)
 
 
 def test_hecke_ell_vanishes_weight_12():

@@ -11,7 +11,6 @@ from etacong.numerics import (
     ell_integral,
     ell_valuation,
     factorial_valuation,
-    legendre_symbol,
     mod_inverse,
     prime_factors,
     primes_up_to,
@@ -83,17 +82,6 @@ def test_is_prime_agrees_with_sieve():
     assert not is_prime(3215031751)  # 151 * 751 * 28351
     assert not is_prime(3825123056546413051)
     assert is_prime(2 ** 61 - 1)
-
-
-def test_legendre_symbol():
-    assert legendre_symbol(4, 5) == 1
-    assert legendre_symbol(2, 5) == -1
-    assert legendre_symbol(10, 5) == 0
-    assert [legendre_symbol(a, 3) for a in range(-1, 3)] == [-1, 0, 1, -1]
-    # every unit mod 2 is a square, so (1/2) has no -1 to give
-    for ell in (2, 4, 1):
-        with pytest.raises(ValueError, match="odd prime"):
-            legendre_symbol(1, ell)
 
 
 def test_frac_exponent_normalization():
