@@ -17,13 +17,14 @@ Exact (big-integer) arithmetic is used for small weights; the search-scale
 path reduces everything mod ell up front and works on numpy arrays.  The
 exact path builds the matrices T_1..T_d on the echelon basis and sums
 Tr(T_m T_n) over them.  The mod-ell path climbs a ladder of single Hecke
-operators T_p, p = 2, 3, 5, 7, each on a basis to horizon p d: with K the
-Krylov rows e_1^T T_p^i (i < d), det G = disc(charpoly T_p) / det(K)^2
-whenever ell does not divide det K.  Where T_2's K is singular mod ell, a
-T_2 that is not semisimple (its Krylov sequence's minimal polynomial has a
-repeated factor) still proves ell | det G: det G is the discriminant of
-the Hecke algebra T, and such a T_2 shows a nilpotent in T (x) F_ell,
-which the trace form kills.  Where no step decides, the trace
+operators T_p, p = 2, 3, 5, 7, each on a basis to horizon p d, and one
+elimination of the Krylov rows e_1^T T_p^i (i <= d) decides each rung.
+With K the first d rows, det G = disc(charpoly T_p) / det(K)^2 whenever
+ell does not divide det K.  Where K is singular mod ell, a T_p that is not
+semisimple (the minimal polynomial of e_1^T under it has a repeated
+factor) still proves ell | det G: det G is the discriminant of the Hecke
+algebra T, and such a T_p shows a nilpotent in T (x) F_ell, which the
+trace form kills.  Where no rung decides, the trace
 t(N) = Tr T_N does: at level one T_m T_n is the sum over e | (m, n) of
 e^(k-1) T_(mn/e^2), so G[m][n] = sum e^(k-1) t(mn/e^2).  The trace form
 sum t(N) q^N lies in S_k, so t up to d^2 is one combination of the d rows
@@ -361,25 +362,29 @@ def _hecke_matrix_mod(weight: int, m: int, ell: int, basis) -> np.ndarray:
 
 
 def _solve_mod(matrix, ell: int):
-    """(det A, A^-1 B) mod a prime ell for a d x n integer matrix [A | B],
-    n >= d, or (0, None) when A is singular mod ell.
+    """(j, det, x) for a d x n integer matrix mod a prime ell: j is the first
+    column in the span of the columns before it (n if none), x its
+    coordinates in them (None when j == n), and det the determinant of the
+    first d columns when j == d.
 
-    Blocked elimination with row pivoting to a unit upper triangular U:
-    within a panel of _ELIMINATION_BLOCK columns each pivot updates the
-    panel's columns below it and its own row's tail; the rows below the
-    panel take all of the panel's pivots in one ``_matmul_mod``.  The
-    multipliers stay in place below each pivot.  B's columns are then
-    carried back through U.
+    Blocked elimination of the columns left to right, with row pivoting, to
+    a unit upper triangular U: within a panel of _ELIMINATION_BLOCK columns
+    each pivot updates the panel's columns below it and its own row's tail;
+    the rows below the panel take all of the panel's pivots in one
+    ``_matmul_mod``.  The multipliers stay in place below each pivot.
+    Column j has no pivot left below row j; its rows above are carried back
+    through U.
     """
     a = np.asarray(matrix, dtype=np.int64) % ell
-    d = a.shape[0]
-    det = 1 % ell
-    for start in range(0, d, _ELIMINATION_BLOCK):
-        stop = min(start + _ELIMINATION_BLOCK, d)
+    d, n = a.shape
+    j, det = min(d, n), 1 % ell  # j drops to the first column with no pivot
+    for start in range(0, j, _ELIMINATION_BLOCK):
+        stop = min(start + _ELIMINATION_BLOCK, j)
         for i in range(start, stop):
             nonzero = np.flatnonzero(a[i:, i])
             if nonzero.size == 0:
-                return 0, None
+                j = i
+                break
             pivot = i + int(nonzero[0])
             if pivot != i:
                 a[[i, pivot]] = a[[pivot, i]]
@@ -392,18 +397,23 @@ def _solve_mod(matrix, ell: int):
             a[i + 1:, i + 1:stop] = (
                 a[i + 1:, i + 1:stop]
                 - mul_mod(a[i + 1:, i:i + 1], a[i, i + 1:stop], ell)) % ell
+        if j < stop:
+            break
         a[stop:, stop:] = (a[stop:, stop:] - _matmul_mod(
             a[stop:, start:stop], a[start:stop, stop:], ell)) % ell
-    solution = a[:, d:]
-    for i in range(d - 2, -1, -1) if solution.size else ():
-        solution[i] = (solution[i] - _matmul_mod(
-            a[i:i + 1, i + 1:d], solution[i + 1:], ell)[0]) % ell
-    return det, solution
+    if j == n:
+        return j, det, None
+    x = a[:j, j]
+    for i in range(j - 2, -1, -1):
+        x[i] = (x[i] - _matmul_mod(a[i:i + 1, i + 1:j], x[i + 1:, None],
+                                   ell)[0, 0]) % ell
+    return j, det, x
 
 
 def _det_mod(matrix, ell: int) -> int:
     """det of a square integer matrix mod a prime ell."""
-    return _solve_mod(matrix, ell)[0]
+    j, det, _ = _solve_mod(matrix, ell)
+    return det if j == len(matrix) else 0
 
 
 def _divisor_scaled_sum(weight: int, ell: int, d: int, term, dims: int):
@@ -451,26 +461,39 @@ def _krylov_rows(matrix, ell: int, count: int) -> np.ndarray:
 
 def _krylov_residue(krylov, ell: int):
     """det G mod ell from the Krylov rows e_1^T M^i (i <= d) of a Hecke
-    operator M on the echelon basis, or None when ell | det K, K the first
-    d rows.
+    operator M on the echelon basis, or None when neither case below
+    decides.
 
     Duality a_1(T_n f) = a_n(f) makes T_1..T_d the basis of T dual to the
-    echelon rows, so row i of K holds the coordinates of M^i in it, and
-    W[i][j] = Tr M^(i+j) = (K G K^t)[i][j].  When K is invertible, e_1
-    is a cyclic vector: e_1^T M^d = c K gives the characteristic
-    polynomial x^d - sum c_i x^i, Newton's identities (no division, so
-    ell = 2, 3 stay valid) its power sums, and det G = det W / (det K)^2.
+    echelon rows, so row i of K (the first d rows) holds the coordinates of
+    M^i in it, and W[i][j] = Tr M^(i+j) = (K G K^t)[i][j].  One elimination
+    finds the first row that depends on the rows before it,
+    e_1^T M^j = sum c_i e_1^T M^i.  When j = d, K is invertible and e_1 a
+    cyclic vector: x^d - sum c_i x^i is the characteristic polynomial,
+    Newton's identities (no division, so ell = 2, 3 stay valid) give its
+    power sums, and det G = det W / (det K)^2.  When j < d, mu = x^j -
+    sum c_i x^i is the minimal polynomial of e_1^T under M, which divides
+    M's own.  A repeated factor of mu, gcd(mu, mu') not constant (mu' = 0
+    counts too), shows M is not semisimple mod ell.  F_ell is perfect, so
+    M's nilpotent part is a nonzero polynomial in M, in T (x) F_ell, where
+    the trace form kills it: det G == 0.
     """
     d = krylov.shape[1]
-    det_k, solved = _solve_mod(np.hstack([krylov[:d].T, krylov[d:d + 1].T]),
-                               ell)
-    if det_k == 0:
-        return None
+    j, det_k, coords = _solve_mod(krylov.T, ell)
+    if j < d:
+        mu = (-coords % ell).tolist() + [1]
+        deriv = [i * c % ell for i, c in enumerate(mu)][1:]
+        while deriv and not deriv[-1]:
+            deriv.pop()
+        a, b = mu, deriv
+        while b:
+            a, b = b, _poly_rem(a, b, ell)
+        return 0 if len(a) > 1 else None
     # R(t) = t^d chi(1/t) = 1 - sum c_i t^(d-i), and the power sums are
     # s_n = [t^n] -t R'(t) / R(t) for n >= 1: Newton's identities as series
     rev = np.empty(d + 1, dtype=np.int64)
     rev[0] = 1 % ell
-    rev[1:] = -solved[::-1, 0] % ell
+    rev[1:] = -coords[::-1] % ell
     n_out = 2 * d - 1
     slope = mul_mod(np.arange(d + 1) % ell, rev, ell)
     sums = -convolve_mod(slope, inverse_mod(rev, ell, n_out), ell, n_out) % ell
@@ -479,59 +502,19 @@ def _krylov_residue(krylov, ell: int):
     return _det_mod(hankel, ell) * mod_inverse(det_k * det_k, ell) % ell
 
 
-def _nilpotent_witness(krylov, ell: int) -> bool:
-    """True when the d x d matrix M mod ell is provably not semisimple,
-    given its Krylov rows e_1^T M^i for i < 2d.
-
-    Berlekamp-Massey finds the minimal polynomial mu of the 2d scalars
-    e_1^T M^i v for v = (1, ..., 1), the rows' sums.  mu divides the
-    minimal polynomial of M, which is squarefree when M is semisimple, so
-    a repeated factor of mu, gcd(mu, mu') not constant, is a proof.
-    F_ell is perfect, so the test holds in every degree; mu' = 0 with
-    deg mu >= 1 (mu a polynomial in x^ell) counts too.  False proves
-    nothing.
-    """
-    d = krylov.shape[1]
-    seq = (krylov[:2 * d].sum(axis=1) % ell).tolist()
-    # Berlekamp-Massey: before step n, conn = 1 + c_1 x + ... + c_L x^L
-    # (L = length) generates seq[:n], and len(conn) <= L + 1 <= n + 1, so
-    # seq[n - i] never wraps; prev is conn before the last change of L,
-    # last that step's discrepancy and gap the steps since
-    conn, prev, length, gap, last = [1], [1], 0, 1, 1
-    for n in range(2 * d):
-        disc = sum(c * seq[n - i] for i, c in enumerate(conn)) % ell
-        if disc:
-            scale = disc * mod_inverse(last, ell) % ell
-            step = conn + [0] * (len(prev) + gap - len(conn))
-            for i, c in enumerate(prev):
-                step[i + gap] = (step[i + gap] - scale * c) % ell
-            if 2 * length <= n:
-                prev, length, last, gap = conn, n + 1 - length, disc, 0
-            conn = step
-        gap += 1
-    mu = (conn + [0] * (length + 1 - len(conn)))[::-1]  # x^L conn(1/x)
-    deriv = [i * c % ell for i, c in enumerate(mu)][1:]
-    while deriv and not deriv[-1]:
-        deriv.pop()
-    a, b = mu, deriv
-    while b:
-        a, b = b, _poly_rem(a, b, ell)
-    return len(a) > 1
-
-
 def gram_determinant_residue(weight: int, ell: int) -> int:
     """det of the Gram matrix mod ell (scales to the weights the good-prime
     search visits).
 
-    A ladder runs first on bases to horizon p d: for p = 2, 3, 5, 7, T_p's
-    Krylov rows give det G whenever ell does not divide their determinant
-    (``_krylov_residue``).  Where T_2's determinant is 0 mod ell,
-    ``_nilpotent_witness`` on the same rows may still prove det G == 0
-    before T_3 is built: det G is the discriminant of the trace form on
-    T = Z[T_1..T_d], and a T_2 that is not semisimple mod ell shows a
-    nilpotent in T (x) F_ell, which the trace form kills.
+    A ladder runs first on bases to horizon p d: for p = 2, 3, 5, 7, one
+    elimination of T_p's d + 1 Krylov rows (``_krylov_residue``) gives
+    det G whenever ell does not divide their determinant, and otherwise
+    may still prove det G == 0 before the next rung is built: det G is the
+    discriminant of the trace form on T = Z[T_1..T_d], and a T_p that is
+    not semisimple mod ell shows a nilpotent in T (x) F_ell, which the
+    trace form kills.
 
-    Where no step decides, the trace form does, on a basis to d^2.  With
+    Where no rung decides, the trace form does, on a basis to d^2.  With
     t(N) = Tr T_N, T_m T_n = sum over e | (m, n) of e^(k-1) T_(mn/e^2)
     gives G[m][n] = sum e^(k-1) t(mn/e^2), which reads t to d^2.  The trace
     form sum t(N) q^N lies in S_k, so it is c @ basis with c_i = t(i) =
@@ -543,12 +526,10 @@ def gram_determinant_residue(weight: int, ell: int) -> int:
     for p in (2, 3, 5, 7):
         short = _vm_cusp_basis_mod(weight, p * d, ell)
         krylov = _krylov_rows(_hecke_matrix_mod(weight, p, ell, short),
-                              ell, 2 * d if p == 2 else d + 1)
+                              ell, d + 1)
         residue = _krylov_residue(krylov, ell)
         if residue is not None:
             return residue
-        if p == 2 and _nilpotent_witness(krylov, ell):
-            return 0
     basis = _vm_cusp_basis_mod(weight, d * d, ell)
 
     def diagonal(e, j):  # [i', j'] -> a_(i' j')(f_(e j')), summed over j'

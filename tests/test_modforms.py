@@ -208,7 +208,8 @@ GRAM_PRIMES = (2, 3, 5, 7, 13, 47, 79, 179, 431, 4099, 65537, 4294967311,
 
 def test_gram_residue_matches_exact():
     # at weight 120, 2, 3, 5, 7, 11, 13, 17, 37, 47 and 79 divide it; at
-    # (132, 17) no ladder step decides and the trace form does
+    # (120, 19) no ladder rung decides and the trace form does, and at
+    # (132, 17) T_2's witness does
     cases = [(24, 5), (24, 11), (36, 17), (36, 13), (132, 17)] + [
         (120, ell) for ell in (2, 3, 5, 7, 13, 47, 79, 19, 4099, 65537,
                                4294967311, 2 ** 33 - 9)] + [
@@ -273,10 +274,10 @@ def _companion(coeffs):
             for i in range(n)]
 
 
-def _witness(matrix, ell):
-    """The witness on the 2d Krylov rows e_1^T M^i that it reads."""
-    return modforms._nilpotent_witness(
-        modforms._krylov_rows(matrix, ell, 2 * len(matrix)), ell)
+def _residue(matrix, ell):
+    """_krylov_residue on the d + 1 Krylov rows e_1^T M^i that it reads."""
+    return modforms._krylov_residue(
+        modforms._krylov_rows(matrix, ell, len(matrix) + 1), ell)
 
 
 @pytest.mark.parametrize("blocks, ell, witness", [
@@ -288,51 +289,64 @@ def _witness(matrix, ell):
     ([[[0]]], 7, False),
     ([_companion([6, 0]), [[0, 1], [0, 0]]], 7, True),  # x^2 + 1 and x^2
     ([_companion([6, 0]), [[3]]], 7, False),            # irreducible x^2 + 1
+    ([[[3, 1], [0, 3]], [[3]]], 7, True),               # K singular, (x-3)^2
+    ([[[1]], [[1]], [[2]]], 7, False),                  # K singular, no square
+    ([_companion([2, 0, 0, 0, 0]), [[2]]], 5, True),    # K singular, mu' = 0
 ], ids=["jordan", "diagonal", "x^5-2", "x^7-2", "d-1", "zero-1x1",
-        "field-and-nilpotent", "field-and-scalar"])
+        "field-and-nilpotent", "field-and-scalar", "jordan-and-scalar",
+        "repeated-eigenvalue", "x^5-2-and-scalar"])
 def test_nilpotent_witness_on_hand_built_matrices(blocks, ell, witness):
-    assert _witness(_similar_mod(blocks, ell, 0), ell) is witness
+    # a matrix that is not semisimple gives exactly 0, through the
+    # discriminant when e_1 is cyclic and through mu's square otherwise; a
+    # semisimple one never gives 0
+    residue = _residue(_similar_mod(blocks, ell, 0), ell)
+    assert residue == 0 if witness else residue != 0
 
 
 @pytest.mark.parametrize("repeated", [False, True])
 def test_nilpotent_witness_is_exact_below_2_33(repeated):
     # 28 distinct eigenvalues plus one 2 x 2 block, conjugated so that the
-    # Krylov products run on full-width residues near 2^33
+    # Krylov products run on full-width residues near 2^33; one more
+    # eigenvalue 7 makes K singular, so that only mu's square can decide
     ell = 2 ** 33 - 9
     last = [[7, 1], [0, 7]] if repeated else [[7, 0], [0, 8]]
     blocks = [[[ell - 3 * i - 100]] for i in range(28)] + [last]
-    assert _witness(_similar_mod(blocks, ell, 1), ell) is repeated
+    for extra in ([], [[[7]]]):
+        matrix = _similar_mod(blocks + extra, ell, 1)
+        rows = modforms._krylov_rows(matrix, ell, len(matrix) + 1)
+        assert (modforms._solve_mod(rows.T, ell)[0] < len(matrix)) is \
+            bool(extra)
+        assert (modforms._krylov_residue(rows, ell) == 0) is repeated
 
 
 # primes dividing det G at weight 288, 420 or 600 among them: 2, 5, 13, 29,
-# 37, 47, 89, 131, 173 and 239; at (420, 37) T_2 is semisimple mod 37
+# 37, 47, 89, 131, 173 and 239
 WITNESS_PRIMES = (2, 5, 13, 29, 37, 47, 89, 101, 131, 173, 239, 4099, 65537,
                   2 ** 33 - 9)
 
 
 @pytest.mark.parametrize("weight", [288, 420, 600])
 def test_gram_residue_with_the_witness_matches_the_stack(weight, monkeypatch):
-    # the witness runs where T_2's Krylov rows leave ell | det K; its proofs
-    # are rejections, and every answer must still be the stack oracle's
-    witness = modforms._nilpotent_witness
-    proofs = {}
+    # every answer is the stack oracle's, the witness's proofs included: a
+    # rung whose K is singular mod ell and that still returns 0
+    residue_of, proofs = modforms._krylov_residue, []
 
     def recorded(krylov, ell):
-        proofs[ell] = witness(krylov, ell)
-        return proofs[ell]
+        residue = residue_of(krylov, ell)
+        if residue == 0 and \
+                modforms._solve_mod(krylov.T, ell)[0] < krylov.shape[1]:
+            proofs.append(ell)
+        return residue
 
-    monkeypatch.setattr(modforms, "_nilpotent_witness", recorded)
-    residues = {ell: gram_determinant_residue(weight, ell)
-                for ell in WITNESS_PRIMES}
-    monkeypatch.undo()
-    for ell, residue in residues.items():
-        assert residue == gram_residue_by_stack(weight, ell), ell
-        assert residue == 0 or not proofs.get(ell), ell
-    assert any(proofs.values())
+    monkeypatch.setattr(modforms, "_krylov_residue", recorded)
+    for ell in WITNESS_PRIMES:
+        assert gram_determinant_residue(weight, ell) == \
+            gram_residue_by_stack(weight, ell), ell
+    assert proofs
 
 
 @pytest.mark.parametrize("weight", range(276, 709, 72))
-def test_ladder_matches_the_stack_above_the_gate(weight):
+def test_ladder_matches_the_stack_at_small_ell(weight):
     # small ell, where eigenvalues of T_p collide mod ell, and one near 2^33
     for ell in (5, 7, 11, 13, 17, 19, 23, 29, 2 ** 33 - 9):
         assert gram_determinant_residue(weight, ell) == \
@@ -344,14 +358,15 @@ def test_ladder_matches_the_stack_above_the_gate(weight):
     (276, 59, 43, (2, 3, 5)),           # by T_5
     (300, 59, 48, (2, 3, 5, 7)),        # by T_7
     (288, 37, 0, (2,)),                 # T_2's witness
-    (300, 29, 19, (2, 3, 5, 7, 25)),    # no step: the trace form, d = 25
+    (300, 29, 19, (2, 3, 5, 7, 25)),    # no rung: the trace form, d = 25
     (420, 29, 12, (2, 3, 5, 7, 35)),
-    (420, 37, 0, (2, 3, 5, 7, 35)),     # 0 with T_2 semisimple mod 37
-    (132, 17, 0, (2, 3, 5, 7, 11)),     # the trace form at d = 11
+    (420, 37, 0, (2,)),                 # T_2's witness
+    (132, 17, 0, (2,)),                 # T_2's witness at d = 11
     (84, 79, 65, (2,)),                 # T_2 at d = 7
+    (324, 59, 0, (2, 3)),               # T_3's witness
 ])
 def test_ladder_step_that_decides(weight, ell, residue, horizons, monkeypatch):
-    # horizons of the bases built, in units of d: p for the step T_p, d for
+    # horizons of the bases built, in units of d: p for the rung T_p, d for
     # the trace form's basis to d^2.  (1728, 431), 57/61's certificate, is
     # pinned at T_5 in test_trace_shape
     build, built = modforms._vm_cusp_basis_mod, []
@@ -365,6 +380,23 @@ def test_ladder_step_that_decides(weight, ell, residue, horizons, monkeypatch):
     assert tuple(built) == horizons
     monkeypatch.undo()
     assert gram_residue_by_stack(weight, ell) == residue
+
+
+@pytest.mark.parametrize("weight, ell, residue, deciding", [
+    (9972, 9967, 8419, (2, 3, 5, 7)),   # d = 831: no stack oracle runs
+    (9984, 1997, 0, (2, 3, 5, 7)),      # d = 832: T_2 by its witness
+    (1728, 431, 391, (5,)),             # 57/61's certificate
+])
+def test_deciding_rungs_agree(weight, ell, residue, deciding):
+    # every rung that decides gives the same residue; the ladder returns
+    # the first.  All four T_p come from one basis to horizon 7d
+    d = dim_cusp_forms(weight)
+    basis = _vm_cusp_basis_mod(weight, 7 * d, ell)
+    got = {p: modforms._krylov_residue(modforms._krylov_rows(
+        _hecke_matrix_mod(weight, p, ell, basis), ell, d + 1), ell)
+        for p in (2, 3, 5, 7)}
+    assert {p: r for p, r in got.items() if r is not None} == \
+        dict.fromkeys(deciding, residue)
 
 
 @pytest.mark.parametrize("weight", range(36, 229, 12))
@@ -392,7 +424,7 @@ def test_gram_determinant_is_disc_of_t2_over_index_squared(weight):
     assert disc == det_k ** 2 * gram_determinant(weight)
 
 
-def test_search_builds_no_long_basis_above_the_gate(search_57_61_bases):
+def test_search_builds_no_basis_past_horizon_5d(search_57_61_bases):
     # every cond3 candidate of 57/61 is decided by T_2, T_3 or T_5, so no
     # basis passes horizon 5d
     assert search_57_61_bases
@@ -724,21 +756,43 @@ def test_det_mod_matches_bareiss(ell):
 
 @pytest.mark.parametrize("ell", [2, 3, 431, 2 ** 33 - 9])
 def test_solve_mod_solves_across_panels(ell):
-    # A X == B mod ell from the returned X, at sizes on both sides of the
-    # panel width; a row that depends on rows of two panels makes A singular
+    # the first column in the span of the columns before it, and its
+    # coordinates in them: inside the first panel of 16 pivots, at columns
+    # 15, 16 and 17 on both sides of its edge, at a zero first column, and
+    # none at full rank.  Q = P L U has independent columns with entries
+    # spread over F_ell, its rows shuffled by P so that at small ell the
+    # elimination swaps rows; columns after the dependent one are never read
     rng = random.Random(ell)
-    for size in (1, 5, 16, 17, 40):
-        a = [[rng.randrange(ell) for _ in range(size)] for _ in range(size)]
-        b = [[rng.randrange(ell) for _ in range(2)] for _ in range(size)]
-        det, x = modforms._solve_mod(np.hstack([a, b]), ell)
-        assert det == _bareiss_determinant(a) % ell
-        if det:
-            assert [[sum(r * int(c) for r, c in zip(row, col)) % ell
-                     for col in x.T] for row in a] == b
-        else:
-            assert x is None
-    a[-1] = [(u + 5 * v) % ell for u, v in zip(a[0], a[20])]
-    assert modforms._solve_mod(np.array(a), ell) == (0, None)
+    rows = 24
+    lower = [[rng.randrange(ell) if c < r else int(c == r)
+              for c in range(rows)] for r in range(rows)]
+    upper = [[rng.randrange(ell) if c > r else
+              rng.randrange(1, ell) if c == r else 0
+              for c in range(rows)] for r in range(rows)]
+    square = [[sum(x * y for x, y in zip(r, c)) % ell for c in zip(*upper)]
+              for r in lower]
+    rng.shuffle(square)
+    q = [list(col) for col in zip(*square)]  # Q's columns
+    for j in (3, 15, 16, 17):
+        coeffs = [rng.randrange(ell) for _ in range(j)]
+        dependent = [sum(c * col[r] for c, col in zip(coeffs, q)) % ell
+                     for r in range(rows)]
+        cols = q[:j] + [dependent] + q[j:j + 2]
+        got_j, _, x = modforms._solve_mod(np.array(cols).T, ell)
+        assert got_j == j
+        assert x.tolist() == coeffs
+    got_j, _, x = modforms._solve_mod(np.array([[0] * rows] + q[:3]).T, ell)
+    assert (got_j, x.tolist()) == (0, [])
+    for n in (20, rows):
+        got_j, det, x = modforms._solve_mod(np.array(q[:n]).T, ell)
+        assert (got_j, x) == (n, None)
+    assert det == _bareiss_determinant(square) % ell
+    # d x (d + 1), the Krylov shape: the last column is in the span of Q's
+    last = [rng.randrange(ell) for _ in range(rows)]
+    got_j, det_k, x = modforms._solve_mod(np.array(q + [last]).T, ell)
+    assert (got_j, det_k) == (rows, det)
+    assert [sum(c * int(v) for c, v in zip(row, x)) % ell
+            for row in zip(*q)] == last
 
 
 @pytest.mark.parametrize("weight", [120, 180])
