@@ -19,16 +19,20 @@ A call where even one pair at the most limbs would pass the limit (for
 any modulus below ``FFT_MODULUS_LIMIT``, not before 2^27 coefficients) is
 refused before transforming, and every rounded value is still checked to
 lie within 0.25 of an integer; both checks raise ``PrecisionError``.
-A product of more than ``_BLOCKED_OUTPUT`` = 2^20 coefficients, whose
-one transform would pass 2^21 points, where pocketfft's cost per point
-rises by half, is cut into blocks of ``_BLOCK`` = 2^18 coefficients.
-Each operand block's limbs are transformed at 2^19 points, and output
-block t is the inverse transform of the summed spectra of the block
-pairs u + v = t (a square sums the pairs u < v once and doubles them).
-Its coefficients sum subsets of the flat product's terms, so the flat
-layout's limbs, groups and checks keep it exact.  numpy's transforms
-release the GIL, so the output blocks run two at a time on a thread pool
-that lives for that one product.
+A product of more than ``_BLOCKED_OUTPUT`` = 2^16 coefficients is cut
+into blocks of B = fft_length(n_out) / ``_BLOCKS_PER_PRODUCT``
+coefficients, 9 to 16 blocks below the cap B = ``_BLOCK`` = 2^18.  Short
+transforms stay in cache and the output blocks share the cores; few
+blocks keep the block pairs' spectrum sums small.  On a 2-core box, past
+2^16 coefficients such a square ran faster than the flat one at one, two
+and three limbs, least so at exact powers of two; at 2^16 the flat one
+was as fast or faster in most runs.  Each operand block's limbs are
+transformed at 2B points, and output block t is the inverse transform of
+the summed spectra of the block pairs u + v = t (a square sums the pairs
+u < v once and doubles them).  Its coefficients sum subsets of the flat
+product's terms, so the flat layout's limbs, groups and checks keep it
+exact.  numpy's transforms release the GIL, so the output blocks run two
+at a time on a thread pool that lives for that one product.
 ``fixed_operand_mod`` serves many products by one fixed operand through
 the same kernel: that operand's limb spectra are computed once.
 ``binary_power`` is the one square-and-multiply loop; every power in the
@@ -60,11 +64,14 @@ _LIMB_CAP_BITS = 11
 FFT_MODULUS_LIMIT = 1 << 33
 # below this size the direct int64 path beats FFT setup cost
 _DIRECT_SIZE_LIMIT = 1 << 9
-# a product of more than this many coefficients is cut into blocks: its
-# flat transform would pass 2^21 points, past which pocketfft's cost per
-# point rises by about half
-_BLOCKED_OUTPUT = 1 << 20
-# coefficients per block; block pairs are transformed at twice this length
+# a product of more than this many coefficients is cut into blocks, which
+# ran faster than its one flat transform at every limb count past 2^16
+# coefficients on a 2-core box
+_BLOCKED_OUTPUT = 1 << 16
+# a blocked product of n_out coefficients takes blocks of
+# fft_length(n_out) / _BLOCKS_PER_PRODUCT coefficients, at most _BLOCK;
+# block pairs are transformed at twice a block's length
+_BLOCKS_PER_PRODUCT = 16
 _BLOCK = 1 << 18
 # output blocks transformed at once, each on its own thread
 _PARALLEL_BLOCKS = 2
@@ -250,14 +257,16 @@ def product_bytes(n_out, m):
     and the inverse transform's output (or the next pair's term).  Series:
     both operands, the result or the limb being split, and one transient.
 
-    A blocked product (past ``_BLOCKED_OUTPUT`` = 4B coefficients, B =
-    ``_BLOCK``) fits the same bound.  Its T blocks hold T B <= length / 2
-    points per limb and operand, at most a flat spectrum.  Its top output
-    block, which reads every block, runs alone and holds two arrays of 2B
-    float64 at once, less than the transient series of n_out > 4B int64.
-    The blocks after it run two at a time, with two block spectra freed,
-    and hold four such arrays at one limb (eight at L > 1, within the two
-    spare flat spectra).
+    A blocked product fits the same bound: its blocks of B coefficients,
+    B <= fft_length(n_out) / 16 < n_out / 8 (``_fft_layout``), are short
+    beside the series.  Its T blocks hold T (B + 1) <= P + T complex values
+    per limb and operand, with P = fft_length(n_out) >= T B: a flat
+    spectrum's P + 1, and 16 (T - 1) bytes more, which the transient series
+    covers.  Its top output block, which reads every block, runs alone and
+    holds two arrays of 2B float64 at once, 32 B < 4 n_out bytes.  The
+    blocks after it run two at a time and hold four such arrays at one
+    limb, 64 B < 8 n_out bytes, one int64 series; eight at L > 1 fit
+    within one of the two spare flat spectra.
     """
     limbs = _limb_layout(m, n_out)[0]
     spectrum = 16 * (_fft_length(2 * n_out - 1) // 2 + 1)  # complex128
@@ -270,12 +279,14 @@ def _fft_layout(m, len_a, len_b, n_out=0):
     coefficients mod m, truncated to n_out: the FFT length, the block size
     in coefficients, the shorter operand's length and ``_limb_layout``'s
     limbs for it.  Past ``_BLOCKED_OUTPUT`` output coefficients the
-    operands are cut into ``_BLOCK``-coefficient blocks, each transformed
-    at twice that length; otherwise (and without n_out) each operand is
-    one block, transformed at the product's length."""
+    operands are cut into blocks of fft_length(n_out) /
+    ``_BLOCKS_PER_PRODUCT`` coefficients, at most ``_BLOCK``, each
+    transformed at twice that length; otherwise (and without n_out) each
+    operand is one block, transformed at the product's length."""
     short = min(len_a, len_b)
     if n_out > _BLOCKED_OUTPUT:
-        length, size = 2 * _BLOCK, _BLOCK
+        size = min(_fft_length(n_out) // _BLOCKS_PER_PRODUCT, _BLOCK)
+        length = 2 * size
     else:
         length = size = _fft_length(len_a + len_b - 1)
     return (length, size, short) + _limb_layout(m, short)

@@ -14,6 +14,7 @@ from etacong._convolve import (
     FFT_MODULUS_LIMIT,
     ROUNDING_LIMIT,
     _balanced_limbs,
+    _fft_layout,
     _limb_layout,
     _sparse_square,
     binary_power,
@@ -264,11 +265,28 @@ def test_one_limb_bound_of_5_6_is_exact_on_both_sides(monkeypatch, n, limbs):
     # past _BLOCKED_OUTPUT coefficients, in blocks: each operand block is
     # transformed once per limb, each output block inverted once per shift
     assert n > _convolve._BLOCKED_OUTPUT
-    blocks = -(-n // _convolve._BLOCK)
+    blocks = -(-n // _fft_layout(m, n, n, n)[1])
     assert counts == {"rfft": 2 * limbs * blocks,
                       "irfft": (2 * limbs - 1) * blocks}
     k = np.arange(1, n + 1, dtype=np.int64)
     assert np.array_equal(got, k * (m // 2 * (m // 2 + 1) % m) % m)
+
+
+@pytest.mark.parametrize("n_out,length,size,blocks", [
+    (2 ** 16, 2 ** 17, 2 ** 17, 1),  # the longest flat product
+    (2 ** 16 + 1, 2 ** 14, 2 ** 13, 9),  # the shortest blocked one
+    (2 ** 17, 2 ** 14, 2 ** 13, 16),
+    (2 ** 17 + 1, 2 ** 15, 2 ** 14, 9),
+    (10 ** 6 + 1, 2 ** 17, 2 ** 16, 16),  # p(n) mod 5^6 to 10^6
+    (289 * 13840 + 287, 2 ** 19, 2 ** 18, 16),  # verify to 4.0e6
+    (10 ** 7, 2 ** 19, 2 ** 18, 39),  # blocks at the cap
+])
+def test_block_size_scales_with_the_product(n_out, length, size, blocks):
+    # fft_length(n_out) / 16 coefficients a block, at most 2^18, at any
+    # limb count
+    for m in (289, 5 ** 14):
+        assert _fft_layout(m, n_out, n_out, n_out)[:2] == (length, size)
+        assert -(-n_out // size) == blocks
 
 
 def test_limb_layout_from_length_and_modulus():
@@ -466,10 +484,12 @@ def test_inverse_mod_times_series_is_one(monkeypatch, m, limbs):
 
 
 def small_blocks(monkeypatch, block=128):
-    """Cut products past 4 * block coefficients into blocks of `block`, as
-    products past 2^20 coefficients are cut into blocks of 2^18."""
+    """Cut products past 4 * block coefficients into blocks of exactly
+    `block`, the cap: at one block per FFT length of n_out, the rule's
+    block is longer than the product, so the cap always applies."""
     monkeypatch.setattr(_convolve, "_BLOCK", block)
     monkeypatch.setattr(_convolve, "_BLOCKED_OUTPUT", 4 * block)
+    monkeypatch.setattr(_convolve, "_BLOCKS_PER_PRODUCT", 1)
 
 
 # (len_a, len_b, n_out) in blocks of 128

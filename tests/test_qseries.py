@@ -329,19 +329,24 @@ def test_residue_outside_the_classes_is_refused(residue):
         eta_power_residues(Fraction(57, 61), 17, 2, 1000, residue=residue)
 
 
-# one limb (the first three), two limbs (5^13) and three (5^14)
+# one limb (the first three), two limbs (5^13) and three (5^14); the top
+# level's products at 100,001 coefficients take the blocked route, at one
+# limb and at three limbs mod 5^14, whose limb products overflow int64
 PEAK_CASES = [
     (Fraction(57, 61), 17, 2, 25_000),
     (Fraction(57, 61), 17, 2, 100_000),
     (Fraction(-1), 5, 6, 10_000),
     (Fraction(1, 2), 5, 13, 25_000),
     (Fraction(1, 2), 5, 14, 40_000),
+    (Fraction(1, 2), 5, 14, 100_000),
 ]
 
 
 def test_peak_cases_cover_one_two_and_three_limbs():
     assert [_limb_layout(ell ** v, trunc + 1)[0]
-            for _, ell, v, trunc in PEAK_CASES] == [1, 1, 1, 2, 3]
+            for _, ell, v, trunc in PEAK_CASES] == [1, 1, 1, 2, 3, 3]
+    assert [trunc + 1 > _BLOCKED_OUTPUT for *_, trunc in PEAK_CASES] == [
+        False, True, False, False, False, True]
 
 
 @pytest.mark.parametrize("alpha,ell,v,trunc", PEAK_CASES)
