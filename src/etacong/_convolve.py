@@ -41,7 +41,9 @@ iteration on top of ``convolve_mod``.  ``eta_integer_power_mod`` raises
 Euler's pentagonal series to e, or Jacobi's cube (q;q)^3, as sparse, to
 e / 3 when that chain costs fewer transforms (two per square, three per
 product); either seed has about sqrt(n_out) nonzero coefficients, so its
-square is summed over their pairs instead of transformed.
+square is summed over their pairs instead of transformed.  That cost rule
+is ``_power_chain``, which also prices a negative exponent, the chain of
+|e| and one ``inverse_mod``, for the descent's choice of sign.
 Every other product of residues mod m < 2^33 goes through ``mul_mod``,
 elementwise, or ``_matmul_mod``, float64 BLAS on limbs recombined by
 ``mul_mod``.
@@ -524,15 +526,26 @@ def inverse_mod(f, m, n_out):
     """1/f(q) truncated to n_out coefficients, mod m; f[0] must be a unit.
 
     Newton iteration at doubling lengths: if f g == 1 + q^n r (mod q^2n),
-    then g - q^n g r inverts f to 2n coefficients.
+    then g - q^n g r inverts f to 2n coefficients.  The lengths are n_out
+    halved, rounding up, until 1: the last step multiplies n_out by about
+    n_out / 2 coefficients, where doubling up from 1 would multiply by the
+    largest power of 2 below n_out, up to n_out - 1.  g is filled in place
+    and r is dropped before the update, so no step copies the coefficients
+    found before it or holds r beside the update's temporaries.
     """
     f = _series_mod(f, m, n_out)
-    g = np.array([pow(int(f[0]), -1, m)], dtype=np.int64)
-    n = 1
-    while n < n_out:
-        n2 = min(2 * n, n_out)
-        r = convolve_mod(f[:n2], g, m, n2)[n:]
-        g = np.concatenate([g, -convolve_mod(g, r, m, n2 - n) % m])
+    g = np.zeros(n_out, dtype=np.int64)
+    g[0] = pow(int(f[0]), -1, m)
+    lengths = [n_out]
+    while lengths[-1] > 1:
+        lengths.append(-(-lengths[-1] // 2))
+    n = lengths.pop()
+    for n2 in reversed(lengths):
+        r = convolve_mod(f[:n2], g[:n], m, n2)[n:]
+        step = convolve_mod(g[:n], r, m, n2 - n)
+        del r
+        np.subtract(m, step, out=g[n:n2])
+        g[n:n2] %= m
         n = n2
     return g
 
@@ -599,25 +612,46 @@ def _sparse_square(seed, m):
 
 
 def _chain_cost(exponent):
-    """Transforms eta_integer_power_mod spends on a one-limb power: two per
-    square, three per product, for bits(e) - 1 squares and popcount(e) - 1
-    products, less the first square when e >= 2, which ``_sparse_square``
-    takes without a transform."""
+    """Transforms binary_power spends on a seed's one-limb power e >= 0:
+    two per square, three per product, for bits(e) - 1 squares and
+    popcount(e) - 1 products, less the first square when e >= 2, which
+    ``_sparse_square`` takes without a transform."""
     squares = max(exponent.bit_length() - 2, 0)
-    return 2 * squares + 3 * (bin(exponent).count("1") - 1)
+    return 2 * squares + 3 * max(bin(exponent).count("1") - 1, 0)
+
+
+# one inverse_mod in _chain_cost's units, half the time of a dense square
+# of the same length: inverting the pentagonal series mod 289, 5^6 and
+# 5^13 at 10^4 to 4*10^6 coefficients took 4.9 to 10.1 of them on a
+# 2-core box (best of 5 to 15 runs, two runs), and 2.6 to 2.7 mod 5^6 at
+# 4*10^6, where the square takes two limbs and most of the inverse's
+# products one
+_INVERSE_COST = 9
+
+
+def _power_chain(exponent):
+    """(cost, cube) of (q;q)^e by eta_integer_power_mod: its transforms, in
+    ``_chain_cost``'s units, and whether it starts from Jacobi's cube,
+    which it does for a multiple of 3 when e / 3 takes a cheaper chain than
+    e.  A negative e costs the chain of |e| and one ``inverse_mod``."""
+    e = abs(operator.index(exponent))
+    cube = e % 3 == 0 and _chain_cost(e // 3) < _chain_cost(e)
+    cost = _chain_cost(e // 3 if cube else e)
+    return cost + (_INVERSE_COST if exponent < 0 else 0), cube
 
 
 def eta_integer_power_mod(exponent, m, n_out):
     """(q;q)_infinity^exponent mod m for an integer exponent >= 0.
 
     A multiple of 3 starts from Jacobi's cube, as sparse as Euler's
-    pentagonal series, when e / 3 takes a cheaper chain than e: 72 becomes
-    J^24, three squares and a product instead of five and a product.  The
-    seed's square is taken pair by pair (``_sparse_square``); binary_power
-    raises it to e // 2 and multiplies by the seed once when e is odd.
+    pentagonal series, when e / 3 takes a cheaper chain than e
+    (``_power_chain``): 72 becomes J^24, three squares and a product
+    instead of five and a product.  The seed's square is taken pair by
+    pair (``_sparse_square``); binary_power raises it to e // 2 and
+    multiplies by the seed once when e is odd.
     """
     e = operator.index(exponent)
-    if e > 0 and e % 3 == 0 and _chain_cost(e // 3) < _chain_cost(e):
+    if _power_chain(e)[1]:
         seed, e = jacobi_cube_mod(m, n_out), e // 3
     else:
         seed = pentagonal_mod(m, n_out)

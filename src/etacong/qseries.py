@@ -23,7 +23,10 @@ scalable one (FFT-backed) used for searches and brute-force verification.
 Each descent level is one power of (q;q) and one product by the next
 level's series in q^ell, taken one residue class mod ell at a time once
 the classes outgrow the direct product (``_times_dilated``); a caller that
-reads one class mod ell asks for that class alone (``residue=``).
+reads one class mod ell asks for that class alone (``residue=``).  The
+power's exponent is psi(ell^v, alpha) or that less ell^v, whichever costs
+fewer transforms (``_level_exponent``); a negative one is the power of its
+absolute value, inverted, so p(n) = 1/(q;q) takes one level.
 ``eta_power_mod`` returns the residues mod ell^v from the descent while
 ell^v fits its FFT backend and from the ledger above that.
 """
@@ -40,9 +43,11 @@ import numpy as np
 from ._convolve import (
     _DIRECT_SIZE_LIMIT,
     FFT_MODULUS_LIMIT,
+    _power_chain,
     convolve_mod,
     eta_integer_power_mod,
     fixed_operand_mod,
+    inverse_mod,
     product_bytes,
 )
 from .numerics import (
@@ -133,9 +138,13 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
     """Raw coefficients of (q;q)^alpha mod ell^precision as an int64 array.
 
     The Frobenius-descent route: write alpha = e + ell^v * gamma with an
-    integer e in [0, ell^v), compute (q;q)^e exactly mod ell^v, and recurse on
-    (q^ell;q^ell)^{ell^(v-1) gamma} at truncation T // ell.  No division by
-    the series index ever happens, so the result is exact mod ell^precision.
+    integer e in (-ell^v, ell^v), compute (q;q)^e exactly mod ell^v, and
+    recurse on (q^ell;q^ell)^{ell^(v-1) gamma} at truncation T // ell.  Of
+    the two such e, the level takes the one whose power costs fewer
+    transforms (``_level_exponent``): a negative e is (q;q)^|e| inverted by
+    ``inverse_mod``, so alpha = -1 takes e = -1 and ends at gamma = 0.  No
+    division by the series index ever happens, so the result is exact mod
+    ell^precision.
 
     With ``residue`` = r in [0, ell), only coefficients r, r + ell, ... up
     to T are returned: inner(q^ell) keeps each class mod ell to itself, so
@@ -162,8 +171,12 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
             f"{trunc + 1} coefficients mod {m} need about {need / 2**30:.2f} "
             f"GiB for one product, more than the {have / 2**30:.2f} GiB of "
             f"physical memory")
-    e = psi(m, f)
-    out = eta_integer_power_mod(e, m, trunc + 1)
+    e = _level_exponent(f, m)
+    if e < 0:
+        out = inverse_mod(eta_integer_power_mod(-e, m, trunc + 1), m,
+                          trunc + 1)
+    else:
+        out = eta_integer_power_mod(e, m, trunc + 1)
     if residue is not None:
         out = out[residue::ell].copy()
     gamma = (f - e) / m
@@ -174,6 +187,14 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
     if residue is not None:
         return convolve_mod(out, inner[:len(out)], m, len(out))
     return _times_dilated(out, inner, ell, m)
+
+
+def _level_exponent(f, m):
+    """The exponent e of one descent level: psi(m, f) or psi(m, f) - m,
+    whichever power of (q;q) costs fewer transforms (``_power_chain``),
+    the nonnegative one on a tie.  Either leaves f - e divisible by m."""
+    e = psi(m, f)
+    return min(e, e - m, key=lambda x: _power_chain(x)[0])
 
 
 def _times_dilated(series, inner, ell, m):

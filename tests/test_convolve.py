@@ -210,6 +210,18 @@ def test_jacobi_seed_only_where_its_chain_is_cheaper(monkeypatch):
                      "pen", "jac"]
 
 
+@pytest.mark.parametrize("e,cost,cube", [
+    (0, 0, False), (1, 0, False), (2, 0, False), (24, 4, True),
+    (72, 9, True), (15624, 34, True), (-1, 9, False), (-68, 22, False),
+    (-102, 20, True), (-15625, 51, False),
+])
+def test_power_chain_prices_a_negative_exponent_with_one_inverse(
+        e, cost, cube):
+    # 102 as J^34: three squares and a product, 11, plus the inverse's 9
+    assert _convolve._INVERSE_COST == 9
+    assert _convolve._power_chain(e) == (cost, cube)
+
+
 def test_modulus_limit_guard():
     with pytest.raises(ValueError, match="modulus too large"):
         convolve_mod(np.ones(4, dtype=np.int64), np.ones(4, dtype=np.int64),

@@ -13,12 +13,14 @@ from etacong._convolve import (
     binary_power,
     convolve_exact,
     convolve_mod,
+    pentagonal_mod,
     product_bytes,
 )
 from etacong.numerics import (
     MemoryLimitError,
     NotEllIntegralError,
     PrecisionError,
+    psi,
 )
 from etacong.qseries import (
     divisor_sum_table,
@@ -160,6 +162,97 @@ def test_descent_beyond_int64_square_matches_partition_numbers():
     m = 5 ** 14
     got = eta_power_residues(-1, 5, 14, 10000)
     assert got.tolist() == [p % m for p in partition_numbers(10000)]
+
+
+@pytest.mark.parametrize("ell,v", [(7, 11), (11, 9)])
+def test_partitions_mod_the_largest_powers_below_the_fft_limit(ell, v):
+    # e = -1 at the top level: the pentagonal series, inverted
+    m = ell ** v
+    assert m < 2 ** 33 < m * ell
+    got = eta_power_residues(-1, ell, v, 5000)
+    assert got.tolist() == [p % m for p in partition_numbers(5000)]
+
+
+def forced_signs(signs):
+    """A stand-in for qseries._level_exponent that gives level i the sign
+    signs[i]: psi(m, f) for "+", psi(m, f) - m for "-"."""
+    levels = iter(signs)
+
+    def level_exponent(f, m):
+        e = psi(m, f)
+        return e - m if next(levels) == "-" else e
+
+    return level_exponent
+
+
+# the verify workload's alpha at seed 1 (bench/workloads.verify_alpha)
+VERIFY_ALPHA = Fraction(-168596, 147)
+
+
+@pytest.mark.parametrize("alpha,ell,v", [
+    *[(a, 5, 6) for a in (Fraction(-1), Fraction(-5), Fraction(1, 2),
+                          Fraction(57, 61), Fraction(-7, 999))],
+    (VERIFY_ALPHA, 17, 2), (Fraction(57, 61), 17, 2),
+])
+def test_either_sign_at_every_level_gives_the_same_residues(
+        monkeypatch, alpha, ell, v):
+    # e and e - ell^v both leave alpha - e divisible by ell^v; the levels
+    # below see a different alpha but the same series
+    trunc = 3000
+    want = eta_power_residues(alpha, ell, v, trunc)
+    for signs in ("+" * 9, "-" * 9, "+-" * 5, "-+" * 5):
+        monkeypatch.setattr(qseries, "_level_exponent", forced_signs(signs))
+        got = eta_power_residues(alpha, ell, v, trunc)
+        assert np.array_equal(got, want), signs
+    assert want[:201].tolist() == qseries._eta_power_mod_ledger(
+        alpha, ell, v, 200)
+
+
+@pytest.mark.parametrize("alpha,ell,v,trunc,residue,levels", [
+    # residues: p(n) mod 5^6 to 10^6 and mod 5^13 to 10^4
+    (Fraction(-1), 5, 6, 10 ** 6, None, [-1]),
+    (Fraction(-1), 5, 13, 10 ** 4, None, [-1]),
+    # verify: the class of 286 mod 17 to 289 * 13840 + 286
+    (VERIFY_ALPHA, 17, 2, 289 * 13840 + 286, 14, [72, 119, 34, 17, -68, 0]),
+    (Fraction(57, 61), 17, 2, 289 * 13840 + 286, 14,
+     [72, 119, -102, 34, -68, 255]),
+    # J^8 (4 transforms) stays cheaper than the inverse (9)
+    (Fraction(-1), 5, 2, 100, None, [24, 20, 20]),
+    (Fraction(1, 2), 5, 14, 10 ** 5, None,
+     [-3051757812, 3662109375] + [2441406250] * 6),
+])
+def test_each_workload_level_takes_its_pinned_sign(
+        monkeypatch, alpha, ell, v, trunc, residue, levels):
+    # only the exponents are recorded: each power is a zero series, and a
+    # negative exponent is the power of |e| followed by one inverse_mod
+    taken = []
+
+    def power(e, m, n_out):
+        taken.append(e)
+        return np.zeros(n_out, dtype=np.int64)
+
+    def inverse(f, m, n_out):
+        taken[-1] = -taken[-1]
+        return f
+
+    monkeypatch.setattr(qseries, "eta_integer_power_mod", power)
+    monkeypatch.setattr(qseries, "inverse_mod", inverse)
+    eta_power_residues(alpha, ell, v, trunc, residue=residue)
+    assert taken == levels
+
+
+def test_three_limb_descent_with_a_negative_level_matches_the_ledger():
+    # p(n) mod 5^14 ends at its first level; 1/2 takes e - 5^14 at the
+    # top level and three limbs past 2^15 coefficients
+    m, trunc = 5 ** 14, 40_000
+    assert qseries._level_exponent(Fraction(1, 2), m) < 0
+    assert _limb_layout(m, trunc + 1)[0] == 3
+    got = eta_power_residues(Fraction(1, 2), 5, 14, trunc)
+    assert got[:301].tolist() == qseries._eta_power_mod_ledger(
+        Fraction(1, 2), 5, 14, 300)
+    # its square is (q;q), the pentagonal series
+    assert np.array_equal(convolve_mod(got, got, m, trunc + 1),
+                          pentagonal_mod(m, trunc + 1))
 
 
 def test_eta_power_mod_headline_coefficient():
@@ -375,6 +468,24 @@ def test_blocked_descent_peak_stays_within_product_bytes():
     finally:
         tracemalloc.stop()
     assert peak <= product_bytes(trunc + 1, 17 ** 2)
+
+
+@pytest.mark.parametrize("v,trunc,limbs", [(6, 200_000, 1), (14, 100_000, 3)])
+def test_inverted_level_peak_stays_within_product_bytes(v, trunc, limbs):
+    # p(n) mod 5^v: one level, the pentagonal series inverted, its long
+    # products blocked
+    m = 5 ** v
+    assert qseries._level_exponent(Fraction(-1), m) == -1
+    assert _limb_layout(m, trunc + 1)[0] == limbs
+    assert trunc + 1 > _BLOCKED_OUTPUT
+    eta_power_residues(-1, 5, v, 1000)
+    tracemalloc.start()
+    try:
+        eta_power_residues(-1, 5, v, trunc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= product_bytes(trunc + 1, m)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 17, 101])

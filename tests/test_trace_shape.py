@@ -7,6 +7,7 @@ descents it sees one ``eta_power_residues`` span per level.  Reads
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ def test_traced_search_carries_every_declared_metric(capsys, monkeypatch):
 
 @pytest.mark.parametrize("workload, calls, depth", [
     ("verify", 4, 4),     # truncations 58086, 3416, 200, 11 for 17^2
-    ("residues", 12, 6),  # 6 levels for 5^6 to 10^4, 6 for 5^13 to 5000
+    ("residues", 2, 1),   # p(n) mod 5^6 and 5^13: one level, e = -1, each
 ])
 def test_traced_descent_spans_every_level(monkeypatch, workload, calls, depth):
     # a route that skips a level's span fails here, not only in bench/
@@ -56,6 +57,23 @@ def test_traced_descent_spans_every_level(monkeypatch, workload, calls, depth):
     assert check(params, outputs)[1] == 0
     assert metrics["qseries.eta_power_residues.calls"] == calls
     assert metrics["qseries.eta_power_residues.depth"] == depth
+
+
+def test_traced_non_integer_descent_spans_every_level(monkeypatch):
+    # alpha = -1 ends at its first level; 1/2 takes one per truncation
+    # 10^4, 2000, 400, 80, 16 and 3
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+    import etacong
+    from etacong.qseries import eta_power_rational, reduce_series
+
+    with spans.Tracer() as tracer:
+        got = etacong.eta_power_residues(Fraction(1, 2), 5, 6, 10 ** 4)
+    metrics = tracer.metrics()
+    assert got[:101].tolist() == reduce_series(
+        eta_power_rational(Fraction(1, 2), 100), 5, 6)
+    assert metrics["qseries.eta_power_residues.calls"] == 6
+    assert metrics["qseries.eta_power_residues.depth"] == 6
 
 
 @pytest.mark.parametrize("weight, ell, residue, steps", [
