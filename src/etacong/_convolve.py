@@ -35,9 +35,16 @@ exact.  numpy's transforms release the GIL, so the output blocks run two
 at a time on a thread pool that lives for that one product.
 ``fixed_operand_mod`` serves many products by one fixed operand through
 the same kernel: that operand's limb spectra are computed once.
+``convolve_class_mod`` forms one residue class r mod ell of a product
+alone: each class pair (u, (r - u) mod ell) of the operands' classes is
+transformed at twice a class's length, pairs run two at a time on a pool
+and are folded into two running sums (u + v = r, and u + v = r + ell,
+which lands one index up), so neither operand's spectra are held whole;
+the flat product's limbs and groups keep it exact.
 ``binary_power`` is the one square-and-multiply loop; every power in the
-package goes through it, and ``inverse_mod`` inverts a series by Newton
-iteration on top of ``convolve_mod``.  ``eta_integer_power_mod`` raises
+package goes through it, its final product by a different mul where a
+caller asks (a class alone), and ``inverse_mod`` inverts a series by
+Newton iteration on top of ``convolve_mod``.  ``eta_integer_power_mod`` raises
 Euler's pentagonal series to e, or Jacobi's cube (q;q)^3, as sparse, to
 e / 3 when that chain costs fewer transforms (two per square, three per
 product); either seed has about sqrt(n_out) nonzero coefficients, so its
@@ -77,6 +84,15 @@ _BLOCKS_PER_PRODUCT = 16
 _BLOCK = 1 << 18
 # output blocks transformed at once, each on its own thread
 _PARALLEL_BLOCKS = 2
+# convolve_class_mod forms a class alone from this ell on; below it the
+# class route's spectra, each up to 2 / ell of a flat one, held more than
+# the flat product in tracemalloc runs at 2*10^5 to 10^6 coefficients
+# (ell 2 and 3 at two and three limbs, ell 5 at three)
+_CLASS_MIN_ELL = 7
+# ... and for classes longer than this: at 1024 coefficients a class took
+# up to twice the flat product's time (its ell pairs each cost Python
+# work), from 2048 on at most as long at ell 17 to 1009 on a 2-core box
+_CLASS_MIN_LENGTH = 1 << 11
 # every exact coefficient an inverse transform recovers stays below this
 ROUNDING_LIMIT = 1 << 47
 # every float64 product-sum a _matmul_mod limb product forms stays below this
@@ -161,7 +177,8 @@ def _pairs_spectrum(pairs, doubled, s, first, stop, consume=False):
     over the block pairs (fa, fb); the first ``doubled`` pairs count twice.
 
     No spectrum is changed unless ``consume`` marks a lone pair at its
-    last use (a one-block product).  Then limb s - L + 1 of either operand
+    last use (a one-block product, or one class pair of
+    ``_class_product``).  Then limb s - L + 1 of either operand
     pairs with no later shift, so it is dropped from fa and fb once the
     sum reaches shift s's last pair, and the top shift's one pair is the
     last use of both spectra and is multiplied in place.
@@ -176,6 +193,8 @@ def _pairs_spectrum(pairs, doubled, s, first, stop, consume=False):
     if consume and s == 2 * limbs - 2:
         spectrum, y = terms.pop()
         spectrum *= y
+        if doubled:
+            spectrum *= 2
         return spectrum
     spectrum = None
     for k, (x, y) in enumerate(terms, 1):
@@ -268,7 +287,10 @@ def product_bytes(n_out, m):
     holds two arrays of 2B float64 at once, 32 B < 4 n_out bytes.  The
     blocks after it run two at a time and hold four such arrays at one
     limb, 64 B < 8 n_out bytes, one int64 series; eight at L > 1 fit
-    within one of the two spare flat spectra.
+    within one of the two spare flat spectra.  A class product
+    (``convolve_class_mod``) holds spectra of at most 2 / ell of a flat
+    one, from ell = 7 on; it held less than the flat product in every
+    tracemalloc run.
     """
     limbs = _limb_layout(m, n_out)[0]
     spectrum = 16 * (_fft_length(2 * n_out - 1) // 2 + 1)  # complex128
@@ -300,30 +322,36 @@ def _limb_spectra(x, m, layout):
             for limb in _balanced_limbs(x, m, limbs, bits)]
 
 
+def _shift_groups(layout):
+    """(s, first, stop) of each inverse transform a product takes: limb
+    shift s = i + j and its limb pairs first <= i < stop, at most as many
+    as one transform may sum (group * pair bound < ``ROUNDING_LIMIT``)."""
+    _, _, short, limbs, bits = layout
+    group = (ROUNDING_LIMIT - 1) // (4 ** (bits - 1) * short)
+    for s in range(2 * limbs - 1):
+        low, high = max(0, s - limbs + 1), min(s, limbs - 1) + 1
+        for first in range(low, high, group):
+            yield s, first, min(first + group, high)
+
+
 def _block_residues(pairs, doubled, layout, m, n_out, consume=False):
     """The first n_out coefficients, mod m, of the sum of the block pairs'
     products (``_pairs_spectrum``'s arguments): one inverse transform per
     limb shift s = i + j and group of limb pairs, recombined at 2^(bs)."""
-    length, _, short, limbs, bits = layout
-    # limb pairs one inverse transform may sum: group * pair bound < limit
-    group = (ROUNDING_LIMIT - 1) // (4 ** (bits - 1) * short)
+    length, bits = layout[0], layout[4]
     lift = -(-ROUNDING_LIMIT // m) * m
     out = None
-    for s in range(2 * limbs - 1):
-        low, high = max(0, s - limbs + 1), min(s, limbs - 1) + 1
-        shift = pow(2, bits * s, m)
-        for first in range(low, high, group):
-            residues = _exact_residues(
-                _pairs_spectrum(pairs, doubled, s, first,
-                                min(first + group, high), consume),
-                length, n_out, m, lift)
-            if out is None:
-                out = residues  # shift 0 holds one pair, at weight 2^0
-            else:
-                out += mul_mod(residues, shift, m)
-                out %= m
-            # the next transforms run without this shift's residues
-            del residues
+    for s, first, stop in _shift_groups(layout):
+        residues = _exact_residues(
+            _pairs_spectrum(pairs, doubled, s, first, stop, consume),
+            length, n_out, m, lift)
+        if out is None:
+            out = residues  # shift 0 holds one pair, at weight 2^0
+        else:
+            out += mul_mod(residues, pow(2, bits * s, m), m)
+            out %= m
+        # the next transforms run without this shift's residues
+        del residues
     return out
 
 
@@ -420,6 +448,77 @@ def _blocked_product(a, b, m, n_out, layout):
     return out
 
 
+def _class_product(a, b, m, n_out, residue, ell):
+    """Coefficients residue, residue + ell, ... below n_out of a * b mod m.
+
+    Write a_u = a[u::ell] and b_v = b[v::ell].  Class residue of the
+    product is the sum of a_u * b_v over the class pairs v = (residue - u)
+    mod ell: the pairs with u + v = residue land on it index for index, the
+    pairs with u + v = residue + ell one index up.  Each of the two sums
+    is one inverse transform per limb shift and group at twice the class
+    length.  Its coefficients sum subsets of the flat product's terms, so
+    the flat layout's limbs and groups keep it exact.  Pairs run on a
+    thread pool, ``_PARALLEL_BLOCKS`` at a time, and each pair's spectra
+    are folded into the running sums and dropped: no more than two
+    classes' spectra per pair are held at once.  A square takes the pairs
+    u <= v only, transforms each class once and counts u < v twice.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    square = b is a
+    width = len(range(residue, n_out, ell))
+    short = min(len(a), len(b))
+    # a power of two: 2 width is 2 * 17 * 13841 at verify's 4*10^6, where
+    # numpy's transform ran 17 times slower than at 2^19 on a 2-core box
+    layout = (_fft_length(2 * width - 1), None, short) + _limb_layout(m, short)
+    length, bits = layout[0], layout[4]
+    groups = list(_shift_groups(layout))
+    pairs = [(u, (residue - u) % ell) for u in range(min(ell, len(a)))]
+    pairs = [(u, v) for u, v in pairs
+             if v < len(b) and not (square and v < u)]
+
+    def pair_spectra(u, v):
+        fa = _limb_spectra(a[u::ell][:width], m, layout)
+        fb = fa if square and u == v else _limb_spectra(b[v::ell][:width], m,
+                                                        layout)
+        doubled = int(square and u < v)
+        return [_pairs_spectrum([(fa, fb)], doubled, *group, consume=True)
+                for group in groups]
+
+    lift = -(-ROUNDING_LIMIT // m) * m
+
+    def inverse(k, s, spectrum):
+        return k, s, _exact_residues(spectrum, length, width - k, m, lift)
+
+    # sums[k][g]: group g's spectrum of the pairs u + v = residue + k ell
+    sums = [[None] * len(groups), [None] * len(groups)]
+    out = np.zeros(width, dtype=np.int64)
+    with ThreadPoolExecutor(min(_PARALLEL_BLOCKS, _usable_cpus())) as pool:
+        pending = deque()
+        for i, (u, v) in enumerate(pairs, 1):
+            pending.append(((u + v - residue) // ell,
+                            pool.submit(pair_spectra, u, v)))
+            while pending and (len(pending) == _PARALLEL_BLOCKS
+                               or i == len(pairs)):
+                k, future = pending.popleft()
+                for g, spectrum in enumerate(future.result()):
+                    if sums[k][g] is None:
+                        sums[k][g] = spectrum
+                    else:
+                        sums[k][g] += spectrum
+        inverses = [(k, s, spectrum) for k, kind in enumerate(sums)
+                    for (s, _, _), spectrum in zip(groups, kind)
+                    if spectrum is not None]
+        del sums
+        for k, s, residues in pool.map(inverse, *zip(*inverses)):
+            # the sum of the pairs u + v = residue + ell lands one index up
+            window = out[k:]
+            window += mul_mod(residues, pow(2, bits * s, m), m)
+            window %= m
+            del residues
+    return out
+
+
 def _fft_modulus(m):
     m = int(m)
     if m >= FFT_MODULUS_LIMIT:
@@ -473,19 +572,44 @@ def fixed_operand_mod(b, m, n_out):
     return times_b
 
 
-def binary_power(base, exponent, result, mul):
+def convolve_class_mod(a, b, m, n_out, residue, ell):
+    """convolve_mod(a, b, m, n_out)[residue::ell], forming that class alone.
+
+    Classes longer than ``_CLASS_MIN_LENGTH`` take ``_class_product``
+    from ell = ``_CLASS_MIN_ELL`` on: about a 1/ell share of the
+    product's inverse transforms and output, and no operand's spectra
+    held whole.  Shorter classes, where ell small transforms cost more
+    than the one product, and fewer classes are sliced from the product.
+    """
+    m = _fft_modulus(m)
+    square = b is a
+    a = np.asarray(a, dtype=np.int64)
+    b = a if square else np.asarray(b, dtype=np.int64)
+    n_out = min(n_out, len(a) + len(b) - 1)
+    if ell < _CLASS_MIN_ELL or -(-n_out // ell) <= _CLASS_MIN_LENGTH:
+        return convolve_mod(a, b, m, n_out)[residue::ell].copy()
+    return _class_product(a, b, m, n_out, residue, ell)
+
+
+def binary_power(base, exponent, result, mul, last=None):
     """result * base^exponent by square-and-multiply under mul.
 
+    ``last``, when given, forms the final product in place of mul: the
+    product by base at the exponent's top bit, or, when result is still
+    None there, the square before it, None standing for one.
     base and result are rebound as the loop runs, so neither outlives its
     last use unless the caller keeps a reference to the value it passed.
     """
     e = operator.index(exponent)
     if e < 0:
         raise ValueError("negative exponent")
+    last = last or mul
     while e:
         if e & 1:
-            result = mul(result, base)
+            result = (mul if e > 1 else last)(result, base)
         e >>= 1
+        if e == 1 and result is None:
+            return last(base, base)
         if e:
             base = mul(base, base)
     return result
@@ -505,6 +629,18 @@ def _series_mul(m, n_out):
     product."""
     def mul(f, g):
         return g if f is None else convolve_mod(f, g, m, n_out)
+
+    return mul
+
+
+def _class_mul(m, n_out, residue, ell):
+    """binary_power's last product when only class residue mod ell of the
+    power is read: ``convolve_class_mod``, or the slice when the other
+    factor is the series 1 (None)."""
+    def mul(f, g):
+        if f is None:
+            return g[residue::ell].copy()
+        return convolve_class_mod(f, g, m, n_out, residue, ell)
 
     return mul
 
@@ -640,15 +776,19 @@ def _power_chain(exponent):
     return cost + (_INVERSE_COST if exponent < 0 else 0), cube
 
 
-def eta_integer_power_mod(exponent, m, n_out):
-    """(q;q)_infinity^exponent mod m for an integer exponent >= 0.
+def eta_integer_power_mod(exponent, m, n_out, residue=None, ell=None):
+    """(q;q)_infinity^exponent mod m for an integer exponent >= 0, or, with
+    ``residue`` and ``ell``, its coefficients residue, residue + ell, ...
+    below n_out alone.
 
     A multiple of 3 starts from Jacobi's cube, as sparse as Euler's
     pentagonal series, when e / 3 takes a cheaper chain than e
     (``_power_chain``): 72 becomes J^24, three squares and a product
     instead of five and a product.  The seed's square is taken pair by
     pair (``_sparse_square``); binary_power raises it to e // 2 and
-    multiplies by the seed once when e is odd.
+    multiplies by the seed once when e is odd.  With a class, its last
+    product forms that class alone (``_class_mul``): J^8 * J^16 in
+    verify's J^24.
     """
     e = operator.index(exponent)
     if _power_chain(e)[1]:
@@ -656,10 +796,12 @@ def eta_integer_power_mod(exponent, m, n_out):
     else:
         seed = pentagonal_mod(m, n_out)
     if e < 2:
-        return power_mod(seed, e, m, n_out)
+        power = power_mod(seed, e, m, n_out)
+        return power if residue is None else power[residue::ell].copy()
     # binary_power gets the only references to the seed and its square,
     # so that each is freed at its last use, as in power_mod
     series = [seed if e & 1 else None, _sparse_square(seed, m)]
     del seed
+    last = None if residue is None else _class_mul(m, n_out, residue, ell)
     return binary_power(series.pop(), e >> 1, series.pop(),
-                        _series_mul(m, n_out))
+                        _series_mul(m, n_out), last)

@@ -263,7 +263,8 @@ def search_good_congruences(alpha: Rational, ell_max: int | None = None,
         for k in candidates:
             try:
                 outcome = is_good_prime(f, ell, k, max_weight=max_weight,
-                                        allow_small_primes=allow_small_primes)
+                                        allow_small_primes=allow_small_primes,
+                                        _sieved=True)
             except WeightCapExceeded as exc:
                 outcome = GoodPrimeRejection(alpha_str, ell, k, str(exc))
             if isinstance(outcome, GoodPrimeRejection):

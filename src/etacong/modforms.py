@@ -589,7 +589,7 @@ class GoodPrimeRejection:
 
 def is_good_prime(alpha: Rational, ell: int, k: int, *,
                   max_weight: int = DEFAULT_MAX_WEIGHT,
-                  allow_small_primes: bool = False):
+                  allow_small_primes: bool = False, _sieved: bool = False):
     """Decide whether ell is good for alpha with parameter k.
 
     Checks, in order: k < ell; cond1, ell divides 24k - alpha in the
@@ -597,9 +597,12 @@ def is_good_prime(alpha: Rational, ell: int, k: int, *,
     m in {4, 6, 8, 10, 14} has (ell - 1) | (12k - m); cond3, ell does not
     divide the weight-12k Gram determinant.  Returns a certificate or a
     rejection naming the first failing condition.  Raises WeightCapExceeded
-    when cond3 would need a space beyond the weight cap.
+    when cond3 would need a space beyond the weight cap.  ``_sieved`` is
+    the search's entry: its ell comes from a prime sieve and its alpha is a
+    Fraction whose denominator ell does not divide, so ``ell_integral``'s
+    primality test is not run again.
     """
-    f = ell_integral(alpha, ell)
+    f = alpha if _sieved else ell_integral(alpha, ell)
     alpha_str = str(f)
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -23,7 +23,8 @@ scalable one (FFT-backed) used for searches and brute-force verification.
 Each descent level is one power of (q;q) and one product by the next
 level's series in q^ell, taken one residue class mod ell at a time once
 the classes outgrow the direct product (``_times_dilated``); a caller that
-reads one class mod ell asks for that class alone (``residue=``).  The
+reads one class mod ell asks for that class alone (``residue=``), which
+the top level's power forms alone in its last product.  The
 power's exponent is psi(ell^v, alpha) or that less ell^v, whichever costs
 fewer transforms (``_level_exponent``); a negative one is the power of its
 absolute value, inverted, so p(n) = 1/(q;q) takes one level.
@@ -149,7 +150,10 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
     With ``residue`` = r in [0, ell), only coefficients r, r + ell, ... up
     to T are returned: inner(q^ell) keeps each class mod ell to itself, so
     that class is the one product out[r::ell] * inner, and the other
-    ell - 1 are never formed.  The inner level is the full series.
+    ell - 1 are never formed.  A nonnegative e's power forms class r alone
+    in its last product too (``eta_integer_power_mod`` with the class);
+    a negative one is inverted whole and then sliced.  The inner level is
+    the full series.
     """
     f = ell_integral(alpha, ell)
     if precision < 1:
@@ -172,13 +176,13 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
             f"GiB for one product, more than the {have / 2**30:.2f} GiB of "
             f"physical memory")
     e = _level_exponent(f, m)
-    if e < 0:
+    if e >= 0:
+        out = eta_integer_power_mod(e, m, trunc + 1, residue=residue, ell=ell)
+    else:
         out = inverse_mod(eta_integer_power_mod(-e, m, trunc + 1), m,
                           trunc + 1)
-    else:
-        out = eta_integer_power_mod(e, m, trunc + 1)
-    if residue is not None:
-        out = out[residue::ell].copy()
+        if residue is not None:
+            out = out[residue::ell].copy()
     gamma = (f - e) / m
     if gamma == 0 or trunc < ell:
         return out

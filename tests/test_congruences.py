@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from etacong import congruences, modforms, qseries
+from etacong import congruences, modforms, numerics, qseries
 from etacong.numerics import (
     NotEllIntegralError,
     ell_integral,
@@ -66,6 +66,20 @@ def test_search_57_61_certificates(search_57_61):
         assert cert.gram_det_residue != 0
     for rej in search_57_61.rejections:
         assert 1 <= rej.k < rej.ell
+
+
+def test_search_does_not_retest_its_sieved_primes(monkeypatch, search_57_61):
+    # the sieve proved every candidate prime; is_good_prime's own callers
+    # still get the composite refusal (test_composite_ell_is_refused_...)
+    tested = []
+    is_prime = numerics.is_prime
+    monkeypatch.setattr(numerics, "is_prime",
+                        lambda n: tested.append(n) or is_prime(n))
+    assert search_good_congruences(Fraction(57, 61)) == search_57_61
+    assert tested == []
+    with pytest.raises(ValueError, match="^1521 is not prime$"):
+        is_good_prime(Fraction(57, 61), 39 ** 2, 3)
+    assert tested == [1521]
 
 
 def test_search_57_61_claims_shape(search_57_61):

@@ -10,14 +10,17 @@ from hypothesis import given, settings, strategies as st
 from etacong import _convolve
 from etacong.numerics import PrecisionError
 from etacong._convolve import (
+    _BLOCKED_OUTPUT,
     _DIRECT_SIZE_LIMIT,
     FFT_MODULUS_LIMIT,
     ROUNDING_LIMIT,
     _balanced_limbs,
+    _class_product,
     _fft_layout,
     _limb_layout,
     _sparse_square,
     binary_power,
+    convolve_class_mod,
     convolve_exact,
     convolve_mod,
     eta_integer_power_mod,
@@ -145,6 +148,34 @@ def test_eta_integer_power_equals_the_pentagonal_chain(m, n_out):
     for e in exponents:
         chain = power_mod(pentagonal_mod(m, n_out), e, m, n_out)
         assert np.array_equal(eta_integer_power_mod(e, m, n_out), chain), e
+
+
+@pytest.mark.parametrize("m", [289, 5 ** 13, 2 ** 33 - 9])
+def test_eta_integer_power_class_is_a_slice_of_the_power(monkeypatch, m):
+    # the last product restricted to one class: a product by the seed
+    # (32769), by a lower power (72 = J^24: J^8 * J^16), a square (16 and
+    # 24 = J^8), the sparse square alone (2, 6 = J^2) and no product (0, 1)
+    ell, n_out = 17, 17 * (_convolve._CLASS_MIN_LENGTH + 1) + 5
+    squares = []
+
+    def recorded(a, b, *args):
+        squares.append(a is b)
+        return convolve_class_mod(a, b, *args)
+
+    monkeypatch.setattr(_convolve, "convolve_class_mod", recorded)
+    exponents = [0, 1, 2, 16, *CHAIN_EXPONENTS]
+    if m != 289:
+        exponents = exponents[:-2]  # the long chains at one limb, for time
+    for e in exponents:
+        power = eta_integer_power_mod(e, m, n_out)
+        squares.clear()
+        for r in (0, 5, 14):
+            got = eta_integer_power_mod(e, m, n_out, residue=r, ell=ell)
+            assert np.array_equal(got, power[r::ell]), (e, r)
+        restricted = {16: True, 24: True, 72: False, 15624: False,
+                      32769: False}
+        want = [restricted[e]] * 3 if e in restricted else []
+        assert squares == want, e
 
 
 SQUARE_MODULI = [289, 5 ** 6, 5 ** 13, 5 ** 14, 2 ** 33 - 9]
@@ -616,5 +647,137 @@ def test_blocked_route_with_more_threads_than_cores(monkeypatch):
         for x, y in ((a, a), (a, b)):
             assert convolve_mod(x, y, m, 3999).tolist() == exact_mod(
                 x, y, m, 3999)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# one, two and three limbs: 289 at any length, 5^13 below 2^17
+# coefficients, and 2^33 - 9, the largest prime power below 2^33, past 2^15
+# (held there by hold_limbs below it)
+CLASS_MODULI = [(289, 1), (5 ** 13, 2), (2 ** 33 - 9, 3)]
+CLASS_ELLS = [2, 3, 17, 101]
+
+
+def class_cases(ell, n_out):
+    """(a, b) pairs for the class product at n_out: a product whose b is
+    shorter by one more than a class, and a square."""
+    rng = np.random.default_rng(ell * n_out)
+    a = rng.integers(0, 2 ** 33 - 9, n_out, dtype=np.int64)
+    b = rng.integers(0, 2 ** 33 - 9, n_out - ell - 1, dtype=np.int64)
+    return a, b
+
+
+def assert_every_class(m, ell, n_out, residues):
+    a, b = (x % m for x in class_cases(ell, n_out))
+    # convolve_class_mod slices short classes and those of a small ell
+    # from the product: the class route there too, at every class
+    sliced = (ell < _convolve._CLASS_MIN_ELL
+              or -(-n_out // ell) <= _convolve._CLASS_MIN_LENGTH)
+    for x, y in ((a, b), (a, a)):
+        want = convolve_mod(x, y, m, n_out)
+        for r in residues:
+            got = (_class_product if sliced else convolve_class_mod)(
+                x, y, m, n_out, r, ell)
+            assert np.array_equal(got, want[r::ell]), (n_out, r, x is y)
+        if sliced:
+            for r in (min(residues), max(residues)):
+                got = convolve_class_mod(x, y, m, n_out, r, ell)
+                assert np.array_equal(got, want[r::ell]), (n_out, r, x is y)
+
+
+def hold_class_limbs(monkeypatch, m, limbs, short):
+    """hold_limbs where m takes fewer than `limbs` limbs at `short`."""
+    if _limb_layout(m, short)[0] < limbs:
+        hold_limbs(monkeypatch, m, limbs, short)
+    assert _limb_layout(m, short)[0] == limbs
+
+
+@pytest.mark.parametrize("m,limbs", CLASS_MODULI)
+@pytest.mark.parametrize("ell", CLASS_ELLS)
+def test_class_product_is_one_class_of_the_product(monkeypatch, m, limbs,
+                                                   ell):
+    # classes of 512 and 513 coefficients, the direct path's size limit
+    # and one past it, at n_out = 0, 1 and ell // 2 + 1 mod ell; every
+    # class but at ell = 101, which takes every class at one limb and one
+    # n_out and a few at the others, for time
+    widths = (_DIRECT_SIZE_LIMIT, _DIRECT_SIZE_LIMIT + 1)
+    hold_class_limbs(monkeypatch, m, limbs, ell * widths[-1] - ell - 1)
+    for w in widths:
+        low = ell * (w - 1)
+        for n_out in (ell * w, low + 1, low + ell // 2 + 1):
+            residues = range(ell)
+            if ell == 101 and (limbs > 1 or n_out % ell or w < widths[-1]):
+                residues = {0, n_out % ell, (n_out - 1) % ell, ell - 1}
+            assert_every_class(m, ell, n_out, residues)
+
+
+@pytest.mark.parametrize("m,limbs", CLASS_MODULI)
+@pytest.mark.parametrize("ell", CLASS_ELLS)
+def test_class_product_past_the_blocked_output(m, limbs, ell):
+    # the products that the flat oracle takes in blocks and one below,
+    # at the moduli's own limb counts
+    for n_out in (_BLOCKED_OUTPUT, _BLOCKED_OUTPUT + ell // 2 + 1):
+        assert _limb_layout(m, n_out - ell - 1)[0] == limbs
+        assert_every_class(m, ell, n_out, {0, n_out % ell, (n_out - 1) % ell,
+                                           ell // 2, ell - 1})
+
+
+@pytest.mark.parametrize("ell", CLASS_ELLS)
+def test_class_product_wrap_sum(ell):
+    # q^(ell - 1) times q^(r + 1) lands on class r one index up: only the
+    # pairs u + v = r + ell reach it
+    m, n_out = 5 ** 13, ell * 600
+    for r in {0, (ell - 2) // 2, ell - 2}:
+        a = np.zeros(n_out, dtype=np.int64)
+        b = np.zeros(n_out, dtype=np.int64)
+        a[ell - 1], b[r + 1] = m - 1, 3
+        got = _class_product(a, b, m, n_out, r, ell)
+        assert got.tolist() == [0, 3 * (m - 1) % m] + [0] * (len(got) - 2)
+
+
+@pytest.mark.parametrize("m,limbs", CLASS_MODULI)
+def test_class_product_transforms_each_class_once(monkeypatch, m, limbs):
+    # classes of _CLASS_MIN_LENGTH coefficients are sliced from the flat
+    # product, one block; one more takes the class route
+    ell = 17
+    counts = count_transforms(monkeypatch)
+    edge = _convolve._CLASS_MIN_LENGTH
+    for width in (edge, edge + 1):
+        n_out = ell * width
+        a, b = (x % m for x in class_cases(ell, n_out))
+        assert _limb_layout(m, len(b))[0] == limbs
+        groups = len(list(_convolve._shift_groups(
+            (None, None, len(b), *_limb_layout(m, len(b))))))
+        # r = 14 sums both kinds of pair; 16 = ell - 1 has no wrap pair
+        for r, sums in ((14, 2), (16, 1)):
+            if width == edge:
+                sums, ell_or_one = 1, 1
+            else:
+                ell_or_one = ell
+            counts.clear()
+            convolve_class_mod(a, a, m, n_out, r, ell)
+            assert counts == {"rfft": limbs * ell_or_one,
+                              "irfft": sums * groups}, (width, r)
+            counts.clear()
+            convolve_class_mod(a, b, m, n_out, r, ell)
+            assert counts == {"rfft": 2 * limbs * ell_or_one,
+                              "irfft": sums * groups}, (width, r)
+
+
+def test_class_route_with_more_threads_than_cores(monkeypatch):
+    # eight class pairs at once on eight threads, switching every
+    # microsecond: a pair folded twice or lost would change a residue
+    monkeypatch.setattr(_convolve, "_PARALLEL_BLOCKS", 8)
+    monkeypatch.setattr(_convolve, "_usable_cpus", lambda: 8)
+    m, ell, n_out = 2 ** 33 - 9, 17, 17 * 600
+    a, b = (x % m for x in class_cases(ell, n_out))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for x, y in ((a, a), (a, b)):
+            want = convolve_mod(x, y, m, n_out)
+            for r in (0, 14):
+                got = _class_product(x, y, m, n_out, r, ell)
+                assert np.array_equal(got, want[r::ell]), (r, x is y)
     finally:
         sys.setswitchinterval(interval)

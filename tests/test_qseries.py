@@ -227,8 +227,10 @@ def test_each_workload_level_takes_its_pinned_sign(
     # negative exponent is the power of |e| followed by one inverse_mod
     taken = []
 
-    def power(e, m, n_out):
+    def power(e, m, n_out, residue=None, ell=None):
         taken.append(e)
+        if residue is not None:
+            n_out = len(range(residue, n_out, ell))
         return np.zeros(n_out, dtype=np.int64)
 
     def inverse(f, m, n_out):
@@ -541,3 +543,22 @@ def test_residue_route_peak_stays_within_product_bytes(trunc):
     finally:
         tracemalloc.stop()
     assert peak <= product_bytes(trunc + 1, 17 ** 2)
+
+
+def test_residue_route_forms_only_its_class_in_the_last_product():
+    # verify's shape at 1.1*10^6: the top level's J^24 forms class 14 alone
+    # in its last product, J^8 * J^16, instead of all 1,100,001
+    # coefficients and both operands' block spectra
+    alpha, trunc = Fraction(57, 61), 1_100_000
+    eta_power_residues(alpha, 17, 2, 1000, residue=14)
+    peaks, got = {}, {}
+    for residue in (14, None):
+        tracemalloc.start()
+        try:
+            got[residue] = eta_power_residues(alpha, 17, 2, trunc,
+                                              residue=residue)
+            peaks[residue] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[14] <= 2 * peaks[None] / 3
+    assert np.array_equal(got[14], got[None][14::17])
