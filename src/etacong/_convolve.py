@@ -48,9 +48,10 @@ Newton iteration on top of ``convolve_mod``.  ``eta_integer_power_mod`` raises
 Euler's pentagonal series to e, or Jacobi's cube (q;q)^3, as sparse, to
 e / 3 when that chain costs fewer transforms (two per square, three per
 product); either seed has about sqrt(n_out) nonzero coefficients, so its
-square is summed over their pairs instead of transformed.  That cost rule
-is ``_power_chain``, which also prices a negative exponent, the chain of
-|e| and one ``inverse_mod``, for the descent's choice of sign.
+square, and (q;q)^4, the two seeds' product, are summed over their pairs
+instead of transformed (``_sparse_product``).  That cost rule is
+``_power_chain``, which also prices a negative exponent, the chain of |e|
+and one ``inverse_mod``, for the descent's choice of each level's split.
 Every other product of residues mod m < 2^33 goes through ``mul_mod``,
 elementwise, or ``_matmul_mod``, float64 BLAS on limbs recombined by
 ``mul_mod``.
@@ -97,8 +98,8 @@ _CLASS_MIN_LENGTH = 1 << 11
 ROUNDING_LIMIT = 1 << 47
 # every float64 product-sum a _matmul_mod limb product forms stays below this
 _MATMUL_LIMIT = 1 << 52
-# every int64 sum _sparse_square accumulates stays below this
-_SQUARE_SUM_LIMIT = 1 << 63
+# every int64 sum _sparse_product accumulates stays below this
+_SPARSE_SUM_LIMIT = 1 << 63
 
 
 def convolve_exact(a, b, n_out):
@@ -717,30 +718,39 @@ def jacobi_cube_mod(m, n_out):
     return out
 
 
-def _sparse_square(seed, m):
-    """seed(q)^2 mod m to len(seed) coefficients, summed over the pairs of
-    seed's nonzero coefficients instead of transformed.  Euler's and
-    Jacobi's series have about sqrt(len(seed)) of them (2,818 for Jacobi's
-    mod 289 at 4*10^6), so the pairs cost far less than an FFT square.
+def _sparse_product(a, b, m):
+    """a(q) b(q) mod m to len(a) coefficients, summed over the pairs of their
+    nonzero coefficients instead of transformed; a square when b is a.
+    Euler's and Jacobi's series have about sqrt(len(a)) of them (3,266 and
+    2,828 mod 289 at 4*10^6), so the pairs cost far less than an FFT
+    product.
 
-    Row k adds x_k * x_j mod m, doubled for j > k, at i_k + i_j for every
-    nonzero x_j at i_j >= i_k with i_k + i_j < len(seed).  A row adds at
-    most one term below 2m to each coefficient, so R rows after a
-    reduction leave every sum below (2R + 1) m.  The sums are reduced every
-    R = (2^63 // m - 1) // 2 rows and stay below ``_SQUARE_SUM_LIMIT`` =
+    Row k adds x_k * y_j mod m at i_k + j_j for every nonzero x_k of a and
+    y_j of b with i_k + j_j < len(a); the rows run over the operand with
+    fewer nonzero coefficients.  A square takes j >= k only and doubles
+    j > k.  A row adds at most one term below c m to each coefficient,
+    c = 2 for a square and 1 otherwise, so R rows after a reduction leave
+    every sum below (c R + 1) m.  The sums are reduced every
+    R = (2^63 // m - 1) // c rows and stay below ``_SPARSE_SUM_LIMIT`` =
     2^63 at any m and length.
     """
-    n = len(seed)
-    idx = np.flatnonzero(seed)
-    val = seed[idx]
-    tops = np.searchsorted(idx, n - idx)
-    rows = (_SQUARE_SUM_LIMIT // m - 1) // 2
+    n, square = len(a), b is a
+    rows_at, cols_at = np.flatnonzero(a), np.flatnonzero(b[:n])
+    if len(cols_at) < len(rows_at):
+        rows_at, cols_at, a, b = cols_at, rows_at, b, a
+    rows_val, cols_val = a[rows_at], b[cols_at]
+    tops = np.searchsorted(cols_at, n - rows_at)
+    doubled = 2 if square else 1
+    rows = (_SPARSE_SUM_LIMIT // m - 1) // doubled
     out = np.zeros(n, dtype=np.int64)
-    # i_k + i_k < n holds for a prefix of the rows
-    for k in range(int(np.searchsorted(idx, (n + 1) // 2))):
-        row = mul_mod(val[k:tops[k]], val[k], m)
-        row[1:] <<= 1
-        out[idx[k] + idx[k:tops[k]]] += row
+    # a square's row k starts at column k: i_k + i_k < n holds for a prefix
+    count = np.searchsorted(rows_at, (n + 1) // 2) if square else len(rows_at)
+    for k in range(int(count)):
+        first = k if square else 0
+        row = mul_mod(cols_val[first:tops[k]], rows_val[k], m)
+        if square:
+            row[1:] <<= 1
+        out[rows_at[k] + cols_at[first:tops[k]]] += row
         if (k + 1) % rows == 0:
             out %= m
     out %= m
@@ -751,9 +761,9 @@ def _chain_cost(exponent):
     """Transforms binary_power spends on a seed's one-limb power e >= 0:
     two per square, three per product, for bits(e) - 1 squares and
     popcount(e) - 1 products, less the first square when e >= 2, which
-    ``_sparse_square`` takes without a transform."""
+    ``_sparse_product`` takes without a transform."""
     squares = max(exponent.bit_length() - 2, 0)
-    return 2 * squares + 3 * max(bin(exponent).count("1") - 1, 0)
+    return 2 * squares + 3 * max(exponent.bit_count() - 1, 0)
 
 
 # one inverse_mod in _chain_cost's units, half the time of a dense square
@@ -769,10 +779,11 @@ def _power_chain(exponent):
     """(cost, cube) of (q;q)^e by eta_integer_power_mod: its transforms, in
     ``_chain_cost``'s units, and whether it starts from Jacobi's cube,
     which it does for a multiple of 3 when e / 3 takes a cheaper chain than
-    e.  A negative e costs the chain of |e| and one ``inverse_mod``."""
+    e.  (q;q)^4, the two seeds' one ``_sparse_product``, takes none.  A
+    negative e costs the chain of |e| and one ``inverse_mod``."""
     e = abs(operator.index(exponent))
     cube = e % 3 == 0 and _chain_cost(e // 3) < _chain_cost(e)
-    cost = _chain_cost(e // 3 if cube else e)
+    cost = 0 if e == 4 else _chain_cost(e // 3 if cube else e)
     return cost + (_INVERSE_COST if exponent < 0 else 0), cube
 
 
@@ -785,22 +796,25 @@ def eta_integer_power_mod(exponent, m, n_out, residue=None, ell=None):
     pentagonal series, when e / 3 takes a cheaper chain than e
     (``_power_chain``): 72 becomes J^24, three squares and a product
     instead of five and a product.  The seed's square is taken pair by
-    pair (``_sparse_square``); binary_power raises it to e // 2 and
+    pair (``_sparse_product``); binary_power raises it to e // 2 and
     multiplies by the seed once when e is odd.  With a class, its last
     product forms that class alone (``_class_mul``): J^8 * J^16 in
-    verify's J^24.
+    J^24.  (q;q)^4 is the pentagonal series times Jacobi's cube, pair by
+    pair, and no transform.
     """
     e = operator.index(exponent)
-    if _power_chain(e)[1]:
+    cube = _power_chain(e)[1]
+    if cube:
         seed, e = jacobi_cube_mod(m, n_out), e // 3
     else:
         seed = pentagonal_mod(m, n_out)
-    if e < 2:
-        power = power_mod(seed, e, m, n_out)
+    if e < 2 or e == 4 and not cube:
+        power = (power_mod(seed, e, m, n_out) if e < 2 else
+                 _sparse_product(seed, jacobi_cube_mod(m, n_out), m))
         return power if residue is None else power[residue::ell].copy()
     # binary_power gets the only references to the seed and its square,
     # so that each is freed at its last use, as in power_mod
-    series = [seed if e & 1 else None, _sparse_square(seed, m)]
+    series = [seed if e & 1 else None, _sparse_product(seed, seed, m)]
     del seed
     last = None if residue is None else _class_mul(m, n_out, residue, ell)
     return binary_power(series.pop(), e >> 1, series.pop(),

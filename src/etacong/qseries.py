@@ -14,26 +14,30 @@ Three independent routes compute those coefficients:
   padded modulus, charging one lost ell-adic digit per factor of ell it
   divides by;
 * ``eta_power_residues`` -- repeated exponent reduction through the
-  Frobenius congruence
-  (q;q)^{ell^r a} = (q^ell;q^ell)^{ell^(r-1) a} (mod ell^r),
-  which never divides by the running index and therefore needs no padding.
+  ell-adic logarithm of (q;q), log (q;q) = Y + log (q^ell;q^ell) / ell
+  with Y ell-integral, which also gives the Frobenius congruence
+  (q;q)^{ell^r a} = (q^ell;q^ell)^{ell^(r-1) a} (mod ell^r).  It divides
+  only by the ell-free parts N' of indices, units mod ell, and only mod
+  ell, so it needs no padding.
 
 The first two are O(T^2) exact arithmetic; the descent route is the
 scalable one (FFT-backed) used for searches and brute-force verification.
-Each descent level is one power of (q;q) and one product by the next
-level's series in q^ell, taken one residue class mod ell at a time once
-the classes outgrow the direct product (``_times_dilated``); a caller that
-reads one class mod ell asks for that class alone (``residue=``), which
-the top level's power forms alone in its last product.  The
-power's exponent is psi(ell^v, alpha) or that less ell^v, whichever costs
-fewer transforms (``_level_exponent``); a negative one is the power of its
-absolute value, inverted, so p(n) = 1/(q;q) takes one level.
-``eta_power_mod`` returns the residues mod ell^v from the descent while
-ell^v fits its FFT backend and from the ledger above that.
+Each descent level is one power of (q;q), at most one product by the
+correction 1 + ell^(v-1) a Y, and one product by the next level's series
+in q^ell, taken one residue class mod ell at a time once the classes
+outgrow the direct product (``_times_dilated``); a caller that reads one
+class mod ell asks for that class alone (``residue=``), which the top
+level's last product forms alone.  The level's split (b, a) is the one
+of 2 ell whose power and correction cost fewest transforms
+(``_level_split``); a negative b is the power of its absolute value,
+inverted, so p(n) = 1/(q;q) takes one level.  ``eta_power_mod`` returns
+the residues mod ell^v from the descent while ell^v fits its FFT backend
+and from the ledger above that.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from itertools import accumulate
@@ -45,6 +49,7 @@ from ._convolve import (
     _DIRECT_SIZE_LIMIT,
     FFT_MODULUS_LIMIT,
     _power_chain,
+    convolve_class_mod,
     convolve_mod,
     eta_integer_power_mod,
     fixed_operand_mod,
@@ -138,22 +143,32 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
                        *, residue: int | None = None):
     """Raw coefficients of (q;q)^alpha mod ell^precision as an int64 array.
 
-    The Frobenius-descent route: write alpha = e + ell^v * gamma with an
-    integer e in (-ell^v, ell^v), compute (q;q)^e exactly mod ell^v, and
-    recurse on (q^ell;q^ell)^{ell^(v-1) gamma} at truncation T // ell.  Of
-    the two such e, the level takes the one whose power costs fewer
-    transforms (``_level_exponent``): a negative e is (q;q)^|e| inverted by
-    ``inverse_mod``, so alpha = -1 takes e = -1 and ends at gamma = 0.  No
-    division by the series index ever happens, so the result is exact mod
-    ell^precision.
+    The descent route.  Write v = precision, m = ell^v and Y = sum Y_N q^N,
+    Y_N = -sigma(N')/N' with N' the ell-free part of N (``_log_part_mod``).
+    Over Q, log (q;q) = Y + log (q^ell;q^ell) / ell, so for any integer b
+    with alpha - b = ell^(v-1) c:
+
+        (q;q)^alpha = (q;q)^b exp(ell^(v-1) c Y) (q^ell;q^ell)^((alpha-b)/ell)
+
+    and, for odd ell and v >= 2, exp(ell^(v-1) c Y) = 1 + ell^(v-1) a Y
+    mod m with a = c mod ell: the k-th term has valuation
+    k (v - 1) - ord_ell(k!) >= v from k = 2 on.  A level takes the (b, a),
+    b in (-m, m), whose power and correction cost fewest transforms
+    (``_level_split``), computes (q;q)^b mod m (a negative b is (q;q)^|b|
+    inverted by ``inverse_mod``), multiplies by 1 + ell^(v-1) a Y where
+    a != 0, and recurses on (alpha - b) / ell at truncation T // ell.
+    a = 0 exactly when b == alpha (mod m), the Frobenius descent; ell = 2
+    and v = 1 keep to it.  Nothing divides by a power of ell, so the result
+    is exact mod ell^precision.
 
     With ``residue`` = r in [0, ell), only coefficients r, r + ell, ... up
     to T are returned: inner(q^ell) keeps each class mod ell to itself, so
     that class is the one product out[r::ell] * inner, and the other
-    ell - 1 are never formed.  A nonnegative e's power forms class r alone
-    in its last product too (``eta_integer_power_mod`` with the class);
-    a negative one is inverted whole and then sliced.  The inner level is
-    the full series.
+    ell - 1 are never formed.  The level's last product forms class r
+    alone too: the product by the correction (``convolve_class_mod``), or,
+    where a = 0 and b >= 0, the power's own last product
+    (``eta_integer_power_mod`` with the class); a power that is inverted
+    is sliced.  The inner level is the full series.
     """
     f = ell_integral(alpha, ell)
     if precision < 1:
@@ -175,30 +190,138 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
             f"{trunc + 1} coefficients mod {m} need about {need / 2**30:.2f} "
             f"GiB for one product, more than the {have / 2**30:.2f} GiB of "
             f"physical memory")
-    e = _level_exponent(f, m)
-    if e >= 0:
-        out = eta_integer_power_mod(e, m, trunc + 1, residue=residue, ell=ell)
+    b, a = _level_split(f, ell, precision)
+    n_out = trunc + 1
+    if b < 0:
+        # inverse_mod holds the only reference to the power
+        out = inverse_mod(eta_integer_power_mod(-b, m, n_out), m, n_out)
     else:
-        out = inverse_mod(eta_integer_power_mod(-e, m, trunc + 1), m,
-                          trunc + 1)
-        if residue is not None:
-            out = out[residue::ell].copy()
-    gamma = (f - e) / m
-    if gamma == 0 or trunc < ell:
+        # the power forms the class alone where no product follows it
+        out = eta_integer_power_mod(b, m, n_out, ell=ell,
+                                    residue=None if a else residue)
+    if a:
+        # 1 + ell^(v-1) a Y, built once the power's products are done
+        z = _log_part_mod(ell, n_out)
+        z *= a * ell ** (precision - 1)
+        z %= m
+        z[0] = 1
+        out = (convolve_mod(out, z, m, n_out) if residue is None else
+               convolve_class_mod(out, z, m, n_out, residue, ell))
+        del z
+    elif residue is not None and b < 0:
+        out = out[residue::ell].copy()
+    inner_alpha = (f - b) / ell
+    if inner_alpha == 0 or trunc < ell:
         return out
-    inner = eta_power_residues(ell ** (precision - 1) * gamma, ell, precision,
-                               trunc // ell)
+    inner = eta_power_residues(inner_alpha, ell, precision, trunc // ell)
     if residue is not None:
         return convolve_mod(out, inner[:len(out)], m, len(out))
     return _times_dilated(out, inner, ell, m)
 
 
-def _level_exponent(f, m):
-    """The exponent e of one descent level: psi(m, f) or psi(m, f) - m,
-    whichever power of (q;q) costs fewer transforms (``_power_chain``),
-    the nonnegative one on a tie.  Either leaves f - e divisible by m."""
+# one correction 1 + ell^(v-1) a Y in _power_chain's units, half the time
+# of a dense square of the level's length: its sieve, Y and the full
+# product by it took 3.0 to 4.6 of them mod 289, 5^6 and 5^13 at 10^4 to
+# 4*10^6 coefficients on a 2-core box (best of 3 to 5 runs), and 2.6 to
+# 3.5 where it forms one class mod 17
+_LOG_PART_COST = 4
+
+
+def _level_candidates(f, ell, precision):
+    """Every (b, a) a descent level of f mod m = ell^precision may take.
+
+    b is an integer in (-m, m) with f - b divisible by ell^(precision - 1),
+    and a = (f - b) / ell^(precision - 1) mod ell: then (q;q)^f is
+    (q;q)^b (1 + ell^(precision - 1) a Y) (q^ell;q^ell)^((f - b) / ell) mod
+    m.  a = 0 exactly for psi(m, f) and psi(m, f) - m.  At
+    ell = 2 or precision 1 the higher terms of exp((f - b) Y) do not vanish
+    mod m, and only those two remain.
+    """
+    m = ell ** precision
     e = psi(m, f)
-    return min(e, e - m, key=lambda x: _power_chain(x)[0])
+    if ell == 2 or precision == 1:
+        return [(e, 0), (e - m, 0)]
+    # b = low + j step in [0, m): (f - b) / step is (f - e) / step, which
+    # ell divides, plus top - j
+    step = m // ell
+    low, top = e % step, e // step
+    found = []
+    for j in range(ell):
+        b, a = low + j * step, (top - j) % ell
+        found += [(b, a), (b - m, a)]
+    return found
+
+
+def _level_split(f, ell, precision):
+    """The (b, a) of one descent level whose power (q;q)^b and correction
+    cost fewest transforms (``_power_chain``, and ``_LOG_PART_COST`` where
+    a != 0): a = 0 on a tie, then the nonnegative b, then the smaller.
+
+    No (q;q)^b costs fewer than 2 (bits(|b|) - 4) transforms (2 (bits(e)
+    - 2) or more, and e / 3 has at least bits(e) - 2 bits), so the 2 ell
+    candidates are read by |b| until that bound passes the best cost.
+    """
+    best = split = None
+    for b, a in sorted(_level_candidates(f, ell, precision),
+                       key=lambda c: abs(c[0])):
+        if best is not None and 2 * (abs(b).bit_length() - 4) > best[0]:
+            break
+        cost = (_power_chain(b)[0] + (_LOG_PART_COST if a else 0), a != 0,
+                b < 0, abs(b))
+        if best is None or cost < best:
+            best, split = cost, (b, a)
+    return split
+
+
+# every sum _divisor_sums holds in int32 stays below this
+_INT32_SIGMA_LIMIT = 1 << 31
+
+
+def _divisor_sums(trunc):
+    """sigma(0..T) as an int32 array, or int64 once sigma(N) <= N (1 +
+    ln N), its bound, could reach ``_INT32_SIGMA_LIMIT``; sigma(0) = 0.
+
+    Each divisor pair (d, k) of N = d k, d <= k, is added once, as d + k
+    (or d when k = d), from the rows d <= sqrt(T): no partial sum passes
+    sigma(N).
+    """
+    bound = trunc * (1 + math.log(trunc)) if trunc else 0
+    dtype = np.int32 if bound < _INT32_SIGMA_LIMIT else np.int64
+    sigma = np.zeros(trunc + 1, dtype=dtype)
+    for d in range(1, math.isqrt(trunc) + 1):
+        sigma[d * d] += d
+        sigma[d * (d + 1)::d] += np.arange(2 * d + 1, trunc // d + d + 1,
+                                           dtype=dtype)
+    return sigma
+
+
+def _log_part_mod(ell, n_out):
+    """Y mod ell to n_out coefficients, as an int64 array: the ell-integral
+    part of log (q;q), Y_N = -sigma(N')/N' with N' = N less every factor
+    ell.
+
+    log (q;q) = -sum sigma(N)/N q^N = Y + log (q^ell;q^ell) / ell, since
+    sigma(N) - sigma(N/ell) = ell^k sigma(N') at N = ell^k N'.  N' is an
+    ell-unit, so dividing by it mod ell loses nothing.
+    """
+    sigma = _divisor_sums(n_out - 1)
+    # N' <= N <= sigma(N): the sums' type holds it
+    unit = np.arange(n_out, dtype=sigma.dtype)
+    power = ell
+    while power < n_out:
+        unit[power::power] //= ell
+        power *= ell
+    sums = sigma[unit]
+    del sigma
+    sums %= ell
+    np.subtract(ell, sums, out=sums)
+    unit %= ell
+    inverses = [0] + [pow(x, -1, ell) for x in range(1, min(ell, n_out))]
+    y = np.asarray(inverses, dtype=np.int64)[unit]
+    del unit
+    y *= sums
+    y %= ell
+    return y
 
 
 def _times_dilated(series, inner, ell, m):

@@ -18,7 +18,7 @@ from etacong._convolve import (
     _class_product,
     _fft_layout,
     _limb_layout,
-    _sparse_square,
+    _sparse_product,
     binary_power,
     convolve_class_mod,
     convolve_exact,
@@ -130,9 +130,10 @@ def test_jacobi_cube_is_the_rational_cube(m):
         assert jacobi_cube_mod(m, n_out).tolist() == want[:n_out]
 
 
-# top-level descent exponents: 72 for 17^2, 15624 = 5^6 - 1, 32769 for
-# 65537 at alpha = 1/2, which stays on the pentagonal chain
-CHAIN_EXPONENTS = [3, 6, 24, 72, 15624, 32769]
+# descent exponents: 4, the two seeds' sparse product, 72 for 17^2,
+# 15624 = 5^6 - 1, 32769 for 65537 at alpha = 1/2, which stays on the
+# pentagonal chain
+CHAIN_EXPONENTS = [3, 4, 6, 24, 72, 15624, 32769]
 
 
 @pytest.mark.parametrize("m", [289, 5 ** 13, 5 ** 14, 2 ** 33 - 9])
@@ -154,7 +155,8 @@ def test_eta_integer_power_equals_the_pentagonal_chain(m, n_out):
 def test_eta_integer_power_class_is_a_slice_of_the_power(monkeypatch, m):
     # the last product restricted to one class: a product by the seed
     # (32769), by a lower power (72 = J^24: J^8 * J^16), a square (16 and
-    # 24 = J^8), the sparse square alone (2, 6 = J^2) and no product (0, 1)
+    # 24 = J^8), the sparse square alone (2, 6 = J^2), the seeds' sparse
+    # product (4) and no product (0, 1)
     ell, n_out = 17, 17 * (_convolve._CLASS_MIN_LENGTH + 1) + 5
     squares = []
 
@@ -184,10 +186,15 @@ SQUARE_MODULI = [289, 5 ** 6, 5 ** 13, 5 ** 14, 2 ** 33 - 9]
 @pytest.mark.parametrize("m", SQUARE_MODULI)
 @pytest.mark.parametrize("n_out", [1, 2, 512, 513, 10 ** 5])
 def test_sparse_square_equals_the_fft_square(m, n_out):
-    # 2^33 - 9 multiplies its rows on mul_mod's split path
-    for seed in (pentagonal_mod(m, n_out), jacobi_cube_mod(m, n_out)):
-        assert np.array_equal(_sparse_square(seed, m),
+    # 2^33 - 9 multiplies its rows on mul_mod's split path; the two seeds'
+    # product is (q;q)^4, either way round
+    pentagonal, cube = pentagonal_mod(m, n_out), jacobi_cube_mod(m, n_out)
+    for seed in (pentagonal, cube):
+        assert np.array_equal(_sparse_product(seed, seed, m),
                               convolve_mod(seed, seed, m, n_out))
+    want = convolve_mod(pentagonal, cube, m, n_out)
+    assert np.array_equal(_sparse_product(pentagonal, cube, m), want)
+    assert np.array_equal(_sparse_product(cube, pentagonal, m), want)
 
 
 @pytest.mark.parametrize("m", SQUARE_MODULI)
@@ -203,13 +210,27 @@ def test_odd_and_even_chains_after_the_sparse_square(m, n_out):
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_sparse_square_reduced_every_few_rows(monkeypatch, rows):
-    # a limit of (2 rows + 1) m reduces the sums after every `rows` rows;
-    # the result must not change
+    # a limit of (2 rows + 1) m reduces a square's sums after every `rows`
+    # rows, and a product's after every 2 rows; neither result may change
     m = 2 ** 33 - 9
-    monkeypatch.setattr(_convolve, "_SQUARE_SUM_LIMIT", (2 * rows + 1) * m)
-    for seed in (pentagonal_mod(m, 5000), jacobi_cube_mod(m, 5000)):
-        assert np.array_equal(_sparse_square(seed, m),
+    monkeypatch.setattr(_convolve, "_SPARSE_SUM_LIMIT", (2 * rows + 1) * m)
+    pentagonal, cube = pentagonal_mod(m, 5000), jacobi_cube_mod(m, 5000)
+    for seed in (pentagonal, cube):
+        assert np.array_equal(_sparse_product(seed, seed, m),
                               convolve_mod(seed, seed, m, 5000))
+    assert np.array_equal(_sparse_product(pentagonal, cube, m),
+                          convolve_mod(pentagonal, cube, m, 5000))
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_sparse_product_reduced_every_few_rows(monkeypatch, rows):
+    # a product adds one term below m per row: a limit of (rows + 1) m
+    # reduces its sums after every `rows` rows
+    m = 2 ** 33 - 9
+    monkeypatch.setattr(_convolve, "_SPARSE_SUM_LIMIT", (rows + 1) * m)
+    pentagonal, cube = pentagonal_mod(m, 5000), jacobi_cube_mod(m, 5000)
+    assert np.array_equal(_sparse_product(pentagonal, cube, m),
+                          convolve_mod(pentagonal, cube, m, 5000))
 
 
 def test_the_first_square_takes_no_transform(monkeypatch):
@@ -219,9 +240,10 @@ def test_the_first_square_takes_no_transform(monkeypatch):
     eta_integer_power_mod(72, 289, FFT_N)
     assert counts == {"rfft": 3 + 2, "irfft": 3 + 1}
     counts.clear()
-    # J^2 and the pentagonal series squared: no transform at all
+    # J^2, the pentagonal series squared and times J: no transform at all
     eta_integer_power_mod(6, 289, FFT_N)
     eta_integer_power_mod(2, 289, FFT_N)
+    eta_integer_power_mod(4, 289, FFT_N)
     assert counts == {}
 
 
@@ -242,7 +264,8 @@ def test_jacobi_seed_only_where_its_chain_is_cheaper(monkeypatch):
 
 
 @pytest.mark.parametrize("e,cost,cube", [
-    (0, 0, False), (1, 0, False), (2, 0, False), (24, 4, True),
+    (0, 0, False), (1, 0, False), (2, 0, False), (4, 0, False),
+    (-4, 9, False), (8, 4, False), (12, 2, True), (24, 4, True),
     (72, 9, True), (15624, 34, True), (-1, 9, False), (-68, 22, False),
     (-102, 20, True), (-15625, 51, False),
 ])

@@ -13,7 +13,6 @@ from etacong._convolve import (
     binary_power,
     convolve_exact,
     convolve_mod,
-    pentagonal_mod,
     product_bytes,
 )
 from etacong.numerics import (
@@ -174,15 +173,17 @@ def test_partitions_mod_the_largest_powers_below_the_fft_limit(ell, v):
 
 
 def forced_signs(signs):
-    """A stand-in for qseries._level_exponent that gives level i the sign
-    signs[i]: psi(m, f) for "+", psi(m, f) - m for "-"."""
+    """A stand-in for qseries._level_split that gives level i the split
+    (psi(m, f), 0) for signs[i] == "+" and (psi(m, f) - m, 0) for "-": the
+    two exponents that need no correction."""
     levels = iter(signs)
 
-    def level_exponent(f, m):
+    def level_split(f, ell, precision):
+        m = ell ** precision
         e = psi(m, f)
-        return e - m if next(levels) == "-" else e
+        return (e - m if next(levels) == "-" else e), 0
 
-    return level_exponent
+    return level_split
 
 
 # the verify workload's alpha at seed 1 (bench/workloads.verify_alpha)
@@ -201,60 +202,170 @@ def test_either_sign_at_every_level_gives_the_same_residues(
     trunc = 3000
     want = eta_power_residues(alpha, ell, v, trunc)
     for signs in ("+" * 9, "-" * 9, "+-" * 5, "-+" * 5):
-        monkeypatch.setattr(qseries, "_level_exponent", forced_signs(signs))
+        monkeypatch.setattr(qseries, "_level_split", forced_signs(signs))
         got = eta_power_residues(alpha, ell, v, trunc)
         assert np.array_equal(got, want), signs
     assert want[:201].tolist() == qseries._eta_power_mod_ledger(
         alpha, ell, v, 200)
 
 
+def forced_candidates(start):
+    """A stand-in for qseries._level_split that gives level i candidate
+    start + i of its ``_level_candidates``, cyclically."""
+    level = iter(range(start, start + 100))
+
+    def level_split(f, ell, precision):
+        found = qseries._level_candidates(f, ell, precision)
+        return found[next(level) % len(found)]
+
+    return level_split
+
+
+# (ell, v, trunc): two levels at least, up to v = 13, ell = 92681 (the
+# largest prime with ell^2 < 2^33) and ell^v just under 2^33 (5^14 > 2^33)
+SPLIT_CASES = [(3, 2, 3000), (3, 3, 3000), (5, 2, 3000), (5, 6, 3000),
+               (5, 13, 3000), (7, 4, 3000), (17, 2, 3000),
+               (101, 4, 207), (92681, 2, 92681 + 7)]
+
+
+@pytest.mark.parametrize("ell,v,trunc", SPLIT_CASES)
+def test_every_split_gives_the_parent_route_residues(monkeypatch, ell, v,
+                                                     trunc):
+    # each level forced through every candidate (b, a): b in (-ell^v,
+    # ell^v) with alpha - b divisible by ell^(v - 1), corrected by
+    # 1 + ell^(v - 1) a Y; the route with a = 0 at every level and the
+    # ledger give the same residues, full series and one class.  At
+    # ell = 92681, where each forced power of up to 33 bits takes seconds,
+    # three of its 185,362 top-level candidates: the first, the last (a
+    # negative b) and the level's own choice
+    alpha = Fraction(57, 61)
+    residue = trunc % ell
+    found = qseries._level_candidates(qseries.ell_integral(alpha, ell), ell,
+                                      v)
+    assert len(found) == 2 * ell
+    starts = range(len(found)) if ell < 1000 else [
+        0, len(found) - 1, found.index(qseries._level_split(alpha, ell, v))]
+    monkeypatch.setattr(qseries, "_level_split", forced_signs("+" * 9))
+    want = eta_power_residues(alpha, ell, v, trunc)
+    assert want[:201].tolist() == qseries._eta_power_mod_ledger(
+        alpha, ell, v, 200)
+    for start in starts:
+        monkeypatch.setattr(qseries, "_level_split", forced_candidates(start))
+        got = eta_power_residues(alpha, ell, v, trunc)
+        assert np.array_equal(got, want), start
+        monkeypatch.setattr(qseries, "_level_split", forced_candidates(start))
+        got = eta_power_residues(alpha, ell, v, trunc, residue=residue)
+        assert np.array_equal(got, want[residue::ell]), start
+
+
+@pytest.mark.parametrize("v", [1, 2, 5, 32])
+def test_two_and_the_first_power_never_take_a_correction(v):
+    # at ell = 2, and at v = 1, exp((alpha - b) Y) keeps terms past the
+    # first mod ell^v: only the two splits with a = 0 remain
+    for alpha in (Fraction(57, 61), Fraction(-1), Fraction(1, 3), 6):
+        f = qseries.ell_integral(alpha, 2)
+        e = psi(2 ** v, f)
+        assert qseries._level_candidates(f, 2, v) == [(e, 0), (e - 2 ** v, 0)]
+        assert qseries._level_split(f, 2, v)[1] == 0
+        assert all(a == 0 for _, a in qseries._level_candidates(f, 17, 1))
+    assert {a for _, a in qseries._level_candidates(
+        Fraction(57, 61), 17, 2)} == set(range(17))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 17, 101])
+def test_log_part_is_the_ell_integral_part_of_log_eta(ell):
+    # Y_N = -sigma(N)/N + sigma(N/ell)/N, which is ell-integral, reduced mod
+    # ell; N runs past ell^2 (and ell^5 for 2 and 3)
+    trunc = max(ell ** 2 + ell, 250)
+    sigma = divisor_sum_table(1, trunc)
+    got = qseries._log_part_mod(ell, trunc + 1)
+    assert got.dtype == np.int64 and got[0] == 0
+    for n in range(1, trunc + 1):
+        y = Fraction(-sigma[n], n)
+        if n % ell == 0:
+            y += Fraction(sigma[n // ell], n)
+        assert y.denominator % ell
+        assert got[n] == psi(ell, y), n
+
+
+def test_divisor_sums_take_int64_past_the_bound(monkeypatch):
+    # sigma(N) <= N (1 + ln N): int32 while that bound stays below the
+    # limit, int64 from the first T where it does not.  At the real limit,
+    # 2^31, the boundary lies near 1.1*10^8
+    assert qseries._INT32_SIGMA_LIMIT == 2 ** 31
+    limit = 5000
+    monkeypatch.setattr(qseries, "_INT32_SIGMA_LIMIT", limit)
+    edge = 1
+    while (edge + 1) * (1 + np.log(edge + 1)) < limit:
+        edge += 1
+    want = divisor_sum_table(1, edge + 1)
+    assert max(want[:edge + 1]) < limit
+    for trunc, dtype in ((edge, np.int32), (edge + 1, np.int64)):
+        got = qseries._divisor_sums(trunc)
+        assert got.dtype == dtype and got.tolist() == want[:trunc + 1]
+    assert qseries._divisor_sums(0).tolist() == [0]
+
+
 @pytest.mark.parametrize("alpha,ell,v,trunc,residue,levels", [
     # residues: p(n) mod 5^6 to 10^6 and mod 5^13 to 10^4
-    (Fraction(-1), 5, 6, 10 ** 6, None, [-1]),
-    (Fraction(-1), 5, 13, 10 ** 4, None, [-1]),
-    # verify: the class of 286 mod 17 to 289 * 13840 + 286
-    (VERIFY_ALPHA, 17, 2, 289 * 13840 + 286, 14, [72, 119, 34, 17, -68, 0]),
+    (Fraction(-1), 5, 6, 10 ** 6, None, [(-1, 0)]),
+    (Fraction(-1), 5, 13, 10 ** 4, None, [(-1, 0)]),
+    # verify: the class of 286 mod 17 to 289 * 13840 + 286; both long
+    # levels take (q;q)^4, the sparse pair product, and one correction
+    (VERIFY_ALPHA, 17, 2, 289 * 13840 + 286, 14,
+     [(4, 4), (4, 7), (24, 1), (1, 1), (1, 13), (-4, 0)]),
     (Fraction(57, 61), 17, 2, 289 * 13840 + 286, 14,
-     [72, 119, -102, 34, -68, 255]),
-    # J^8 (4 transforms) stays cheaper than the inverse (9)
-    (Fraction(-1), 5, 2, 100, None, [24, 20, 20]),
+     [(4, 4), (4, 7), (24, 10), (27, 0), (0, 13), (30, 13)]),
+    # J^8 (4 transforms) ties with (q;q)^0 and one correction (4)
+    (Fraction(-1), 5, 2, 100, None, [(24, 0), (0, 4), (24, 0)]),
     (Fraction(1, 2), 5, 14, 10 ** 5, None,
-     [-3051757812, 3662109375] + [2441406250] * 6),
+     [(610351563, 2)] + [(2929687500, 0), (0, 2)] * 3 + [(2929687500, 0)]),
 ])
 def test_each_workload_level_takes_its_pinned_sign(
         monkeypatch, alpha, ell, v, trunc, residue, levels):
-    # only the exponents are recorded: each power is a zero series, and a
-    # negative exponent is the power of |e| followed by one inverse_mod
-    taken = []
+    # the splits are recorded, and the exponents the powers run: each
+    # power, and each correction's Y, is a zero series, and a negative
+    # exponent is the power of |b| followed by one inverse_mod
+    taken, powers = [], []
+    split = qseries._level_split
+
+    def recorded(f, ell, precision):
+        taken.append(split(f, ell, precision))
+        return taken[-1]
 
     def power(e, m, n_out, residue=None, ell=None):
-        taken.append(e)
+        powers.append(e)
         if residue is not None:
             n_out = len(range(residue, n_out, ell))
         return np.zeros(n_out, dtype=np.int64)
 
     def inverse(f, m, n_out):
-        taken[-1] = -taken[-1]
+        powers[-1] = -powers[-1]
         return f
 
+    monkeypatch.setattr(qseries, "_level_split", recorded)
     monkeypatch.setattr(qseries, "eta_integer_power_mod", power)
     monkeypatch.setattr(qseries, "inverse_mod", inverse)
+    monkeypatch.setattr(qseries, "_log_part_mod",
+                        lambda ell, n_out: np.zeros(n_out, dtype=np.int64))
     eta_power_residues(alpha, ell, v, trunc, residue=residue)
     assert taken == levels
+    assert powers == [b for b, _ in levels]
 
 
 def test_three_limb_descent_with_a_negative_level_matches_the_ledger():
-    # p(n) mod 5^14 ends at its first level; 1/2 takes e - 5^14 at the
-    # top level and three limbs past 2^15 coefficients
+    # p(n) mod 5^14 ends at its first level; -1/2 takes a negative b, and
+    # a correction, at the top level and three limbs past 2^15 coefficients
     m, trunc = 5 ** 14, 40_000
-    assert qseries._level_exponent(Fraction(1, 2), m) < 0
+    b, a = qseries._level_split(Fraction(-1, 2), 5, 14)
+    assert b < 0 and a != 0
     assert _limb_layout(m, trunc + 1)[0] == 3
-    got = eta_power_residues(Fraction(1, 2), 5, 14, trunc)
+    got = eta_power_residues(Fraction(-1, 2), 5, 14, trunc)
     assert got[:301].tolist() == qseries._eta_power_mod_ledger(
-        Fraction(1, 2), 5, 14, 300)
-    # its square is (q;q), the pentagonal series
-    assert np.array_equal(convolve_mod(got, got, m, trunc + 1),
-                          pentagonal_mod(m, trunc + 1))
+        Fraction(-1, 2), 5, 14, 300)
+    # its square is 1/(q;q), the partition numbers
+    want = [p % m for p in partition_numbers(trunc)]
+    assert convolve_mod(got, got, m, trunc + 1).tolist() == want
 
 
 def test_eta_power_mod_headline_coefficient():
@@ -409,7 +520,8 @@ def test_residue_route_is_one_class_of_the_full_series(ell, v):
 
 @pytest.mark.parametrize("ell,v", RESIDUE_MODULI)
 def test_residue_route_without_an_inner_level(ell, v):
-    # an integer alpha in [0, ell^v) is its own exponent: gamma == 0
+    # 0 and 1 are their own exponents and end at the first level; 72 and
+    # m - 1 may take a correction and go on
     m = ell ** v
     for alpha in {0, 1, 72 % m, m - 1}:
         full = eta_power_residues(alpha, ell, v, 3 * ell + 1)
@@ -477,7 +589,7 @@ def test_inverted_level_peak_stays_within_product_bytes(v, trunc, limbs):
     # p(n) mod 5^v: one level, the pentagonal series inverted, its long
     # products blocked
     m = 5 ** v
-    assert qseries._level_exponent(Fraction(-1), m) == -1
+    assert qseries._level_split(Fraction(-1), 5, v) == (-1, 0)
     assert _limb_layout(m, trunc + 1)[0] == limbs
     assert trunc + 1 > _BLOCKED_OUTPUT
     eta_power_residues(-1, 5, v, 1000)
@@ -546,9 +658,9 @@ def test_residue_route_peak_stays_within_product_bytes(trunc):
 
 
 def test_residue_route_forms_only_its_class_in_the_last_product():
-    # verify's shape at 1.1*10^6: the top level's J^24 forms class 14 alone
-    # in its last product, J^8 * J^16, instead of all 1,100,001
-    # coefficients and both operands' block spectra
+    # verify's shape at 1.1*10^6: the top level's (q;q)^4 (1 + 68 Y) forms
+    # class 14 alone in its product by the correction, instead of all
+    # 1,100,001 coefficients and both operands' block spectra
     alpha, trunc = Fraction(57, 61), 1_100_000
     eta_power_residues(alpha, 17, 2, 1000, residue=14)
     peaks, got = {}, {}
