@@ -19,28 +19,22 @@ A call where even one pair at the most limbs would pass the limit (for
 any modulus below ``FFT_MODULUS_LIMIT``, not before 2^27 coefficients) is
 refused before transforming, and every rounded value is still checked to
 lie within 0.25 of an integer; both checks raise ``PrecisionError``.
-A product of more than ``_BLOCKED_OUTPUT`` = 2^16 coefficients is cut
-into blocks of B = fft_length(n_out) / ``_BLOCKS_PER_PRODUCT``
-coefficients, 9 to 16 blocks below the cap B = ``_BLOCK`` = 2^18.  Short
-transforms stay in cache and the output blocks share the cores; few
-blocks keep the block pairs' spectrum sums small.  On a 2-core box, past
-2^16 coefficients such a square ran faster than the flat one at one, two
-and three limbs, least so at exact powers of two; at 2^16 the flat one
-was as fast or faster in most runs.  Each operand block's limbs are
-transformed at 2B points, and output block t is the inverse transform of
-the summed spectra of the block pairs u + v = t (a square sums the pairs
-u < v once and doubles them).  Its coefficients sum subsets of the flat
+Every such product runs on one scheduler, ``_product``, that takes it as
+a cut: the operands in parts, and the product in slots (offset, pairs),
+each summing weight * a_u * b_v over its part pairs (u, v, weight) and
+landing at offset.  A slot's coefficients sum subsets of the flat
 product's terms, so the flat layout's limbs, groups and checks keep it
-exact.  numpy's transforms release the GIL, so the output blocks run two
-at a time on a thread pool that lives for that one product.
-``fixed_operand_mod`` serves many products by one fixed operand through
-the same kernel: that operand's limb spectra are computed once.
-``convolve_class_mod`` forms one residue class r mod ell of a product
-alone: each class pair (u, (r - u) mod ell) of the operands' classes is
-transformed at twice a class's length, pairs run two at a time on a pool
-and are folded into two running sums (u + v = r, and u + v = r + ell,
-which lands one index up), so neither operand's spectra are held whole;
-the flat product's limbs and groups keep it exact.
+exact.  The block cut: past ``_BLOCKED_OUTPUT`` = 2^16 coefficients the
+parts are blocks of B = fft_length(n_out) / ``_BLOCKS_PER_PRODUCT``
+coefficients, 9 to 16 below the cap B = ``_BLOCK`` = 2^18, transformed at
+2B points, and slot t sums the pairs u + v = t at t B; below it each
+operand is one part, and the one slot of one pair is the flat product.
+``fixed_operand_mod`` hands in a fixed operand's block spectra, computed
+once.  The class cut, ``convolve_class_mod``, forms class r mod ell
+alone: part u is a[u::ell], slot 0 sums the pairs u + v = r and slot 1,
+one index up, u + v = r + ell.  A square takes the pairs u <= v and
+counts u < v twice.  numpy's transforms release the GIL, so the pairs and
+slots run two at a time on a thread pool that lives for one product.
 ``binary_power`` is the one square-and-multiply loop; every power in the
 package goes through it, its final product by a different mul where a
 caller asks (a class alone), and ``inverse_mod`` inverts a series by
@@ -61,7 +55,7 @@ from __future__ import annotations
 
 import operator
 import os
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -173,38 +167,42 @@ def _balanced_limbs(a, m, limbs, bits):
     yield np.right_shift(t, bits * (limbs - 1), out=t)
 
 
-def _pairs_spectrum(pairs, doubled, s, first, stop, consume=False):
-    """Sum of the limb-pair spectra fa[i] * fb[s - i] for first <= i < stop
-    over the block pairs (fa, fb); the first ``doubled`` pairs count twice.
+def _pairs_spectrum(pairs, s, first, stop, summed=None):
+    """``summed`` (None for none) plus the limb-pair spectra weight * fa[i]
+    * fb[s - i], first <= i < stop, of the pairs (fa, fb, weight, own);
+    weight is 1, or 2 for a square's pair u < v, listed first.
 
-    No spectrum is changed unless ``consume`` marks a lone pair at its
-    last use (a one-block product, or one class pair of
-    ``_class_product``).  Then limb s - L + 1 of either operand
-    pairs with no later shift, so it is dropped from fa and fb once the
-    sum reaches shift s's last pair, and the top shift's one pair is the
-    last use of both spectra and is multiplied in place.
+    Only an own pair's spectra change: its task made fa, and the lists fa
+    and fb are its own.  Limb s - L + 1 of either pairs with no later
+    shift, so it is dropped from both once the sum reaches shift s's last
+    pair, and a lone own pair's top shift, the last use of both spectra,
+    is multiplied in place in fa's.
     """
+    if not pairs:
+        return summed
     limbs = len(pairs[0][0])
+    weighted = sum(pair[2] == 2 for pair in pairs)
     terms = [(fa[i], fb[s - i])
-             for fa, fb in pairs for i in range(first, stop)]
-    if consume:
-        (fa, fb), = pairs
-        if stop == limbs:
+             for fa, fb, _, _ in pairs for i in range(first, stop)]
+    for fa, fb, _, own in pairs:
+        if own and stop == limbs:
             fa[s - limbs + 1] = fb[s - limbs + 1] = None
-    if consume and s == 2 * limbs - 2:
+    if len(pairs) == 1 and pairs[0][3] and s == 2 * limbs - 2:
         spectrum, y = terms.pop()
         spectrum *= y
-        if doubled:
+        if weighted:
             spectrum *= 2
-        return spectrum
-    spectrum = None
-    for k, (x, y) in enumerate(terms, 1):
-        if spectrum is None:
-            spectrum = x * y
-        else:
-            spectrum += x * y
-        if k == doubled * (stop - first):
-            spectrum *= 2
+    else:
+        spectrum = None
+        for k, (x, y) in enumerate(terms, 1):
+            if spectrum is None:
+                spectrum = x * y
+            else:
+                spectrum += x * y
+            if k == weighted * (stop - first):
+                spectrum *= 2
+    if summed is not None:
+        spectrum += summed
     return spectrum
 
 
@@ -278,20 +276,20 @@ def product_bytes(n_out, m):
     transform); L > 1 limbs hold all 2L beside the summed pair spectrum
     and the inverse transform's output (or the next pair's term).  Series:
     both operands, the result or the limb being split, and one transient.
+    That is the flat product: one slot of one pair, run inline.
 
-    A blocked product fits the same bound: its blocks of B coefficients,
+    The block cut fits the same bound: its parts of B coefficients,
     B <= fft_length(n_out) / 16 < n_out / 8 (``_fft_layout``), are short
-    beside the series.  Its T blocks hold T (B + 1) <= P + T complex values
+    beside the series.  Its T parts hold T (B + 1) <= P + T complex values
     per limb and operand, with P = fft_length(n_out) >= T B: a flat
     spectrum's P + 1, and 16 (T - 1) bytes more, which the transient series
-    covers.  Its top output block, which reads every block, runs alone and
-    holds two arrays of 2B float64 at once, 32 B < 4 n_out bytes.  The
-    blocks after it run two at a time and hold four such arrays at one
-    limb, 64 B < 8 n_out bytes, one int64 series; eight at L > 1 fit
-    within one of the two spare flat spectra.  A class product
-    (``convolve_class_mod``) holds spectra of at most 2 / ell of a flat
-    one, from ell = 7 on; it held less than the flat product in every
-    tracemalloc run.
+    covers.  Its first slot, which reads every part, runs alone, and a
+    part that one pair reads becomes that pair's product in place.  Two
+    slots at a time hold four arrays of 2B float64 at one limb, 64 B <
+    8 n_out bytes, one int64 series; eight at L > 1 fit within one of the
+    two spare flat spectra.  The class cut (``convolve_class_mod``) holds
+    spectra of at most 2 / ell of a flat one, from ell = 7 on; it held
+    less than the flat product in every tracemalloc run.
     """
     limbs = _limb_layout(m, n_out)[0]
     spectrum = 16 * (_fft_length(2 * n_out - 1) // 2 + 1)  # complex128
@@ -299,15 +297,13 @@ def product_bytes(n_out, m):
     return spectra * spectrum + 4 * 8 * n_out
 
 
-def _fft_layout(m, len_a, len_b, n_out=0):
+def _fft_layout(m, len_a, len_b, n_out):
     """(length, size, short, limbs, bits) of a product of len_a by len_b
     coefficients mod m, truncated to n_out: the FFT length, the block size
     in coefficients, the shorter operand's length and ``_limb_layout``'s
-    limbs for it.  Past ``_BLOCKED_OUTPUT`` output coefficients the
-    operands are cut into blocks of fft_length(n_out) /
-    ``_BLOCKS_PER_PRODUCT`` coefficients, at most ``_BLOCK``, each
-    transformed at twice that length; otherwise (and without n_out) each
-    operand is one block, transformed at the product's length."""
+    limbs for it.  Past ``_BLOCKED_OUTPUT`` output coefficients, blocks of
+    fft_length(n_out) / ``_BLOCKS_PER_PRODUCT`` coefficients, at most
+    ``_BLOCK``, transformed at twice that; otherwise one block each."""
     short = min(len_a, len_b)
     if n_out > _BLOCKED_OUTPUT:
         size = min(_fft_length(n_out) // _BLOCKS_PER_PRODUCT, _BLOCK)
@@ -317,10 +313,13 @@ def _fft_layout(m, len_a, len_b, n_out=0):
     return (length, size, short) + _limb_layout(m, short)
 
 
-def _limb_spectra(x, m, layout):
+def _limb_spectra(part, m, layout):
+    """A part's limb spectra at `layout`, or a new list of given ones."""
+    if isinstance(part, list):
+        return list(part)
     length, _, _, limbs, bits = layout
     return [np.fft.rfft(limb, length)
-            for limb in _balanced_limbs(x, m, limbs, bits)]
+            for limb in _balanced_limbs(part, m, limbs, bits)]
 
 
 def _shift_groups(layout):
@@ -335,16 +334,18 @@ def _shift_groups(layout):
             yield s, first, min(first + group, high)
 
 
-def _block_residues(pairs, doubled, layout, m, n_out, consume=False):
-    """The first n_out coefficients, mod m, of the sum of the block pairs'
-    products (``_pairs_spectrum``'s arguments): one inverse transform per
-    limb shift s = i + j and group of limb pairs, recombined at 2^(bs)."""
+def _slot_residues(pairs, sums, layout, m, n_out):
+    """The first n_out coefficients, mod m, of one slot: its pairs'
+    products (``_pairs_spectrum``'s) plus ``sums``, its own pairs' spectra
+    per shift group, if any.  One inverse transform per limb shift
+    s = i + j and group of limb pairs, recombined at 2^(bs)."""
     length, bits = layout[0], layout[4]
     lift = -(-ROUNDING_LIMIT // m) * m
     out = None
     for s, first, stop in _shift_groups(layout):
         residues = _exact_residues(
-            _pairs_spectrum(pairs, doubled, s, first, stop, consume),
+            _pairs_spectrum(pairs, s, first, stop,
+                            sums.pop(0) if sums else None),
             length, n_out, m, lift)
         if out is None:
             out = residues  # shift 0 holds one pair, at weight 2^0
@@ -356,27 +357,18 @@ def _block_residues(pairs, doubled, layout, m, n_out, consume=False):
     return out
 
 
-def _convolve_fft_mod(a, b, m, n_out, fixed=None):
-    """a * b mod m to n_out coefficients by limb-split real FFTs.
+def _own_pair(x, y, weight, m, layout):
+    """The own pair (fa, fb, weight, True) of parts x, y; fa made here."""
+    if isinstance(x, list):
+        x, y = y, x
+    fa = _limb_spectra(x, m, layout)
+    return fa, fa if y is x else _limb_spectra(y, m, layout), weight, True
 
-    ``fixed`` is ``(layout, spectra)``, b's limb spectra at a one-block
-    layout that covers a, from ``fixed_operand_mod``; they are read, never
-    changed.
-    """
-    if fixed is None:
-        layout = _fft_layout(m, len(a), len(b), n_out)
-        if n_out > layout[1]:
-            return _blocked_product(a, b, m, n_out, layout)
-        fb = None
-    else:
-        layout, fb = fixed
-        # _pairs_spectrum clears the slots of the list it is given
-        fb = list(fb)
-    fa = _limb_spectra(a, m, layout)
-    if fb is None:
-        fb = fa if b is a else _limb_spectra(b, m, layout)
-    # in place only on fa, a's own spectra, never on a fixed fb
-    return _block_residues([(fa, fb)], 0, layout, m, n_out, consume=True)
+
+def _pair_spectra(x, y, weight, m, layout):
+    """An own pair's product, one spectrum per shift group."""
+    pair = [_own_pair(x, y, weight, m, layout)]
+    return [_pairs_spectrum(pair, *group) for group in _shift_groups(layout)]
 
 
 def _usable_cpus():
@@ -386,138 +378,137 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _block_pairs(fa, fb, t, square):
-    """(pairs, doubled) of output block t for ``_block_residues``: the
-    block pairs (fa[u], fb[t - u]).  A square takes u <= t - u only, and
-    counts u < t - u twice."""
-    us = range(max(0, t - len(fb) + 1), min(t, len(fa) - 1) + 1)
-    if not square:
-        return [(fa[u], fb[t - u]) for u in us], 0
-    us = [u for u in us if 2 * u <= t]
-    return [(fa[u], fa[t - u]) for u in us], sum(2 * u < t for u in us)
+def _product(parts_a, parts_b, slots, layout, m, n_out):
+    """The product that ``slots`` cut, mod m, to n_out coefficients.
 
-
-def _blocked_product(a, b, m, n_out, layout):
-    """a * b mod m to n_out coefficients, cut into blocks of `size`.
-
-    Output block t is the inverse transform of the sum of the block-pair
-    spectra with u + v = t: its first `size` coefficients land at t size,
-    the rest at (t + 1) size.  Each of its coefficients sums a subset of
-    the flat product's terms, so the flat layout's limbs and groups keep
-    it exact.  Block transforms run on a thread pool, ``_PARALLEL_BLOCKS``
-    output blocks at a time, from the top block down; results are added in
-    that order and each block's spectra dropped after the last output
-    block that reads them.
+    Slot (offset, pairs) sums weight * parts_a[u] * parts_b[v] over its
+    pairs (u, v, weight) at offset.  A part is an int64 array or, never
+    changed, its limb spectra at `layout`; parts_b is parts_a for a
+    square.  Every rule comes from the pair lists.  A part that several
+    pairs read is transformed once, up front, and dropped after the last
+    slot that reads it; one that one pair reads is transformed in that
+    pair's task and used up in place.  A slot's pairs that read only
+    shared spectra are one task, which also takes the slot's inverse
+    transforms; each other pair is its own task, added into the slot's
+    sums by the main thread.  Tasks run ``_PARALLEL_BLOCKS`` at a time;
+    the first slot, which reads every part of a block cut, runs alone.  A
+    lone pair runs inline, without a pool.
     """
+    slots = [slot for slot in slots if slot[1]]
+    b_side = int(parts_b is not parts_a)
+    parts = [list(parts_a), list(parts_b)][:b_side + 1]
+    readers, last = Counter(), {}
+    for i, (_, pairs) in enumerate(slots):
+        for u, v, _ in pairs:
+            for key in {(0, u), (b_side, v)}:
+                readers[key] += 1
+                last[key] = i
+    if sum(len(pairs) for _, pairs in slots) < 2:
+        # a lone pair's slot lands at 0 and covers n_out, in either cut
+        for _, ((u, v, weight),) in slots:
+            return _slot_residues(
+                [_own_pair(parts[0][u], parts[b_side][v], weight, m, layout)],
+                [], layout, m, n_out)
+        return np.zeros(n_out, dtype=np.int64)
+    # imported once a pool is needed: it took 10 ms of a small product
     from concurrent.futures import ThreadPoolExecutor
 
-    length, size = layout[:2]
-    blocks = -(-n_out // size)
-    square = b is a
     out = np.zeros(n_out, dtype=np.int64)
     with ThreadPoolExecutor(min(_PARALLEL_BLOCKS, _usable_cpus())) as pool:
-        def spectra(x):
-            return list(pool.map(
-                lambda u: _limb_spectra(x[u * size:(u + 1) * size], m,
-                                        layout),
-                range(min(blocks, -(-len(x) // size)))))
-
-        fa = spectra(a)
-        fb = fa if square else spectra(b)
+        up_front = [key for key, count in readers.items() if count > 1
+                    and not isinstance(parts[key[0]][key[1]], list)]
+        for (side, i), spectra in zip(up_front, pool.map(
+                lambda key: _limb_spectra(parts[key[0]][key[1]], m, layout),
+                up_front)):
+            parts[side][i] = spectra
         pending = deque()
-        # top down: no output block below t reads fa[t] or fb[t], so they
-        # are freed once block t's pairs are done
-        for t in reversed(range(blocks)):
-            pairs, doubled = _block_pairs(fa, fb, t, square)
-            for x in (fa, fb):
-                if t < len(x):
-                    x[t] = None
-            if pairs:
-                pending.append((t * size, pool.submit(
-                    _block_residues, pairs, doubled, layout, m,
-                    min(length, n_out - t * size))))
-            del pairs
-            # the top block, which reads every spectrum, runs alone
-            while pending and (len(pending) == _PARALLEL_BLOCKS
-                               or t in (0, blocks - 1)):
-                start, future = pending.popleft()
+
+        def collect():
+            target, future = pending.popleft()
+            if not isinstance(target, list):
                 residues = future.result()
-                window = out[start:start + len(residues)]
+                window = out[target:target + len(residues)]
                 window += residues
                 window %= m
-                del residues
+            elif target:
+                for total, spectrum in zip(target, future.result()):
+                    total += spectrum
+            else:
+                target.extend(future.result())
+
+        def submit(offset, pairs):
+            shared, sums = [], []
+            for u, v, weight in pairs:
+                x, y = parts[0][u], parts[b_side][v]
+                if isinstance(x, list) and isinstance(y, list):
+                    shared.append((x, y, weight, False))
+                    continue
+                pending.append((sums, pool.submit(
+                    _pair_spectra, x, y, weight, m, layout)))
+                while len(pending) >= _PARALLEL_BLOCKS:
+                    collect()
+            while any(target is sums for target, _ in pending):
+                collect()
+            pending.append((offset, pool.submit(
+                _slot_residues, shared, sums, layout, m,
+                min(layout[0], n_out - offset))))
+
+        for i, (offset, pairs) in enumerate(slots):
+            submit(offset, pairs)
+            for side, index in [key for key, j in last.items() if j == i]:
+                parts[side][index] = None
+            while pending and (len(pending) >= _PARALLEL_BLOCKS
+                               or i in (0, len(slots) - 1)):
+                collect()
     return out
+
+
+def _pairs_summing_to(t, parts_a, parts_b):
+    """The pairs (u, t - u, weight) of parts; a square (parts_b is
+    parts_a) takes u <= t - u only and counts u < t - u twice."""
+    square = parts_b is parts_a
+    us = range(max(0, t - len(parts_b) + 1), min(t, len(parts_a) - 1) + 1)
+    return [(u, t - u, 2 if square and 2 * u < t else 1)
+            for u in us if not square or 2 * u <= t]
+
+
+def _blocks(x, size, n_out):
+    """x in parts of `size` coefficients, as far as n_out reaches."""
+    return [x[u * size:(u + 1) * size]
+            for u in range(-(-min(len(x), n_out) // size))]
+
+
+def _block_product(parts_a, parts_b, layout, m, n_out):
+    """The block cut: slot t sums the pairs u + v = t at t size, its
+    transform's upper half spilling into block t + 1.  Slots run from the
+    top down: no slot below t reads part t."""
+    size = layout[1]
+    return _product(parts_a, parts_b, [
+        (t * size, _pairs_summing_to(t, parts_a, parts_b))
+        for t in reversed(range(-(-n_out // size)))], layout, m, n_out)
 
 
 def _class_product(a, b, m, n_out, residue, ell):
     """Coefficients residue, residue + ell, ... below n_out of a * b mod m.
 
-    Write a_u = a[u::ell] and b_v = b[v::ell].  Class residue of the
-    product is the sum of a_u * b_v over the class pairs v = (residue - u)
-    mod ell: the pairs with u + v = residue land on it index for index, the
-    pairs with u + v = residue + ell one index up.  Each of the two sums
-    is one inverse transform per limb shift and group at twice the class
-    length.  Its coefficients sum subsets of the flat product's terms, so
-    the flat layout's limbs and groups keep it exact.  Pairs run on a
-    thread pool, ``_PARALLEL_BLOCKS`` at a time, and each pair's spectra
-    are folded into the running sums and dropped: no more than two
-    classes' spectra per pair are held at once.  A square takes the pairs
-    u <= v only, transforms each class once and counts u < v twice.
+    The class cut: part u of a is a_u = a[u::ell], and class residue of
+    the product sums a_u * b_v over v = (residue - u) mod ell.  Slot 0
+    holds the pairs u + v = residue, landing index for index, slot 1 those
+    with u + v = residue + ell, landing one index up.  Each class is read
+    by one pair, so each pair is its own task, transformed at twice a
+    class's length, and no operand's spectra are held whole.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    square = b is a
     width = len(range(residue, n_out, ell))
     short = min(len(a), len(b))
     # a power of two: 2 width is 2 * 17 * 13841 at verify's 4*10^6, where
     # numpy's transform ran 17 times slower than at 2^19 on a 2-core box
     layout = (_fft_length(2 * width - 1), None, short) + _limb_layout(m, short)
-    length, bits = layout[0], layout[4]
-    groups = list(_shift_groups(layout))
-    pairs = [(u, (residue - u) % ell) for u in range(min(ell, len(a)))]
-    pairs = [(u, v) for u, v in pairs
-             if v < len(b) and not (square and v < u)]
-
-    def pair_spectra(u, v):
-        fa = _limb_spectra(a[u::ell][:width], m, layout)
-        fb = fa if square and u == v else _limb_spectra(b[v::ell][:width], m,
-                                                        layout)
-        doubled = int(square and u < v)
-        return [_pairs_spectrum([(fa, fb)], doubled, *group, consume=True)
-                for group in groups]
-
-    lift = -(-ROUNDING_LIMIT // m) * m
-
-    def inverse(k, s, spectrum):
-        return k, s, _exact_residues(spectrum, length, width - k, m, lift)
-
-    # sums[k][g]: group g's spectrum of the pairs u + v = residue + k ell
-    sums = [[None] * len(groups), [None] * len(groups)]
-    out = np.zeros(width, dtype=np.int64)
-    with ThreadPoolExecutor(min(_PARALLEL_BLOCKS, _usable_cpus())) as pool:
-        pending = deque()
-        for i, (u, v) in enumerate(pairs, 1):
-            pending.append(((u + v - residue) // ell,
-                            pool.submit(pair_spectra, u, v)))
-            while pending and (len(pending) == _PARALLEL_BLOCKS
-                               or i == len(pairs)):
-                k, future = pending.popleft()
-                for g, spectrum in enumerate(future.result()):
-                    if sums[k][g] is None:
-                        sums[k][g] = spectrum
-                    else:
-                        sums[k][g] += spectrum
-        inverses = [(k, s, spectrum) for k, kind in enumerate(sums)
-                    for (s, _, _), spectrum in zip(groups, kind)
-                    if spectrum is not None]
-        del sums
-        for k, s, residues in pool.map(inverse, *zip(*inverses)):
-            # the sum of the pairs u + v = residue + ell lands one index up
-            window = out[k:]
-            window += mul_mod(residues, pow(2, bits * s, m), m)
-            window %= m
-            del residues
-    return out
+    parts_a = [a[u::ell][:width] for u in range(min(ell, len(a)))]
+    parts_b = parts_a if b is a else [b[v::ell][:width]
+                                      for v in range(min(ell, len(b)))]
+    return _product(parts_a, parts_b, [
+        (k, _pairs_summing_to(residue + k * ell, parts_a, parts_b))
+        for k in (0, 1)], layout, m, width)
 
 
 def _fft_modulus(m):
@@ -545,30 +536,32 @@ def convolve_mod(a, b, m, n_out):
     n_out = min(n_out, len(a) + len(b) - 1)
     if _is_direct(len(a), len(b), m):
         return np.convolve(a, b)[:n_out] % m
-    return _convolve_fft_mod(a, b, m, n_out)
+    layout = _fft_layout(m, len(a), len(b), n_out)
+    parts_a = _blocks(a, layout[1], n_out)
+    parts_b = parts_a if b is a else _blocks(b, layout[1], n_out)
+    return _block_product(parts_a, parts_b, layout, m, n_out)
 
 
 def fixed_operand_mod(b, m, n_out):
     """The product a -> convolve_mod(a, b, m, n_out) for a fixed b.
 
-    b's limb spectra are computed once, at the layout of an n_out-long a,
+    b's block spectra are computed once, at the layout of an n_out-long a,
     and every product transforms only its own a (cut to n_out
-    coefficients, which is all the truncated product reads).  Short
-    products take the direct path, as in ``convolve_mod``.
+    coefficients, which is all the truncated product reads), in the same
+    blocks.  Short products take the direct path, as in ``convolve_mod``.
     """
     m = _fft_modulus(m)
     b = np.asarray(b, dtype=np.int64)[:n_out]
-    fixed = None
-    if not _is_direct(n_out, len(b), m):
-        layout = _fft_layout(m, n_out, len(b))
-        fixed = (layout, _limb_spectra(b, m, layout))
+    layout = _fft_layout(m, n_out, len(b), n_out)
+    spectra = None if _is_direct(n_out, len(b), m) else [
+        _limb_spectra(x, m, layout) for x in _blocks(b, layout[1], n_out)]
 
     def times_b(a):
         a = np.asarray(a, dtype=np.int64)[:n_out]
-        if fixed is None:
+        if spectra is None:
             return np.convolve(a, b)[:n_out] % m
-        return _convolve_fft_mod(a, b, m, min(n_out, len(a) + len(b) - 1),
-                                 fixed)
+        n = min(n_out, len(a) + len(b) - 1)
+        return _block_product(_blocks(a, layout[1], n), spectra, layout, m, n)
 
     return times_b
 

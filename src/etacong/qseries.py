@@ -37,6 +37,7 @@ and from the ledger above that.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from fractions import Fraction
@@ -227,8 +228,9 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
 _LOG_PART_COST = 4
 
 
-def _level_candidates(f, ell, precision):
-    """Every (b, a) a descent level of f mod m = ell^precision may take.
+def _level_runs(f, ell, precision):
+    """Every (b, a) a descent level of f mod m = ell^precision may take, as
+    two runs, each by increasing |b|: b >= 0 upward, then b < 0 downward.
 
     b is an integer in (-m, m) with f - b divisible by ell^(precision - 1),
     and a = (f - b) / ell^(precision - 1) mod ell: then (q;q)^f is
@@ -240,16 +242,19 @@ def _level_candidates(f, ell, precision):
     m = ell ** precision
     e = psi(m, f)
     if ell == 2 or precision == 1:
-        return [(e, 0), (e - m, 0)]
+        return [(e, 0)], [(e - m, 0)]
     # b = low + j step in [0, m): (f - b) / step is (f - e) / step, which
     # ell divides, plus top - j
     step = m // ell
     low, top = e % step, e // step
-    found = []
-    for j in range(ell):
-        b, a = low + j * step, (top - j) % ell
-        found += [(b, a), (b - m, a)]
-    return found
+    return (((low + j * step, (top - j) % ell) for j in range(ell)),
+            ((low + j * step - m, (top - j) % ell)
+             for j in reversed(range(ell))))
+
+
+def _level_candidates(f, ell, precision):
+    """The 2 ell splits (b, a) of ``_level_runs``, in one list."""
+    return [split for run in _level_runs(f, ell, precision) for split in run]
 
 
 def _level_split(f, ell, precision):
@@ -258,12 +263,12 @@ def _level_split(f, ell, precision):
     a != 0): a = 0 on a tie, then the nonnegative b, then the smaller.
 
     No (q;q)^b costs fewer than 2 (bits(|b|) - 4) transforms (2 (bits(e)
-    - 2) or more, and e / 3 has at least bits(e) - 2 bits), so the 2 ell
-    candidates are read by |b| until that bound passes the best cost.
+    - 2) or more, and e / 3 has at least bits(e) - 2 bits), so the two
+    runs are merged by |b| and read until that bound passes the best cost.
     """
     best = split = None
-    for b, a in sorted(_level_candidates(f, ell, precision),
-                       key=lambda c: abs(c[0])):
+    for b, a in heapq.merge(*_level_runs(f, ell, precision),
+                            key=lambda c: abs(c[0])):
         if best is not None and 2 * (abs(b).bit_length() - 4) > best[0]:
             break
         cost = (_power_chain(b)[0] + (_LOG_PART_COST if a else 0), a != 0,

@@ -467,6 +467,7 @@ def test_fft_counts_per_square_and_product(monkeypatch, m, limbs):
     (5 ** 6, 2000, 1),
     (5 ** 13, 2000, 2),
     (2 ** 33 - 9, 40000, 3),  # a prime just below the modulus limit
+    (289, _BLOCKED_OUTPUT + 5000, 1),  # in 9 blocks of 2^13
 ])
 def test_fixed_operand_matches_convolve_mod(monkeypatch, m, n, limbs):
     if limbs:
@@ -479,14 +480,20 @@ def test_fixed_operand_matches_convolve_mod(monkeypatch, m, n, limbs):
                 rng.integers(0, m, n + 5, dtype=np.int64)]   # cut to n
     operands.append(operands[0].copy())
     wants = [convolve_mod(a[:n], b, m, n).tolist() for a in operands]
+    size = _fft_layout(m, n, n, n)[1]
+
+    def blocks(x):
+        return -(-min(len(x), n) // size)
+
     counts = count_transforms(monkeypatch)
     times_b = fixed_operand_mod(b, m, n)
-    assert counts["rfft"] == limbs
+    assert counts["rfft"] == limbs * blocks(b)
     # five products by the same spectra: a product that changed them would
     # spoil the ones after it
     assert [times_b(a).tolist() for a in operands] == wants
-    # b was transformed once, each a once per limb
-    assert counts["rfft"] == limbs * (1 + len(operands))
+    # b's blocks were transformed once, each a once per block and limb
+    assert counts["rfft"] == limbs * (
+        blocks(b) + sum(blocks(a) for a in operands))
 
 
 # inverse transforms per product when each sums at most `group` limb pairs
@@ -591,9 +598,12 @@ def test_blocked_route_matches_exact(monkeypatch, m, limbs, len_a, len_b,
 @pytest.mark.parametrize("limbs", [2, 3])
 def test_blocked_route_at_the_centred_extremes(monkeypatch, limbs):
     # m // 2 and m // 2 + 1 centre to +-(m - 1) / 2 at 5^14, whose limb
-    # products overflow int64; it takes two limbs at 3000 coefficients
+    # products overflow int64; it takes two limbs at 3000 coefficients.
+    # Every cut: blocks of 128, a fixed operand's blocks, and the lowest
+    # and highest class mod 17 formed alone
     small_blocks(monkeypatch)
-    m, n = 5 ** 14, 3000
+    monkeypatch.setattr(_convolve, "_CLASS_MIN_LENGTH", 0)
+    m, n, ell = 5 ** 14, 3000, 17
     if limbs == 3:
         hold_limbs(monkeypatch, m, limbs, n)
     assert _limb_layout(m, n)[0] == limbs
@@ -601,8 +611,12 @@ def test_blocked_route_at_the_centred_extremes(monkeypatch, limbs):
     b = np.full(n, m // 2 + 1, dtype=np.int64)
     for x, y in ((a, a), (a, b), (b, b)):
         c2 = int(x[0]) * int(y[0]) % m
-        assert convolve_mod(x, y, m, n).tolist() == [
-            (k + 1) * c2 % m for k in range(n)]
+        want = [(k + 1) * c2 % m for k in range(n)]
+        assert convolve_mod(x, y, m, n).tolist() == want
+        assert fixed_operand_mod(y, m, n)(x).tolist() == want
+        for r in (0, ell - 1):
+            assert convolve_class_mod(x, y, m, n, r, ell).tolist() == (
+                want[r::ell]), (r, x is y)
 
 
 @pytest.mark.parametrize("m,limbs", LIMB_MODULI)
@@ -630,8 +644,9 @@ def test_blocked_route_rounding_bound(monkeypatch, m, limbs):
 
 def test_precision_error_in_a_worker_reaches_the_caller(monkeypatch):
     # an inverse transform a third off an integer fails the rounding check:
-    # raised on a worker thread, the blocked route's error is the one-block
-    # route's
+    # raised on a worker thread, the error of the blocked route, a fixed
+    # operand's blocks and the class route is the one-block route's.  No
+    # thread outlives a product, whether it returns or raises
     irfft, on_main = np.fft.irfft, []
 
     def off_by_a_third(*args, **kwargs):
@@ -640,19 +655,34 @@ def test_precision_error_in_a_worker_reaches_the_caller(monkeypatch):
         raw[0] += 1 / 3
         return raw
 
-    monkeypatch.setattr(np.fft, "irfft", off_by_a_third)
     a = np.random.default_rng(5).integers(0, 289, FFT_N, dtype=np.int64)
+    threads = threading.active_count()
+    want = convolve_mod(a, a, 289, FFT_N)
+    monkeypatch.setattr(np.fft, "irfft", off_by_a_third)
     with pytest.raises(PrecisionError) as flat:
         convolve_mod(a, a, 289, FFT_N)
     assert on_main == [True]
+    assert threading.active_count() == threads
     small_blocks(monkeypatch)
-    on_main.clear()
-    with pytest.raises(PrecisionError) as blocked:
-        convolve_mod(a, a, 289, FFT_N)
-    assert on_main and not any(on_main)
-    assert type(blocked.value) is type(flat.value)
-    assert str(blocked.value) == str(flat.value) == (
-        "fft convolution lost integrality")
+    cuts = {
+        "blocks": (lambda: convolve_mod(a, a, 289, FFT_N), want),
+        "fixed": (lambda: fixed_operand_mod(a, 289, FFT_N)(a), want),
+        "class": (lambda: _class_product(a, a, 289, FFT_N, 5, 17),
+                  want[5::17]),
+    }
+    for cut, (product, exact) in cuts.items():
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        assert np.array_equal(product(), exact), cut
+        assert threading.active_count() == threads, cut
+        monkeypatch.setattr(np.fft, "irfft", off_by_a_third)
+        on_main.clear()
+        with pytest.raises(PrecisionError) as raised:
+            product()
+        assert on_main and not any(on_main), cut
+        assert threading.active_count() == threads, cut
+        assert type(raised.value) is type(flat.value)
+        assert str(raised.value) == str(flat.value) == (
+            "fft convolution lost integrality")
 
 
 def test_blocked_route_with_more_threads_than_cores(monkeypatch):

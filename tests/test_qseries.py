@@ -10,6 +10,7 @@ from etacong._convolve import (
     _BLOCKED_OUTPUT,
     _DIRECT_SIZE_LIMIT,
     _limb_layout,
+    _power_chain,
     binary_power,
     convolve_exact,
     convolve_mod,
@@ -270,6 +271,23 @@ def test_two_and_the_first_power_never_take_a_correction(v):
         assert all(a == 0 for _, a in qseries._level_candidates(f, 17, 1))
     assert {a for _, a in qseries._level_candidates(
         Fraction(57, 61), 17, 2)} == set(range(17))
+
+
+@pytest.mark.parametrize("ell", [3, 5, 17, 101, 1009])
+@pytest.mark.parametrize("v", [2, 3])
+def test_level_split_is_the_cheapest_candidate(ell, v):
+    # the split reads the candidates by |b| and stops at its bound: the
+    # same split as the least cost over all 2 ell of them
+    def cost(split):
+        b, a = split
+        return (_power_chain(b)[0] + (qseries._LOG_PART_COST if a else 0),
+                a != 0, b < 0, abs(b))
+
+    for alpha in (Fraction(57, 61), Fraction(1, 2), Fraction(-1),
+                  Fraction(-5, 7), Fraction(72)):
+        found = qseries._level_candidates(alpha, ell, v)
+        assert len(set(found)) == 2 * ell
+        assert qseries._level_split(alpha, ell, v) == min(found, key=cost)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 17, 101])
