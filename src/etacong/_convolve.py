@@ -41,11 +41,14 @@ caller asks (a class alone), and ``inverse_mod`` inverts a series by
 Newton iteration on top of ``convolve_mod``.  ``eta_integer_power_mod`` raises
 Euler's pentagonal series to e, or Jacobi's cube (q;q)^3, as sparse, to
 e / 3 when that chain costs fewer transforms (two per square, three per
-product); either seed has about sqrt(n_out) nonzero coefficients, so its
-square, and (q;q)^4, the two seeds' product, are summed over their pairs
-instead of transformed (``_sparse_product``).  That cost rule is
-``_power_chain``, which also prices a negative exponent, the chain of |e|
-and one ``inverse_mod``, for the descent's choice of each level's split.
+product).  Either seed is its terms, (index, value) arrays of about
+sqrt(n_out) entries, so its square, and (q;q)^4, the two seeds' product,
+are summed over their pairs instead of transformed (``_sparse_product``),
+and only a seed that a transform reads is made a dense series.  That
+cost rule is ``_power_chain``, which also prices a negative exponent,
+the chain of |e| and one ``inverse_mod``, for the descent's choice of
+each level's split.  ``convolve_mod`` and ``convolve_class_mod`` read
+int32 operands as they are, part by part, and return int64.
 Every other product of residues mod m < 2^33 goes through ``mul_mod``,
 elementwise, or ``_matmul_mod``, float64 BLAS on limbs recombined by
 ``mul_mod``.
@@ -53,6 +56,7 @@ elementwise, or ``_matmul_mod``, float64 BLAS on limbs recombined by
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from collections import Counter, deque
@@ -145,7 +149,9 @@ def _balanced_limbs(a, m, limbs, bits):
     |c_(i+1)| <= floor(2^(e-b) + 1/2) = 2^(e-b); if e < b, then c_(i+1) is
     0 or 1.  So |c_i| <= 2^max(B-1-ib, 0), and the top limb obeys
     |c_(L-1)| <= 2^max(B-1-(L-1)b, 0) <= 2^(b-1), because Lb >= B.  Limbs
-    come one at a time, float64 below the top and int64 at the top.
+    come one at a time, float64 below the top and int64 at the top.  a may
+    be int32 or int64: one limb converts it to float64, and L > 1 limbs
+    start from an int64 copy of it.
     """
     above = a > m // 2
     if limbs == 1:
@@ -156,7 +162,8 @@ def _balanced_limbs(a, m, limbs, bits):
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     # with half added to every lower limb, the limbs are plain base-2^b
     # digits of t: limb i is ((t >> ib) & mask) - half below the top
-    t = a + half * sum(1 << (bits * i) for i in range(limbs - 1))
+    t = a.astype(np.int64)
+    t += half * sum(1 << (bits * i) for i in range(limbs - 1))
     t -= m * above
     del above
     for i in range(limbs - 1):
@@ -524,18 +531,29 @@ def _is_direct(len_a, len_b, m):
             and max(len_a, len_b) <= _DIRECT_SIZE_LIMIT)
 
 
+def _operand(x):
+    """x as an int32 or int64 array, the caller's own where it is one."""
+    x = np.asarray(x)
+    return x if x.dtype == np.int32 else x.astype(np.int64, copy=False)
+
+
 def convolve_mod(a, b, m, n_out):
-    """Truncated convolution of int64 arrays, reduced mod m (exact).
+    """Truncated convolution of int32 or int64 arrays, reduced mod m
+    (exact), as int64.
 
     Requires 0 <= entries < m.  For m beyond FFT_MODULUS_LIMIT use
-    convolve_exact and reduce.
+    convolve_exact and reduce.  An int32 operand is read as it is: each
+    part becomes float64 or int64 as it is split into limbs.
     """
     m = _fft_modulus(m)
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    square = b is a
+    a = _operand(a)
+    b = a if square else _operand(b)
     n_out = min(n_out, len(a) + len(b) - 1)
     if _is_direct(len(a), len(b), m):
-        return np.convolve(a, b)[:n_out] % m
+        # summed in int64, which _is_direct's bound is for
+        return np.convolve(a.astype(np.int64, copy=False),
+                           b.astype(np.int64, copy=False))[:n_out] % m
     layout = _fft_layout(m, len(a), len(b), n_out)
     parts_a = _blocks(a, layout[1], n_out)
     parts_b = parts_a if b is a else _blocks(b, layout[1], n_out)
@@ -577,8 +595,8 @@ def convolve_class_mod(a, b, m, n_out, residue, ell):
     """
     m = _fft_modulus(m)
     square = b is a
-    a = np.asarray(a, dtype=np.int64)
-    b = a if square else np.asarray(b, dtype=np.int64)
+    a = _operand(a)
+    b = a if square else _operand(b)
     n_out = min(n_out, len(a) + len(b) - 1)
     if ell < _CLASS_MIN_ELL or -(-n_out // ell) <= _CLASS_MIN_LENGTH:
         return convolve_mod(a, b, m, n_out)[residue::ell].copy()
@@ -680,64 +698,78 @@ def inverse_mod(f, m, n_out):
     return g
 
 
+def _pentagonal_terms(m, n_out):
+    """(index, value) of (q;q)_infinity's terms below n_out, mod m: Euler's
+    sum_j (-1)^j q^(j(3j-1)/2), the generalized pentagonal indices 0, 1, 2,
+    5, 7, ... in increasing order, j(3j-1)/2 < j(3j+1)/2 < (j+1)(3j+2)/2.
+    """
+    j = np.arange(1, math.isqrt(2 * n_out // 3) + 2, dtype=np.int64)
+    index = np.empty(2 * len(j) + 1, dtype=np.int64)
+    index[0] = 0
+    index[1::2] = j * (3 * j - 1) // 2
+    index[2::2] = index[1::2] + j
+    value = np.empty(len(index), dtype=np.int64)
+    value[0] = 1
+    value[1::2] = value[2::2] = np.where(j % 2, -1, 1)
+    keep = index < n_out
+    return index[keep], value[keep] % m
+
+
+def _jacobi_cube_terms(m, n_out):
+    """(index, value) of (q;q)_infinity^3's terms below n_out, mod m, by
+    Jacobi's identity: sum_(j >= 0) (-1)^j (2j + 1) q^(j(j+1)/2)."""
+    j = np.arange(math.isqrt(2 * n_out) + 1, dtype=np.int64)
+    index = j * (j + 1) // 2
+    keep = index < n_out
+    j = j[keep]
+    return index[keep], np.where(j % 2, -1, 1) * (2 * j + 1) % m
+
+
+def _dense(terms, n_out):
+    """The int64 series of n_out coefficients with the given terms."""
+    out = np.zeros(n_out, dtype=np.int64)
+    out[terms[0]] = terms[1]
+    return out
+
+
 def pentagonal_mod(m, n_out):
     """(q;q)_infinity mod m: +-1 at generalized pentagonal indices."""
-    out = np.zeros(n_out, dtype=np.int64)
-    if n_out > 0:
-        out[0] = 1 % m
-    j = 1
-    while True:
-        g1 = j * (3 * j - 1) // 2
-        g2 = j * (3 * j + 1) // 2
-        if g1 >= n_out and g2 >= n_out:
-            break
-        sign = 1 if j % 2 == 0 else -1
-        if g1 < n_out:
-            out[g1] = sign % m
-        if g2 < n_out:
-            out[g2] = sign % m
-        j += 1
-    return out
+    return _dense(_pentagonal_terms(m, n_out), n_out)
 
 
 def jacobi_cube_mod(m, n_out):
     """(q;q)_infinity^3 mod m by Jacobi's identity:
     sum_(j >= 0) (-1)^j (2j + 1) q^(j(j+1)/2)."""
-    out = np.zeros(n_out, dtype=np.int64)
-    j = 0
-    while j * (j + 1) // 2 < n_out:
-        out[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1) % m
-        j += 1
-    return out
+    return _dense(_jacobi_cube_terms(m, n_out), n_out)
 
 
-def _sparse_product(a, b, m):
-    """a(q) b(q) mod m to len(a) coefficients, summed over the pairs of their
-    nonzero coefficients instead of transformed; a square when b is a.
-    Euler's and Jacobi's series have about sqrt(len(a)) of them (3,266 and
-    2,828 mod 289 at 4*10^6), so the pairs cost far less than an FFT
-    product.
+def _sparse_product(a, b, m, n_out):
+    """a(q) b(q) mod m to n_out coefficients, for series given as their
+    terms (index, value), indices increasing: summed over the pairs of
+    terms instead of transformed; a square when b is a.  Euler's and
+    Jacobi's series have about sqrt(n_out) terms (3,266 and 2,828 at
+    4*10^6), so the pairs cost far less than an FFT product.
 
-    Row k adds x_k * y_j mod m at i_k + j_j for every nonzero x_k of a and
-    y_j of b with i_k + j_j < len(a); the rows run over the operand with
-    fewer nonzero coefficients.  A square takes j >= k only and doubles
-    j > k.  A row adds at most one term below c m to each coefficient,
-    c = 2 for a square and 1 otherwise, so R rows after a reduction leave
-    every sum below (c R + 1) m.  The sums are reduced every
+    Row k adds x_k * y_j mod m at i_k + j_j for every term x_k of a and
+    y_j of b with i_k + j_j < n_out; the rows run over the operand with
+    fewer terms.  A square takes j >= k only and doubles j > k.  A row
+    adds at most one term below c m to each coefficient, c = 2 for a
+    square and 1 otherwise, so R rows after a reduction leave every sum
+    below (c R + 1) m.  The sums are reduced every
     R = (2^63 // m - 1) // c rows and stay below ``_SPARSE_SUM_LIMIT`` =
     2^63 at any m and length.
     """
-    n, square = len(a), b is a
-    rows_at, cols_at = np.flatnonzero(a), np.flatnonzero(b[:n])
+    square = b is a
+    (rows_at, rows_val), (cols_at, cols_val) = a, b
     if len(cols_at) < len(rows_at):
-        rows_at, cols_at, a, b = cols_at, rows_at, b, a
-    rows_val, cols_val = a[rows_at], b[cols_at]
-    tops = np.searchsorted(cols_at, n - rows_at)
+        (rows_at, rows_val), (cols_at, cols_val) = b, a
+    tops = np.searchsorted(cols_at, n_out - rows_at)
     doubled = 2 if square else 1
     rows = (_SPARSE_SUM_LIMIT // m - 1) // doubled
-    out = np.zeros(n, dtype=np.int64)
+    out = np.zeros(n_out, dtype=np.int64)
     # a square's row k starts at column k: i_k + i_k < n holds for a prefix
-    count = np.searchsorted(rows_at, (n + 1) // 2) if square else len(rows_at)
+    count = (np.searchsorted(rows_at, (n_out + 1) // 2) if square
+             else len(rows_at))
     for k in range(int(count)):
         first = k if square else 0
         row = mul_mod(cols_val[first:tops[k]], rows_val[k], m)
@@ -788,26 +820,31 @@ def eta_integer_power_mod(exponent, m, n_out, residue=None, ell=None):
     A multiple of 3 starts from Jacobi's cube, as sparse as Euler's
     pentagonal series, when e / 3 takes a cheaper chain than e
     (``_power_chain``): 72 becomes J^24, three squares and a product
-    instead of five and a product.  The seed's square is taken pair by
-    pair (``_sparse_product``); binary_power raises it to e // 2 and
+    instead of five and a product.  The seed is its terms, about
+    sqrt(n_out) of them, and its square is taken pair by pair
+    (``_sparse_product``); binary_power raises it to e // 2 and
     multiplies by the seed once when e is odd.  With a class, its last
     product forms that class alone (``_class_mul``): J^8 * J^16 in
     J^24.  (q;q)^4 is the pentagonal series times Jacobi's cube, pair by
-    pair, and no transform.
+    pair, and no transform.  Only a seed that an FFT product reads, at
+    e < 2 or an odd chain exponent, is made a dense series; (q;q)^4 and
+    an even chain's first square allocate their result alone.
     """
     e = operator.index(exponent)
     cube = _power_chain(e)[1]
     if cube:
-        seed, e = jacobi_cube_mod(m, n_out), e // 3
+        seed, e = _jacobi_cube_terms(m, n_out), e // 3
     else:
-        seed = pentagonal_mod(m, n_out)
+        seed = _pentagonal_terms(m, n_out)
     if e < 2 or e == 4 and not cube:
-        power = (power_mod(seed, e, m, n_out) if e < 2 else
-                 _sparse_product(seed, jacobi_cube_mod(m, n_out), m))
+        power = (power_mod(_dense(seed, n_out), e, m, n_out) if e < 2 else
+                 _sparse_product(seed, _jacobi_cube_terms(m, n_out), m,
+                                 n_out))
         return power if residue is None else power[residue::ell].copy()
     # binary_power gets the only references to the seed and its square,
     # so that each is freed at its last use, as in power_mod
-    series = [seed if e & 1 else None, _sparse_product(seed, seed, m)]
+    series = [_dense(seed, n_out) if e & 1 else None,
+              _sparse_product(seed, seed, m, n_out)]
     del seed
     last = None if residue is None else _class_mul(m, n_out, residue, ell)
     return binary_power(series.pop(), e >> 1, series.pop(),

@@ -160,7 +160,11 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
     a != 0, and recurses on (alpha - b) / ell at truncation T // ell.
     a = 0 exactly when b == alpha (mod m), the Frobenius descent; ell = 2
     and v = 1 keep to it.  Nothing divides by a power of ell, so the result
-    is exact mod ell^precision.
+    is exact mod ell^precision.  The correction is built in the Y sieve's
+    own array as ell^(v-1) (a Y mod ell), plus 1 at q^0: no value in it
+    passes max(ell^2, m), so it stays int32 wherever m < 2^31 and the
+    sieve's sums fit int32 (to about 1.1*10^8 coefficients).  The product
+    by it reads that array as it is; the result is int64.
 
     With ``residue`` = r in [0, ell), only coefficients r, r + ell, ... up
     to T are returned: inner(q^ell) keeps each class mod ell to itself, so
@@ -201,10 +205,15 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
         out = eta_integer_power_mod(b, m, n_out, ell=ell,
                                     residue=None if a else residue)
     if a:
-        # 1 + ell^(v-1) a Y, built once the power's products are done
+        # 1 + ell^(v-1) (a Y mod ell), built in Y's array once the power's
+        # products are done: no value passes max(ell^2, m), and the array
+        # stays int32 where m fits it
         z = _log_part_mod(ell, n_out)
-        z *= a * ell ** (precision - 1)
-        z %= m
+        if m >= _INT32_SIGMA_LIMIT:
+            z = z.astype(np.int64, copy=False)
+        z *= a
+        z %= ell
+        z *= ell ** (precision - 1)
         z[0] = 1
         out = (convolve_mod(out, z, m, n_out) if residue is None else
                convolve_class_mod(out, z, m, n_out, residue, ell))
@@ -278,7 +287,9 @@ def _level_split(f, ell, precision):
     return split
 
 
-# every sum _divisor_sums holds in int32 stays below this
+# every value the descent holds in int32 stays below this: the divisor
+# sums, the products of two residues mod ell, and the correction's residues
+# mod ell^v
 _INT32_SIGMA_LIMIT = 1 << 31
 
 
@@ -288,12 +299,14 @@ def _divisor_sums(trunc):
 
     Each divisor pair (d, k) of N = d k, d <= k, is added once, as d + k
     (or d when k = d), from the rows d <= sqrt(T): no partial sum passes
-    sigma(N).
+    sigma(N).  The row d = 1 is the array's start, N + 1 at every N >= 2.
     """
     bound = trunc * (1 + math.log(trunc)) if trunc else 0
     dtype = np.int32 if bound < _INT32_SIGMA_LIMIT else np.int64
-    sigma = np.zeros(trunc + 1, dtype=dtype)
-    for d in range(1, math.isqrt(trunc) + 1):
+    sigma = np.arange(1, trunc + 2, dtype=dtype)
+    sigma[0] = 0
+    sigma[1:2] = 1
+    for d in range(2, math.isqrt(trunc) + 1):
         sigma[d * d] += d
         sigma[d * (d + 1)::d] += np.arange(2 * d + 1, trunc // d + d + 1,
                                            dtype=dtype)
@@ -301,31 +314,40 @@ def _divisor_sums(trunc):
 
 
 def _log_part_mod(ell, n_out):
-    """Y mod ell to n_out coefficients, as an int64 array: the ell-integral
-    part of log (q;q), Y_N = -sigma(N')/N' with N' = N less every factor
-    ell.
+    """Y mod ell to n_out coefficients: the ell-integral part of log (q;q),
+    Y_N = -sigma(N')/N' with N' = N less every factor ell.  int32 while
+    the divisor sums and (ell - 1)^2 stay below ``_INT32_SIGMA_LIMIT``,
+    int64 otherwise.
 
     log (q;q) = -sum sigma(N)/N q^N = Y + log (q^ell;q^ell) / ell, since
     sigma(N) - sigma(N/ell) = ell^k sigma(N') at N = ell^k N'.  N' is an
-    ell-unit, so dividing by it mod ell loses nothing.
+    ell-unit, so dividing by it mod ell loses nothing.  The sieve's own
+    array becomes Y in place.  Class c != 0 mod ell is ell-free, and
+    Y_N = sigma(N) (-1/c) mod ell there: the array, reduced mod ell, is
+    read as rows of ell coefficients, whose column c is class c, times
+    the row of the -1/c.  Class 0 follows from Y_(ell k) = Y_k: one copy
+    y[ell::ell] = y[1:...] per power of ell below n_out, the i-th of
+    which sets every N of valuation i (numpy buffers the overlap).
     """
-    sigma = _divisor_sums(n_out - 1)
-    # N' <= N <= sigma(N): the sums' type holds it
-    unit = np.arange(n_out, dtype=sigma.dtype)
-    power = ell
-    while power < n_out:
-        unit[power::power] //= ell
-        power *= ell
-    sums = sigma[unit]
-    del sigma
-    sums %= ell
-    np.subtract(ell, sums, out=sums)
-    unit %= ell
-    inverses = [0] + [pow(x, -1, ell) for x in range(1, min(ell, n_out))]
-    y = np.asarray(inverses, dtype=np.int64)[unit]
-    del unit
-    y *= sums
+    y = _divisor_sums(n_out - 1)
+    if (ell - 1) ** 2 >= _INT32_SIGMA_LIMIT:
+        y = y.astype(np.int64, copy=False)
     y %= ell
+    # class 0's column is 0 until the copies below set it
+    inverses = np.array([0] + [-pow(c, -1, ell) % ell
+                               for c in range(1, min(ell, n_out))],
+                        dtype=y.dtype)
+    rows = n_out // ell
+    if rows:
+        body = y[:rows * ell].reshape(rows, ell)
+        body *= inverses
+    tail = y[rows * ell:]
+    tail *= inverses[:len(tail)]
+    y %= ell
+    width, power = len(range(0, n_out, ell)), ell
+    while power < n_out:
+        y[ell::ell] = y[1:width]
+        power *= ell
     return y
 
 

@@ -202,6 +202,42 @@ def test_search_json_headline(one_search):
     assert out == (ROOT / "bench" / "data" / "search_57_61.json").read_text()
 
 
+ODD_ENTRY = {"ell": 7, "k": 2, "reason": 'say "%s" \\ \n\t é, },\n{'}
+
+
+@pytest.mark.parametrize("payload", [
+    {"alpha": "1/2", "rejections": []},
+    {"rejections": [{"ell": 5, "k": 3, "reason": "cond3 failed"}]},
+    {"a": [1, {"b": None}], "rejections": [ODD_ENTRY] * 3, "z": 0.5},
+    {"rejections": [{"x": None, "y": True, "%s": 1.5e300}, {
+        "y": False, "x": -0.0, "%s": "%d"}]},
+    # not flat: the plain indented dump
+    {"rejections": [{"ell": 5}, {"k": 3}]},
+    {"rejections": [{"ell": 5, "k": [1]}, {"ell": 7, "k": [2, 3]}]},
+    {"rejections": [{"ell": 5, "k": {}}]},
+    {"rejections": [{}]},
+    {"rejections": [[1, 2]]},
+    {"rejections": [{1: "a", 2: "b"}]},
+    {"results": [{"rejections": []}]},
+], ids=["empty", "one", "odd-strings", "scalars", "mixed-keys", "lists",
+        "dict", "empty-entry", "not-dicts", "int-keys", "nested-key"])
+def test_json_output_is_the_indented_dump(capsys, payload):
+    args = type("Args", (), {"fmt": "json", "output": None})()
+    cli._emit(args, payload, [])
+    assert capsys.readouterr().out == json.dumps(
+        payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_search_json_is_the_indented_dump(capsys):
+    payload = json.loads(
+        (ROOT / "bench" / "data" / "search_57_61.json").read_text())
+    assert len(payload["rejections"]) > 100
+    args = type("Args", (), {"fmt": "json", "output": None})()
+    cli._emit(args, payload, [])
+    assert capsys.readouterr().out == json.dumps(
+        payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_search_allows_ell_2_and_3_only_on_request(capsys):
     code, out = run(capsys, "search", "--alpha", "3", "--lmax", "3",
                     "--allow-ell-2-3", "--format", "json")

@@ -1,6 +1,8 @@
+import math
 import operator
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -17,7 +19,9 @@ from etacong._convolve import (
     _balanced_limbs,
     _class_product,
     _fft_layout,
+    _jacobi_cube_terms,
     _limb_layout,
+    _pentagonal_terms,
     _sparse_product,
     binary_power,
     convolve_class_mod,
@@ -187,14 +191,35 @@ SQUARE_MODULI = [289, 5 ** 6, 5 ** 13, 5 ** 14, 2 ** 33 - 9]
 @pytest.mark.parametrize("n_out", [1, 2, 512, 513, 10 ** 5])
 def test_sparse_square_equals_the_fft_square(m, n_out):
     # 2^33 - 9 multiplies its rows on mul_mod's split path; the two seeds'
-    # product is (q;q)^4, either way round
-    pentagonal, cube = pentagonal_mod(m, n_out), jacobi_cube_mod(m, n_out)
-    for seed in (pentagonal, cube):
-        assert np.array_equal(_sparse_product(seed, seed, m),
-                              convolve_mod(seed, seed, m, n_out))
-    want = convolve_mod(pentagonal, cube, m, n_out)
-    assert np.array_equal(_sparse_product(pentagonal, cube, m), want)
-    assert np.array_equal(_sparse_product(cube, pentagonal, m), want)
+    # product is (q;q)^4, either way round.  The seeds are their terms, and
+    # the oracle is convolve_mod of their dense series
+    seeds = [_pentagonal_terms(m, n_out), _jacobi_cube_terms(m, n_out)]
+    dense = [pentagonal_mod(m, n_out), jacobi_cube_mod(m, n_out)]
+    for seed, series in zip(seeds, dense):
+        assert np.array_equal(_sparse_product(seed, seed, m, n_out),
+                              convolve_mod(series, series, m, n_out))
+    want = convolve_mod(*dense, m, n_out)
+    assert np.array_equal(_sparse_product(*seeds, m, n_out), want)
+    assert np.array_equal(_sparse_product(*seeds[::-1], m, n_out), want)
+
+
+@pytest.mark.parametrize("n_out", [0, 1, 2, 3, 5, 6, 7, 100, 4_000_001])
+def test_seed_terms_are_euler_and_jacobi_series(n_out):
+    # Euler's (-1)^j at j(3j -+ 1)/2, j >= 1, and 1 at 0; Jacobi's
+    # (-1)^j (2j + 1) at j(j + 1)/2; each in increasing order below n_out
+    m = 289
+    euler, jacobi = {0: 1}, {}
+    for j in range(1, math.isqrt(n_out) + 2):
+        for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            euler[g] = (-1) ** j % m
+    for j in range(math.isqrt(2 * n_out) + 2):
+        jacobi[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1) % m
+    for (index, value), want in ((_pentagonal_terms(m, n_out), euler),
+                                 (_jacobi_cube_terms(m, n_out), jacobi)):
+        assert index.dtype == value.dtype == np.int64
+        assert np.all(np.diff(index) > 0)
+        assert dict(zip(index.tolist(), value.tolist())) == {
+            k: v for k, v in want.items() if k < n_out}
 
 
 @pytest.mark.parametrize("m", SQUARE_MODULI)
@@ -214,12 +239,13 @@ def test_sparse_square_reduced_every_few_rows(monkeypatch, rows):
     # rows, and a product's after every 2 rows; neither result may change
     m = 2 ** 33 - 9
     monkeypatch.setattr(_convolve, "_SPARSE_SUM_LIMIT", (2 * rows + 1) * m)
-    pentagonal, cube = pentagonal_mod(m, 5000), jacobi_cube_mod(m, 5000)
-    for seed in (pentagonal, cube):
-        assert np.array_equal(_sparse_product(seed, seed, m),
-                              convolve_mod(seed, seed, m, 5000))
-    assert np.array_equal(_sparse_product(pentagonal, cube, m),
-                          convolve_mod(pentagonal, cube, m, 5000))
+    seeds = [_pentagonal_terms(m, 5000), _jacobi_cube_terms(m, 5000)]
+    dense = [pentagonal_mod(m, 5000), jacobi_cube_mod(m, 5000)]
+    for seed, series in zip(seeds, dense):
+        assert np.array_equal(_sparse_product(seed, seed, m, 5000),
+                              convolve_mod(series, series, m, 5000))
+    assert np.array_equal(_sparse_product(*seeds, m, 5000),
+                          convolve_mod(*dense, m, 5000))
 
 
 @pytest.mark.parametrize("rows", [1, 2])
@@ -228,9 +254,78 @@ def test_sparse_product_reduced_every_few_rows(monkeypatch, rows):
     # reduces its sums after every `rows` rows
     m = 2 ** 33 - 9
     monkeypatch.setattr(_convolve, "_SPARSE_SUM_LIMIT", (rows + 1) * m)
-    pentagonal, cube = pentagonal_mod(m, 5000), jacobi_cube_mod(m, 5000)
-    assert np.array_equal(_sparse_product(pentagonal, cube, m),
-                          convolve_mod(pentagonal, cube, m, 5000))
+    seeds = [_pentagonal_terms(m, 5000), _jacobi_cube_terms(m, 5000)]
+    for pair in (seeds, seeds[::-1]):
+        assert np.array_equal(_sparse_product(*pair, m, 5000),
+                              convolve_mod(pentagonal_mod(m, 5000),
+                                           jacobi_cube_mod(m, 5000), m, 5000))
+
+
+@pytest.mark.parametrize("m,limbs", [(289, 1), (5 ** 6, 2), (5 ** 13, 3),
+                                     (2 ** 31 - 1, 2)])
+@pytest.mark.parametrize("n", [2, 300, 40_000])
+def test_int32_operands_give_the_int64_product(monkeypatch, m, limbs, n):
+    # the direct path, the flat and the blocked product, squares, and a
+    # class, at one to three limbs; 2^31 - 1 puts residues next to int32's
+    # top, past which the limbs' offsets carry them
+    if _limb_layout(m, n)[0] < limbs:
+        hold_limbs(monkeypatch, m, limbs, short=n)
+    rng = np.random.default_rng(n + limbs)
+    wide = rng.integers(0, m, (2, n), dtype=np.int64)
+    narrow = wide.astype(np.int32)
+    want = convolve_mod(*wide, m, n)
+    assert np.array_equal(convolve_mod(*narrow, m, n), want)
+    assert np.array_equal(convolve_mod(wide[0], narrow[1], m, n), want)
+    assert np.array_equal(convolve_mod(narrow[0], narrow[0], m, n),
+                          convolve_mod(wide[0], wide[0], m, n))
+    assert np.array_equal(convolve_class_mod(wide[0], narrow[1], m, n, 5, 7),
+                          want[5::7])
+
+
+def test_an_int32_operand_is_not_copied_whole():
+    # the top level's product by 1 + 68 Y reads Y's int32 array class by
+    # class: no int64 copy of it, 8 n bytes, is ever held
+    n, m = 300_000, 289
+    rng = np.random.default_rng(3)
+    power = rng.integers(0, m, n, dtype=np.int64)
+    z = rng.integers(0, m, n, dtype=np.int64).astype(np.int32)
+    convolve_class_mod(power[:5000], z[:5000], m, 5000, 3, 101)
+    tracemalloc.start()
+    try:
+        got = convolve_class_mod(power, z, m, n, 3, 101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, convolve_class_mod(
+        power, z.astype(np.int64), m, n, 3, 101))
+    assert peak < 8 * n / 2
+
+
+def test_seeds_stay_terms_until_an_fft_product_reads_them(monkeypatch):
+    # (q;q)^4 and the even chains 24 (J^8) and 72 (J^24) hold no n-long
+    # seed when their pair product starts, and (q;q)^4 holds its result
+    # and little more
+    n = 200_000
+    held = []
+    sparse = _convolve._sparse_product
+
+    def traced(a, b, m, n_out):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return sparse(a, b, m, n_out)
+
+    monkeypatch.setattr(_convolve, "_sparse_product", traced)
+    eta_integer_power_mod(72, 289, 1000)  # the first FFT loads numpy.fft
+    for e in (4, 24, 72):
+        held.clear()
+        tracemalloc.start()
+        try:
+            eta_integer_power_mod(e, 289, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] < 8 * n / 4, (e, held)
+        if e == 4:
+            assert peak <= 1.25 * 8 * n
 
 
 def test_the_first_square_takes_no_transform(monkeypatch):
@@ -249,9 +344,9 @@ def test_the_first_square_takes_no_transform(monkeypatch):
 
 def test_jacobi_seed_only_where_its_chain_is_cheaper(monkeypatch):
     seeds = []
-    for name in ("jacobi_cube_mod", "pentagonal_mod"):
+    for name in ("_jacobi_cube_terms", "_pentagonal_terms"):
         def seed(m, n_out, _name=name, _fn=getattr(_convolve, name)):
-            seeds.append(_name[:3])
+            seeds.append(_name[1:4])
             return _fn(m, n_out)
         monkeypatch.setattr(_convolve, name, seed)
     for e in (0, 1, 2, 3, 6, 24, 72, 15624, 32769, 3 * 2 ** 10):

@@ -290,14 +290,22 @@ def test_level_split_is_the_cheapest_candidate(ell, v):
         assert qseries._level_split(alpha, ell, v) == min(found, key=cost)
 
 
-@pytest.mark.parametrize("ell", [2, 3, 5, 17, 101])
-def test_log_part_is_the_ell_integral_part_of_log_eta(ell):
+@pytest.mark.parametrize("ell,trunc", [
+    # N past ell^3, whose class 0 takes three copies (ell^5 for 2 and 3)
+    (2, 250), (3, 250), (5, 250), (17, 17 ** 3 + 17),
+    (101, 101 ** 2 + 101),
+    # n_out <= ell: no full row of ell coefficients
+    (17, 15), (17, 16), (101, 50),
+    # (ell - 1)^2 >= 2^31: int64
+    (46349, 2 * 46349 + 7),
+], ids=["2", "3", "5", "17", "101", "17-n16", "17-n17", "101-n51", "46349"])
+def test_log_part_is_the_ell_integral_part_of_log_eta(ell, trunc):
     # Y_N = -sigma(N)/N + sigma(N/ell)/N, which is ell-integral, reduced mod
-    # ell; N runs past ell^2 (and ell^5 for 2 and 3)
-    trunc = max(ell ** 2 + ell, 250)
+    # ell.  int32 while (ell - 1)^2 and the sieve's bound fit it
     sigma = divisor_sum_table(1, trunc)
     got = qseries._log_part_mod(ell, trunc + 1)
-    assert got.dtype == np.int64 and got[0] == 0
+    wide = (ell - 1) ** 2 >= qseries._INT32_SIGMA_LIMIT
+    assert got.dtype == (np.int64 if wide else np.int32) and got[0] == 0
     for n in range(1, trunc + 1):
         y = Fraction(-sigma[n], n)
         if n % ell == 0:
@@ -321,7 +329,9 @@ def test_divisor_sums_take_int64_past_the_bound(monkeypatch):
     for trunc, dtype in ((edge, np.int32), (edge + 1, np.int64)):
         got = qseries._divisor_sums(trunc)
         assert got.dtype == dtype and got.tolist() == want[:trunc + 1]
-    assert qseries._divisor_sums(0).tolist() == [0]
+    # the row d = 1 alone below 4
+    for trunc in range(4):
+        assert qseries._divisor_sums(trunc).tolist() == want[:trunc + 1]
 
 
 @pytest.mark.parametrize("alpha,ell,v,trunc,residue,levels", [
@@ -673,6 +683,22 @@ def test_residue_route_peak_stays_within_product_bytes(trunc):
     finally:
         tracemalloc.stop()
     assert peak <= product_bytes(trunc + 1, 17 ** 2)
+
+
+def test_residue_route_peak_at_verify_shape():
+    # the top level's (q;q)^4 from two seeds' terms, Y's sieve in its own
+    # int32 array and the narrow correction 1 + 68 Y: at most 20 bytes a
+    # coefficient, about 2.5 int64 series
+    trunc = 1_100_000
+    eta_power_residues(Fraction(57, 61), 17, 2, 1000, residue=14)
+    tracemalloc.start()
+    try:
+        got = eta_power_residues(Fraction(57, 61), 17, 2, trunc, residue=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.int64
+    assert peak <= 20 * (trunc + 1)
 
 
 def test_residue_route_forms_only_its_class_in_the_last_product():
