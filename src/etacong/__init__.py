@@ -9,18 +9,14 @@ initial segment.
 """
 
 from .numerics import (
-    INFINITE_VALUATION,
+    MemoryLimitError,
     NotEllIntegralError,
     PrecisionError,
-    ell_valuation,
-    factorial_valuation,
-    mod_inverse,
     primes_up_to,
     psi,
 )
 from .qseries import (
     HorizonError,
-    divisor_sum_table,
     eta_power_mod,
     eta_power_rational,
     eta_power_residues,
@@ -34,11 +30,9 @@ from .modforms import (
     delta,
     delta_power,
     dim_cusp_forms,
-    eisenstein,
     filtration,
     gram_determinant,
     gram_determinant_residue,
-    hecke_action,
     hecke_matrix,
     is_good_prime,
     theta,
@@ -48,12 +42,7 @@ from .congruences import (
     BALANCED,
     SQUARE_CLASS,
     CongruenceClaim,
-    ResidueFilterResult,
-    ScanCandidate,
-    SearchResult,
-    VerificationReport,
     balanced_prime_admissible,
-    good_prime_bound,
     offset_admissible,
     scan_balanced,
     search_good_congruences,

@@ -732,17 +732,6 @@ def _dense(terms, n_out):
     return out
 
 
-def pentagonal_mod(m, n_out):
-    """(q;q)_infinity mod m: +-1 at generalized pentagonal indices."""
-    return _dense(_pentagonal_terms(m, n_out), n_out)
-
-
-def jacobi_cube_mod(m, n_out):
-    """(q;q)_infinity^3 mod m by Jacobi's identity:
-    sum_(j >= 0) (-1)^j (2j + 1) q^(j(j+1)/2)."""
-    return _dense(_jacobi_cube_terms(m, n_out), n_out)
-
-
 def _sparse_product(a, b, m, n_out):
     """a(q) b(q) mod m to n_out coefficients, for series given as their
     terms (index, value), indices increasing: summed over the pairs of

@@ -17,24 +17,24 @@ Exact (big-integer) arithmetic is used for small weights; the search-scale
 path reduces everything mod ell up front and works on numpy arrays.  The
 exact path builds the matrices T_1..T_d on the echelon basis and sums
 Tr(T_m T_n) over them.  The mod-ell path climbs a ladder of single Hecke
-operators T_p, p = 2, 3, 5, 7, each on a basis to horizon p d, and one
-elimination of the Krylov rows e_1^T T_p^i (i <= d) decides each rung.
-With K the first d rows, det G = disc(charpoly T_p) / det(K)^2 whenever
-ell does not divide det K.  Where K is singular mod ell, a T_p that is not
-semisimple (the minimal polynomial of e_1^T under it has a repeated
-factor) still proves ell | det G: det G is the discriminant of the Hecke
-algebra T, and such a T_p shows a nilpotent in T (x) F_ell, which the
-trace form kills.  Where no rung decides, the trace
-t(N) = Tr T_N does: at level one T_m T_n is the sum over e | (m, n) of
-e^(k-1) T_(mn/e^2), so G[m][n] = sum e^(k-1) t(mn/e^2).  The trace form
-sum t(N) q^N lies in S_k, so t up to d^2 is one combination of the d rows
-of a basis to d^2, with weights t(1..d) read off the same rows.  The
-mod-ell basis takes E4 and E6 from a divisor sieve mod ell and computes
-the limb spectra of its fixed factor X = Delta / E4^3 once.  Its residue
-products, and every elimination's, exact for every ell < 2^33, are
-``_convolve.mul_mod`` (elementwise) and ``_matmul_mod``.  On both paths
-the caller builds each echelon basis at the horizon it needs; nothing is
-cached between calls.
+operators T_p, p = 2, 3, 5, 7, each on a basis to horizon p d.  One
+elimination of the Krylov rows e_1^T T_p^i (i <= d) gives the minimal
+polynomial mu of e_1^T under T_p, and Euclid's loop on (mu, mu') its
+discriminant.  With K the first d rows, det G = disc(mu) / det(K)^2
+whenever ell does not divide det K.  Where K is singular mod ell, a T_p
+that is not semisimple (disc(mu) == 0: mu has a repeated factor) still
+proves ell | det G: det G is the discriminant of the Hecke algebra T, and
+such a T_p shows a nilpotent in T (x) F_ell, which the trace form kills.
+Where no rung decides, the trace t(N) = Tr T_N does: at level one
+T_m T_n is the sum over e | (m, n) of e^(k-1) T_(mn/e^2), so
+G[m][n] = sum e^(k-1) t(mn/e^2).  The trace form sum t(N) q^N lies in
+S_k, so t up to d^2 is one combination of the d rows of a basis to d^2,
+with weights t(1..d) read off the same rows.  The mod-ell basis takes E4
+and E6 from a divisor sieve mod ell and computes the limb spectra of its
+fixed factor X = Delta / E4^3 once.  Its residue products, and every
+elimination's, exact for every ell < 2^33, are ``_convolve.mul_mod``
+(elementwise) and ``_matmul_mod``.  On both paths the caller builds each
+echelon basis at the horizon it needs; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -466,40 +466,37 @@ def _krylov_residue(krylov, ell: int):
 
     Duality a_1(T_n f) = a_n(f) makes T_1..T_d the basis of T dual to the
     echelon rows, so row i of K (the first d rows) holds the coordinates of
-    M^i in it, and W[i][j] = Tr M^(i+j) = (K G K^t)[i][j].  One elimination
-    finds the first row that depends on the rows before it,
-    e_1^T M^j = sum c_i e_1^T M^i.  When j = d, K is invertible and e_1 a
-    cyclic vector: x^d - sum c_i x^i is the characteristic polynomial,
-    Newton's identities (no division, so ell = 2, 3 stay valid) give its
-    power sums, and det G = det W / (det K)^2.  When j < d, mu = x^j -
-    sum c_i x^i is the minimal polynomial of e_1^T under M, which divides
-    M's own.  A repeated factor of mu, gcd(mu, mu') not constant (mu' = 0
-    counts too), shows M is not semisimple mod ell.  F_ell is perfect, so
-    M's nilpotent part is a nonzero polynomial in M, in T (x) F_ell, where
-    the trace form kills it: det G == 0.
+    M^i in it, and the Hankel matrix of the power sums Tr M^(i+j), of
+    determinant disc(charpoly M), is K G K^t.  One elimination finds the
+    first row that depends on the rows before it, e_1^T M^j = sum c_i
+    e_1^T M^i: mu = x^j - sum c_i x^i is the minimal polynomial of e_1^T
+    under M, which divides M's own.  Euclid's loop on (mu, mu') gives
+    disc(mu) = (-1)^(j(j-1)/2) Res(mu, mu') with no division by an integer,
+    so ell = 2, 3 stay valid: Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a -
+    deg r) Res(b, r) for r = a mod b, and lc(b)^(deg a) for a constant b.
+    When j = d, mu is the characteristic polynomial and det G = disc(mu) /
+    (det K)^2.  disc(mu) == 0, a repeated factor of mu, shows M is not
+    semisimple mod ell, also when j < d.  F_ell is perfect, so M's
+    nilpotent part is a nonzero polynomial in M, in T (x) F_ell, where the
+    trace form kills it: det G == 0.
     """
-    d = krylov.shape[1]
     j, det_k, coords = _solve_mod(krylov.T, ell)
-    if j < d:
-        mu = (-coords % ell).tolist() + [1]
-        deriv = [i * c % ell for i, c in enumerate(mu)][1:]
-        while deriv and not deriv[-1]:
-            deriv.pop()
-        a, b = mu, deriv
-        while b:
-            a, b = b, _poly_rem(a, b, ell)
-        return 0 if len(a) > 1 else None
-    # R(t) = t^d chi(1/t) = 1 - sum c_i t^(d-i), and the power sums are
-    # s_n = [t^n] -t R'(t) / R(t) for n >= 1: Newton's identities as series
-    rev = np.empty(d + 1, dtype=np.int64)
-    rev[0] = 1 % ell
-    rev[1:] = -coords[::-1] % ell
-    n_out = 2 * d - 1
-    slope = mul_mod(np.arange(d + 1) % ell, rev, ell)
-    sums = -convolve_mod(slope, inverse_mod(rev, ell, n_out), ell, n_out) % ell
-    sums[0] = d % ell
-    hankel = sums[np.add.outer(np.arange(d), np.arange(d))]
-    return _det_mod(hankel, ell) * mod_inverse(det_k * det_k, ell) % ell
+    a = (-coords % ell).tolist() + [1]
+    b = [i * c % ell for i, c in enumerate(a)][1:]
+    while b and not b[-1]:
+        b.pop()
+    disc = (-1) ** (j * (j - 1) // 2)
+    while len(b) > 1:
+        r = _poly_rem(a, b, ell)
+        disc = disc * (-1) ** ((len(a) - 1) * (len(b) - 1)) * pow(
+            b[-1], len(a) - len(r), ell) % ell
+        a, b = b, r
+    disc = disc * pow(b[-1], len(a) - 1, ell) % ell if b else 0
+    if disc == 0:
+        return 0
+    if j < krylov.shape[1]:
+        return None
+    return disc * mod_inverse(det_k * det_k, ell) % ell
 
 
 def gram_determinant_residue(weight: int, ell: int) -> int:

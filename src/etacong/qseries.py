@@ -261,11 +261,6 @@ def _level_runs(f, ell, precision):
              for j in reversed(range(ell))))
 
 
-def _level_candidates(f, ell, precision):
-    """The 2 ell splits (b, a) of ``_level_runs``, in one list."""
-    return [split for run in _level_runs(f, ell, precision) for split in run]
-
-
 def _level_split(f, ell, precision):
     """The (b, a) of one descent level whose power (q;q)^b and correction
     cost fewest transforms (``_power_chain``, and ``_LOG_PART_COST`` where

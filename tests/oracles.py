@@ -149,6 +149,23 @@ def gram_residue_by_stack(weight: int, ell: int) -> int:
     return _det_mod(_matmul_mod(flat, flat_t.T, ell), ell)
 
 
+def discriminant_by_hankel(coeffs, ell: int) -> int:
+    """disc(x^n - sum c_i x^i) mod a prime ell, coeffs = (c_0, ..., c_(n-1)),
+    as the determinant of the n x n Hankel matrix of its power sums
+    s_m = Tr C^m, C the companion matrix: with V the Vandermonde matrix of
+    the roots, that Hankel matrix is V V^t.  No Newton series and no
+    Euclid loop."""
+    n = len(coeffs)
+    companion = np.zeros((n, n), dtype=np.int64)
+    companion[np.arange(1, n), np.arange(n - 1)] = 1
+    companion[:, -1] = np.asarray(coeffs, dtype=np.int64) % ell
+    power, sums = np.eye(n, dtype=np.int64), []
+    for _ in range(2 * n - 1):
+        sums.append(int(np.trace(power)) % ell)
+        power = _matmul_mod(power, companion, ell)
+    return _det_mod([sums[i:i + n] for i in range(n)], ell)
+
+
 def _product_mod(f, g, ell: int) -> tuple:
     """Schoolbook product of two series of equal length, truncated, mod ell."""
     out = [0] * len(f)

@@ -18,6 +18,7 @@ from etacong._convolve import (
     ROUNDING_LIMIT,
     _balanced_limbs,
     _class_product,
+    _dense,
     _fft_layout,
     _jacobi_cube_terms,
     _limb_layout,
@@ -30,9 +31,7 @@ from etacong._convolve import (
     eta_integer_power_mod,
     fixed_operand_mod,
     inverse_mod,
-    jacobi_cube_mod,
     mul_mod,
-    pentagonal_mod,
     power_mod,
 )
 from etacong.qseries import eta_power_rational
@@ -44,6 +43,16 @@ from etacong.qseries import eta_power_rational
 LIMB_MODULI = [(289, 1), (5 ** 6, 2), (5 ** 14, 3)]
 # above the direct path's size limit, so every product takes the fft route
 FFT_N = 700
+
+
+def pentagonal_mod(m, n_out):
+    """(q;q)_infinity mod m as a dense series, from its terms."""
+    return _dense(_pentagonal_terms(m, n_out), n_out)
+
+
+def jacobi_cube_mod(m, n_out):
+    """(q;q)_infinity^3 mod m as a dense series, from its terms."""
+    return _dense(_jacobi_cube_terms(m, n_out), n_out)
 
 
 def limb_bits(m, limbs):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etacong import _convolve, modforms
 from etacong.numerics import NotEllIntegralError, PrecisionError, ell_valuation
@@ -37,6 +38,7 @@ from etacong.modforms import (
 )
 from oracles import (
     cusp_divisibility_check,
+    discriminant_by_hankel,
     filtration_by_rank,
     gram_residue_by_stack,
     hecke_ell_vanishes,
@@ -317,6 +319,49 @@ def test_nilpotent_witness_is_exact_below_2_33(repeated):
         assert (modforms._solve_mod(rows.T, ell)[0] < len(matrix)) is \
             bool(extra)
         assert (modforms._krylov_residue(rows, ell) == 0) is repeated
+
+
+def _companion_rung(mu, ell):
+    """(the rung's residue, the oracle's Hankel determinant) for a monic mu
+    mod ell, given low to high, on the transpose of its companion matrix.
+    Its Krylov rows from e_1 are the identity rows, so det K = 1 and the
+    rung returns disc(mu) itself."""
+    coeffs = [-c % ell for c in mu[:-1]]
+    matrix = np.array(_companion(coeffs), dtype=np.int64).T
+    rows = modforms._krylov_rows(matrix, ell, len(coeffs) + 1)
+    assert np.array_equal(rows[:-1], np.eye(len(coeffs), dtype=np.int64))
+    return (modforms._krylov_residue(rows, ell),
+            discriminant_by_hankel(coeffs, ell))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13, 2 ** 33 - 9]), st.data())
+def test_rung_on_a_companion_gives_the_hankel_discriminant(ell, data):
+    n = data.draw(st.integers(1, 40))
+    mu = data.draw(st.lists(st.integers(0, ell - 1), min_size=n,
+                            max_size=n)) + [1]
+    got, want = _companion_rung(mu, ell)
+    assert got == want
+
+
+@pytest.mark.parametrize("mu, ell, disc", [
+    ([4, 1], 7, 1),                                     # degree 1
+    ([3, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1], 5, 0),          # g(x^5): mu' = 0
+    ([1, 0, 1, 0, 0, 1], 5, 3),                         # mu' = 2x, not 5x^4
+    ([1, 1, 0, 0, 0, 0, 1], 3, 2),                      # mu' = 1, not 6x^5
+    ([1, 1, 0, 0, 1], 2, 1),                            # mu' = 1, not 4x^3
+    ([6, 4, 3, 0, 1], 7, 0),                            # (x-1)^2 (x-2) (x-3)
+], ids=["degree-1", "mu'-zero", "ell-divides-5", "ell-divides-6",
+        "ell-divides-4", "late-zero-remainder"])
+def test_rung_discriminant_at_the_euclid_edge_cases(mu, ell, disc):
+    # a formal top term of mu' that vanishes mod ell, and a zero remainder
+    # after a nonzero first one (gcd(mu, mu') = x - 1)
+    assert _companion_rung(mu, ell) == (disc, disc)
+    deriv = [i * c % ell for i, c in enumerate(mu)][1:]
+    while deriv and not deriv[-1]:
+        deriv.pop()
+    if disc == 0 and deriv:
+        assert modforms._poly_rem(mu, deriv, ell)
 
 
 # primes dividing det G at weight 288, 420 or 600 among them: 2, 5, 13, 29,

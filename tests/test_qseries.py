@@ -210,13 +210,19 @@ def test_either_sign_at_every_level_gives_the_same_residues(
         alpha, ell, v, 200)
 
 
+def level_candidates(f, ell, precision):
+    """The 2 ell splits (b, a) of ``qseries._level_runs``, in one list."""
+    return [split for run in qseries._level_runs(f, ell, precision)
+            for split in run]
+
+
 def forced_candidates(start):
     """A stand-in for qseries._level_split that gives level i candidate
-    start + i of its ``_level_candidates``, cyclically."""
+    start + i of its ``level_candidates``, cyclically."""
     level = iter(range(start, start + 100))
 
     def level_split(f, ell, precision):
-        found = qseries._level_candidates(f, ell, precision)
+        found = level_candidates(f, ell, precision)
         return found[next(level) % len(found)]
 
     return level_split
@@ -241,8 +247,7 @@ def test_every_split_gives_the_parent_route_residues(monkeypatch, ell, v,
     # negative b) and the level's own choice
     alpha = Fraction(57, 61)
     residue = trunc % ell
-    found = qseries._level_candidates(qseries.ell_integral(alpha, ell), ell,
-                                      v)
+    found = level_candidates(qseries.ell_integral(alpha, ell), ell, v)
     assert len(found) == 2 * ell
     starts = range(len(found)) if ell < 1000 else [
         0, len(found) - 1, found.index(qseries._level_split(alpha, ell, v))]
@@ -266,10 +271,10 @@ def test_two_and_the_first_power_never_take_a_correction(v):
     for alpha in (Fraction(57, 61), Fraction(-1), Fraction(1, 3), 6):
         f = qseries.ell_integral(alpha, 2)
         e = psi(2 ** v, f)
-        assert qseries._level_candidates(f, 2, v) == [(e, 0), (e - 2 ** v, 0)]
+        assert level_candidates(f, 2, v) == [(e, 0), (e - 2 ** v, 0)]
         assert qseries._level_split(f, 2, v)[1] == 0
-        assert all(a == 0 for _, a in qseries._level_candidates(f, 17, 1))
-    assert {a for _, a in qseries._level_candidates(
+        assert all(a == 0 for _, a in level_candidates(f, 17, 1))
+    assert {a for _, a in level_candidates(
         Fraction(57, 61), 17, 2)} == set(range(17))
 
 
@@ -285,7 +290,7 @@ def test_level_split_is_the_cheapest_candidate(ell, v):
 
     for alpha in (Fraction(57, 61), Fraction(1, 2), Fraction(-1),
                   Fraction(-5, 7), Fraction(72)):
-        found = qseries._level_candidates(alpha, ell, v)
+        found = level_candidates(alpha, ell, v)
         assert len(set(found)) == 2 * ell
         assert qseries._level_split(alpha, ell, v) == min(found, key=cost)
 
