@@ -37,6 +37,7 @@ and from the ledger above that.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 import os
@@ -161,10 +162,15 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
     a = 0 exactly when b == alpha (mod m), the Frobenius descent; ell = 2
     and v = 1 keep to it.  Nothing divides by a power of ell, so the result
     is exact mod ell^precision.  The correction is built in the Y sieve's
-    own array as ell^(v-1) (a Y mod ell), plus 1 at q^0: no value in it
-    passes max(ell^2, m), so it stays int32 wherever m < 2^31 and the
-    sieve's sums fit int32 (to about 1.1*10^8 coefficients).  The product
-    by it reads that array as it is; the result is int64.
+    own array as ell^(v-1) (a Y mod ell), plus 1 at q^0
+    (``_correction_mod``): no value in it passes max(ell^2, m), so it
+    stays int32 wherever m < 2^31 and the sieve's sums fit int32 (to about
+    1.1*10^8 coefficients).  The product by it reads that array as it is;
+    the result is int64.  The correction shares no data with the power:
+    past ``_CORRECTION_BESIDE`` coefficients its sieve runs on a worker
+    thread while the power runs on the calling thread
+    (``_correction_beside``); below that size, and where a = 0, no thread
+    starts.
 
     With ``residue`` = r in [0, ell), only coefficients r, r + ell, ... up
     to T are returned: inner(q^ell) keeps each class mod ell to itself, so
@@ -197,24 +203,16 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
             f"physical memory")
     b, a = _level_split(f, ell, precision)
     n_out = trunc + 1
-    if b < 0:
-        # inverse_mod holds the only reference to the power
-        out = inverse_mod(eta_integer_power_mod(-b, m, n_out), m, n_out)
-    else:
-        # the power forms the class alone where no product follows it
-        out = eta_integer_power_mod(b, m, n_out, ell=ell,
-                                    residue=None if a else residue)
+    with _correction_beside(ell, precision, a, n_out) as correction:
+        if b < 0:
+            # inverse_mod holds the only reference to the power
+            out = inverse_mod(eta_integer_power_mod(-b, m, n_out), m, n_out)
+        else:
+            # the power forms the class alone where no product follows it
+            out = eta_integer_power_mod(b, m, n_out, ell=ell,
+                                        residue=None if a else residue)
     if a:
-        # 1 + ell^(v-1) (a Y mod ell), built in Y's array once the power's
-        # products are done: no value passes max(ell^2, m), and the array
-        # stays int32 where m fits it
-        z = _log_part_mod(ell, n_out)
-        if m >= _INT32_SIGMA_LIMIT:
-            z = z.astype(np.int64, copy=False)
-        z *= a
-        z %= ell
-        z *= ell ** (precision - 1)
-        z[0] = 1
+        z = correction()
         out = (convolve_mod(out, z, m, n_out) if residue is None else
                convolve_class_mod(out, z, m, n_out, residue, ell))
         del z
@@ -233,8 +231,20 @@ def eta_power_residues(alpha: Rational, ell: int, precision: int, trunc: int,
 # of a dense square of the level's length: its sieve, Y and the full
 # product by it took 3.0 to 4.6 of them mod 289, 5^6 and 5^13 at 10^4 to
 # 4*10^6 coefficients on a 2-core box (best of 3 to 5 runs), and 2.6 to
-# 3.5 where it forms one class mod 17
+# 3.5 where it forms one class mod 17.  Those runs timed the sieve
+# serially, before the power; past _CORRECTION_BESIDE it now runs beside
+# the power, and the constant is kept so that no level's split moves
 _LOG_PART_COST = 4
+
+# a level's correction is built on a worker beside its power past this
+# many coefficients, below it after the power on the calling thread.  With
+# (q;q)^4 mod 289 (verify's levels; a pair product, loops of short numpy
+# calls) the two beside each other took 1.07 to 1.22 times the serial
+# time at 1.3*10^5 to 2.6*10^5, 0.99 to 1.05 at 3*10^5 to 4.5*10^5, 0.95
+# at 2^19, 0.81 at 2^20 and 0.64 at 4*10^6; with (q;q)^24 (FFT squares)
+# 0.95, 0.92 and 0.92 at 2^18, 2^19 and 2^20, and with (q;q)^-5 0.98 to
+# 1.01: medians of 9 alternating runs on a 2-core box
+_CORRECTION_BESIDE = 1 << 19
 
 
 def _level_runs(f, ell, precision):
@@ -295,17 +305,59 @@ def _divisor_sums(trunc):
     Each divisor pair (d, k) of N = d k, d <= k, is added once, as d + k
     (or d when k = d), from the rows d <= sqrt(T): no partial sum passes
     sigma(N).  The row d = 1 is the array's start, N + 1 at every N >= 2.
+    A row's values d + k come from aranges of at most 2^16 k, so no
+    temporary is long beside the result.
     """
     bound = trunc * (1 + math.log(trunc)) if trunc else 0
     dtype = np.int32 if bound < _INT32_SIGMA_LIMIT else np.int64
     sigma = np.arange(1, trunc + 2, dtype=dtype)
     sigma[0] = 0
     sigma[1:2] = 1
+    chunk = 1 << 16
     for d in range(2, math.isqrt(trunc) + 1):
         sigma[d * d] += d
-        sigma[d * (d + 1)::d] += np.arange(2 * d + 1, trunc // d + d + 1,
-                                           dtype=dtype)
+        # d + k at N = d k for k in (d, T / d], at most chunk at a time
+        end = trunc // d + 1
+        for k in range(d + 1, end, chunk):
+            top = min(k + chunk, end)
+            sigma[d * k:d * top:d] += np.arange(d + k, d + top, dtype=dtype)
     return sigma
+
+
+def _correction_mod(ell, precision, a, n_out):
+    """1 + ell^(v-1) (a Y mod ell) mod ell^v to n_out coefficients, v =
+    precision, built in the Y sieve's own array (``_log_part_mod``): no
+    value passes max(ell^2, m), so it stays int32 where m fits it."""
+    z = _log_part_mod(ell, n_out)
+    if ell ** precision >= _INT32_SIGMA_LIMIT:
+        z = z.astype(np.int64, copy=False)
+    z *= a
+    z %= ell
+    z *= ell ** (precision - 1)
+    z[0] = 1
+    return z
+
+
+@contextlib.contextmanager
+def _correction_beside(ell, precision, a, n_out):
+    """Yields a callable that returns ``_correction_mod(ell, precision, a,
+    n_out)``.
+
+    Past ``_CORRECTION_BESIDE`` coefficients with a != 0 the correction
+    starts at once on a one-worker pool and is built beside the block's
+    work; leaving the block joins the worker, whether the block returns or
+    raises, and the callable then returns the correction or raises its
+    error.  Otherwise the callable builds it on the calling thread, and no
+    thread starts.
+    """
+    if not a or n_out <= _CORRECTION_BESIDE:
+        yield lambda: _correction_mod(ell, precision, a, n_out)
+        return
+    # imported once a worker is needed, as for the products
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as pool:
+        yield pool.submit(_correction_mod, ell, precision, a, n_out).result
 
 
 def _log_part_mod(ell, n_out):

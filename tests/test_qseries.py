@@ -1,5 +1,9 @@
+import subprocess
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from etacong.numerics import (
     psi,
 )
 from etacong.qseries import (
+    _CORRECTION_BESIDE,
     divisor_sum_table,
     eta_power_mod,
     eta_power_rational,
@@ -337,6 +342,153 @@ def test_divisor_sums_take_int64_past_the_bound(monkeypatch):
     # the row d = 1 alone below 4
     for trunc in range(4):
         assert qseries._divisor_sums(trunc).tolist() == want[:trunc + 1]
+
+
+def test_divisor_sums_cross_their_chunk_edges():
+    # a row d adds its values d + k 2^16 k at a time: near 3 * 2^17 the row
+    # d = 2 crosses two chunk edges and d = 3 one, and at 3 * 2^17 + 4 the
+    # row d = 2 ends exactly on the end of its third chunk
+    top = 3 * 2 ** 17 + 5
+    want = divisor_sum_table(1, top)
+    for trunc in (3 * 2 ** 17 - 1, 3 * 2 ** 17, 3 * 2 ** 17 + 4, top):
+        got = qseries._divisor_sums(trunc)
+        assert got.dtype == np.int32 and got.tolist() == want[:trunc + 1]
+
+
+# the top level takes (4, 4), a correction, past _CORRECTION_BESIDE
+SIEVE_ALPHA, SIEVE_TRUNC = Fraction(57, 61), _CORRECTION_BESIDE + 2 ** 16
+
+
+def recorded_sieves(monkeypatch):
+    """(n_out, thread) of each _log_part_mod call the descent makes."""
+    sieve, calls = qseries._log_part_mod, []
+
+    def recorded(ell, n_out):
+        calls.append((n_out, threading.current_thread()))
+        return sieve(ell, n_out)
+
+    monkeypatch.setattr(qseries, "_log_part_mod", recorded)
+    return calls
+
+
+def test_sieve_beside_the_power_gives_the_serial_residues(monkeypatch):
+    # past 2^19 the top level's sieve runs on a worker; with the cut raised
+    # past the series it runs on the calling thread.  The full series and
+    # class 14 are bit-identical either way, and the class route is the
+    # full series' class
+    assert qseries._level_split(SIEVE_ALPHA, 17, 2)[1] != 0
+    caller, calls = threading.current_thread(), recorded_sieves(monkeypatch)
+    routes = {}
+    for cut in (_CORRECTION_BESIDE, SIEVE_TRUNC + 1):
+        monkeypatch.setattr(qseries, "_CORRECTION_BESIDE", cut)
+        calls.clear()
+        routes[cut] = [eta_power_residues(SIEVE_ALPHA, 17, 2, SIEVE_TRUNC,
+                                          residue=residue)
+                       for residue in (None, 14)]
+        # the top level's sieve, where the two routes part
+        assert calls[0][0] == SIEVE_TRUNC + 1
+        assert (calls[0][1] is caller) == (cut > _CORRECTION_BESIDE)
+    for beside, serial in zip(routes[_CORRECTION_BESIDE],
+                              routes[SIEVE_TRUNC + 1]):
+        assert beside.dtype == serial.dtype == np.int64
+        assert beside.tobytes() == serial.tobytes()
+    full, class_14 = routes[_CORRECTION_BESIDE]
+    assert class_14.tobytes() == full[14::17].tobytes()
+
+
+@pytest.mark.parametrize("n_out",
+                         [_CORRECTION_BESIDE, _CORRECTION_BESIDE + 1])
+def test_the_sieve_leaves_the_calling_thread_only_past_the_cut(monkeypatch,
+                                                               n_out):
+    calls = recorded_sieves(monkeypatch)
+    eta_power_residues(SIEVE_ALPHA, 17, 2, n_out - 1)
+    caller = threading.current_thread()
+    (top, thread), *inner = calls
+    assert top == n_out and inner
+    assert (thread is caller) == (n_out <= _CORRECTION_BESIDE)
+    assert all(t is caller for _, t in inner)
+
+
+def test_a_level_without_a_correction_runs_no_sieve(monkeypatch):
+    # p(n) mod 5^6 is one level (-1, 0): past the cut, no sieve either
+    calls = recorded_sieves(monkeypatch)
+    got = eta_power_residues(Fraction(-1), 5, 6, 2 * _CORRECTION_BESIDE)
+    assert calls == []
+    assert got[:100].tolist() == [p % 5 ** 6 for p in partition_numbers(99)]
+
+
+def test_the_small_descent_imports_no_thread_pool():
+    # the 1000-coefficient descent a fresh interpreter warms up with starts
+    # no thread and leaves concurrent.futures unimported
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, threading\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from fractions import Fraction\n"
+        "from etacong.qseries import eta_power_residues\n"
+        "eta_power_residues(Fraction(57, 61), 17, 2, 1000)\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())"
+    )
+    done = subprocess.run([sys.executable, "-B", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False 1\n"
+
+
+class SieveFailed(Exception):
+    pass
+
+
+class PowerFailed(Exception):
+    pass
+
+
+def test_an_error_in_the_sieve_reaches_the_caller(monkeypatch):
+    # raised on the worker, it leaves eta_power_residues, and no thread
+    # outlives the call
+    raised_on = []
+
+    def failing(ell, n_out):
+        raised_on.append(threading.current_thread())
+        raise SieveFailed(n_out)
+
+    monkeypatch.setattr(qseries, "_log_part_mod", failing)
+    threads = threading.active_count()
+    with pytest.raises(SieveFailed) as raised:
+        eta_power_residues(SIEVE_ALPHA, 17, 2, SIEVE_TRUNC)
+    assert raised.value.args == (SIEVE_TRUNC + 1,)
+    assert raised_on and raised_on[0] is not threading.current_thread()
+    assert threading.active_count() == threads
+
+
+def test_an_error_in_the_power_waits_for_the_running_sieve(monkeypatch):
+    # the power raises while the sieve is still running on its worker: the
+    # error reaches the caller once the worker has finished and is joined
+    sieve, started, release = (qseries._log_part_mod, threading.Event(),
+                               threading.Event())
+    finished, alive = [], []
+
+    def held_sieve(ell, n_out):
+        started.set()
+        release.wait(30)
+        y = sieve(ell, n_out)
+        finished.append(n_out)
+        return y
+
+    def failing_power(*args, **kwargs):
+        assert started.wait(30) and not finished
+        alive.append(threading.active_count())
+        release.set()
+        raise PowerFailed
+
+    monkeypatch.setattr(qseries, "_log_part_mod", held_sieve)
+    monkeypatch.setattr(qseries, "eta_integer_power_mod", failing_power)
+    threads = threading.active_count()
+    with pytest.raises(PowerFailed):
+        eta_power_residues(SIEVE_ALPHA, 17, 2, SIEVE_TRUNC)
+    assert alive == [threads + 1]
+    assert finished == [SIEVE_TRUNC + 1]
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("alpha,ell,v,trunc,residue,levels", [

@@ -106,6 +106,44 @@ def test_traced_cond3_skips_the_long_basis_on_a_witness(
     assert metrics["modforms._det_mod.calls"] == 0
 
 
+def test_traced_descent_keeps_one_span_stack_beside_its_sieve(monkeypatch):
+    # past 2^19 the top level's Y sieve runs on a worker thread, which
+    # calls no traced function: the spans still form one stack, each inside
+    # its parent's time and after its earlier siblings, and the result is
+    # the untraced one
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import threading
+
+    import spans
+    from etacong import qseries
+
+    sieve, threads = qseries._log_part_mod, []
+
+    def recorded(ell, n_out):
+        threads.append(threading.current_thread())
+        return sieve(ell, n_out)
+
+    args = (Fraction(57, 61), 17, 2, qseries._CORRECTION_BESIDE + 2 ** 16)
+    want = qseries.eta_power_residues(*args)
+    monkeypatch.setattr(qseries, "_log_part_mod", recorded)
+    with spans.Tracer() as tracer:
+        got = qseries.eta_power_residues(*args)
+    assert got.tobytes() == want.tobytes()
+    assert threads[0] is not threading.current_thread()
+    top = tracer.spans[0]
+    assert top[spans.NAME] == "qseries.eta_power_residues"
+    assert top[spans.PARENT] is None
+    stack = []
+    for s in tracer.spans:
+        while stack and stack[-1][spans.END] <= s[spans.START]:
+            stack.pop()
+        assert s[spans.PARENT] == (stack[-1][spans.ID] if stack else None)
+        assert s[spans.START] <= s[spans.END]
+        if stack:
+            assert s[spans.END] <= stack[-1][spans.END]
+        stack.append(s)
+
+
 def test_traced_blocked_product_keeps_one_span_stack(monkeypatch):
     # block transforms run on worker threads, which call no traced
     # function: a power's two products stay two convolve_mod spans under
